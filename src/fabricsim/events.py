@@ -97,7 +97,6 @@ class HandlerEngine:
         self._cursors: dict[str, int] = {}
         self._pumping: set[str] = set()
         self.failures: list[InvocationFailure] = []
-        self.firing_log: list[tuple[str, int]] = []
         self._invocations = 0
         self._crash_at: tuple[int, str] | None = None
 
@@ -183,8 +182,7 @@ class HandlerEngine:
                 entry = log.read(seq)
                 self._invocations += 1
                 index = self._invocations
-                effects = yield from self.fire(binding, entry)
-                del effects
+                yield from self.fire(binding, entry)
                 self._maybe_crash(index, "after_effects")
                 self._commit_cursor(binding, entry.seq)
                 self._maybe_crash(index, "after_cursor")
@@ -207,7 +205,6 @@ class HandlerEngine:
             self.failures.append(InvocationFailure(binding.binding_id, entry.seq,
                                                    f"{type(exc).__name__}: {exc}"))
             effects = []
-        self.firing_log.append((binding.binding_id, entry.seq))
         yield from self.apply_effects(binding.handler_id, binding.log_name,
                                       entry.seq, effects)
         return effects

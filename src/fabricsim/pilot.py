@@ -158,11 +158,6 @@ class PilotSpec:
             return "expired"
         return "active"
 
-    @property
-    def state(self) -> str:
-        # convenience for inspection outside a simulation clock
-        return "queued" if self.activate_time_us is None else "active"
-
 
 @dataclass(frozen=True)
 class CfdCostModel:

@@ -168,19 +168,14 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     spec = config["cups"]
     sim = Simulator(seed=seed)
     network = Network(sim, build_links(config), routes=build_routes(config))
-    pilot_spec = spec.get("pilot", {})
-    params = CupsParams(
-        duration_s=spec["duration_s"],
-        cadence_s=spec.get("cadence_s", 300.0),
-        duty_cycle_s=spec.get("duty_cycle_s", 1800.0),
-        alpha=spec.get("alpha", 0.05),
-        channels=tuple(spec.get("channels", ["wind_speed"])),
-        eval_offset_s=spec.get("eval_offset_s", 2.0),
-        forward_offset_s=spec.get("forward_offset_s", 4.0),
-        threshold_bytes=pilot_spec.get("threshold_bytes", 1024),
-        task_cores=pilot_spec.get("task_cores", 64),
-        estimated_runtime_s=pilot_spec.get("estimated_runtime_s", 420.39),
-        strategy=pilot_spec.get("strategy", "proactive"))
+    # only the keys the scenario sets; CupsParams holds the defaults
+    overrides = {key: spec[key] for key in ("cadence_s", "duty_cycle_s", "alpha",
+                                            "channels", "eval_offset_s",
+                                            "forward_offset_s") if key in spec}
+    if "channels" in overrides:
+        overrides["channels"] = tuple(overrides["channels"])
+    overrides.update(spec.get("pilot", {}))  # every pilot key is a CupsParams field
+    params = CupsParams(duration_s=spec["duration_s"], **overrides)
     pipeline = CupsPipeline(
         sim, network, out_dir / "state", params,
         weather=build_weather(spec["weather"]),
@@ -229,7 +224,6 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
 def _run_queue_sweep(config: dict, seed: int):
     spec = config["queue_sweep"]
     strategies = spec.get("strategies", ["reactive", "proactive"])
-    cost_model = build_cost_model(None)
     rows = []
     summaries = []
     invariants = {}

@@ -13,7 +13,7 @@ import hashlib
 import heapq
 import itertools
 import json
-from typing import Any, Callable, Generator, Iterator
+from typing import Any, Callable, Generator
 
 import numpy as np
 
@@ -81,10 +81,6 @@ class _WaitFor:
     def __init__(self, trigger: Trigger, timeout_us: int | None):
         self.trigger = trigger
         self.timeout_us = timeout_us
-
-
-def wait_for(trigger: Trigger, timeout_us: int | None = None) -> _WaitFor:
-    return wait(trigger, timeout_us)
 
 
 def wait(trigger: Trigger, timeout_us: int | None = None) -> _WaitFor:
@@ -290,7 +286,3 @@ def run_to_completion(sim: Simulator, gen: Generator, until_us: int | None = Non
     if not proc.finished:
         raise RuntimeError(f"process {proc.name} did not finish by the time bound")
     return proc.result
-
-
-def iter_processes(sim: Simulator, gens: Iterator[Generator]) -> list[Process]:
-    return [sim.spawn(g) for g in gens]

@@ -1,24 +1,26 @@
 """Real-socket adapter: the same wire frames over a TCP byte stream.
 
-Kept behind the same transport surface as the simulated channels; the server
-side delegates to the shared RequestHandler, so a log served here behaves
-identically to one reached through the simulator (dedup included). Blocking,
-one thread per connection; meant for interop checks and small deployments,
-not performance.
+Both sides only add socket I/O to the shared protocol code in `transport`:
+the server delegates to the shared RequestHandler, so a log served here
+behaves identically to one reached through the simulator (dedup included),
+and the client runs the same sans-I/O core (`SizeQuery`, `AppendCall`) as
+the simulated client, size cache included. Blocking, one thread per
+connection, no retry; meant for interop checks and small deployments, not
+performance.
 """
 
 from __future__ import annotations
 
+import itertools
 import socket
 import struct
 import threading
 import time
 
 from . import framing
-from .errors import FrameError, PayloadTooLarge, SizeMismatch, TransportError
-from .framing import STATUS_OK, STATUS_SIZE_MISMATCH, AppendRequest, SizeRequest
+from .errors import FrameError, TransportError
 from .logstore import LogRegistry
-from .transport import RequestHandler, _STATUS_ERRORS
+from .transport import AppendCall, RequestHandler, SizeCache, SizeQuery
 
 
 def _wall_clock_us() -> int:
@@ -105,47 +107,36 @@ class SocketLogServer:
 
 
 class SocketClient:
-    """Sequential request/reply against a SocketLogServer."""
+    """Sequential request/reply against a SocketLogServer; one attempt per
+    exchange, so a lost connection surfaces as an error."""
 
-    def __init__(self, address: tuple[str, int], timeout_s: float = 5.0):
+    def __init__(self, address: tuple[str, int], timeout_s: float = 5.0,
+                 cache: SizeCache | None = None):
         self._sock = socket.create_connection(address, timeout=timeout_s)
-        self._request_ids = iter(range(1, 2**62))
-        self._cache: dict[str, int] = {}
+        self.peer = f"{address[0]}:{address[1]}"
+        self.cache = cache
+        self._request_ids = itertools.count(1)
 
-    def _roundtrip(self, msg):
-        self._sock.sendall(framing.encode(msg))
+    def _roundtrip(self, build_request):
+        request = build_request(next(self._request_ids))
+        self._sock.sendall(framing.encode(request))
         frame = read_frame(self._sock)
         if frame is None:
             raise TransportError("server closed the connection")
         reply = framing.decode(frame)
-        if reply.request_id != msg.request_id:
+        if reply.request_id != request.request_id:
             raise TransportError("reply correlation mismatch")
         return reply
 
     def element_size(self, log_name: str) -> int:
-        reply = self._roundtrip(SizeRequest(next(self._request_ids), log_name))
-        if reply.status != STATUS_OK:
-            raise _STATUS_ERRORS[reply.status](log_name)
-        return reply.element_size
+        query = SizeQuery(self.peer, log_name)
+        return query.result(self._roundtrip(query.request))
 
-    def remote_append(self, log_name: str, payload: bytes,
-                      message_id: bytes, use_cache: bool = False) -> int:
-        if use_cache and log_name in self._cache:
-            size = self._cache[log_name]
-        else:
-            size = self.element_size(log_name)
-            if use_cache:
-                self._cache[log_name] = size
-        if len(payload) > size:
-            raise PayloadTooLarge(f"payload {len(payload)} > element size {size}")
-        reply = self._roundtrip(AppendRequest(next(self._request_ids), log_name,
-                                              message_id, size, payload))
-        if reply.status == STATUS_SIZE_MISMATCH:
-            self._cache.pop(log_name, None)
-            raise SizeMismatch(f"element size of {log_name!r} changed server-side")
-        if reply.status != STATUS_OK:
-            raise _STATUS_ERRORS.get(reply.status, TransportError)(log_name)
-        return reply.seq
+    def remote_append(self, log_name: str, payload: bytes, message_id: bytes) -> int:
+        call = AppendCall(self.cache, self.peer, log_name, payload, message_id)
+        if call.element_size is None:
+            call.learn_size(self.element_size(log_name))
+        return call.result(self._roundtrip(call.request))
 
     def close(self) -> None:
         self._sock.close()

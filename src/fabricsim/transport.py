@@ -7,6 +7,11 @@ price of a size-mismatch failure if the log is resized server-side.
 Requests are retried with exponential backoff until a reply arrives; because
 retries reuse the message id, the server's dedup index makes the append land
 exactly once no matter how many attempts were needed.
+
+The client-side rules live in one sans-I/O core (`SizeQuery`, `AppendCall`)
+that does no I/O and reads no clock; `TransportClient` (simulated, with retry
+and timeouts) and `sockfab.SocketClient` (blocking TCP) only move its frames.
+Each node's endpoint (`wire_node`) decodes every frame exactly once.
 """
 
 from __future__ import annotations
@@ -55,23 +60,17 @@ class RetryPolicy:
         return ms_to_us(min(self.base_ms * (2 ** attempt), self.cap_ms))
 
 
-@dataclass
-class SizeCacheEntry:
-    element_size: int
-    cached_at_us: int
-
-
 class SizeCache:
     """Opt-in per-client cache of (node, log) -> element size."""
 
     def __init__(self):
-        self.entries: dict[tuple[str, str], SizeCacheEntry] = {}
+        self.entries: dict[tuple[str, str], int] = {}
 
-    def get(self, node: str, log_name: str) -> SizeCacheEntry | None:
+    def get(self, node: str, log_name: str) -> int | None:
         return self.entries.get((node, log_name))
 
-    def put(self, node: str, log_name: str, element_size: int, now_us: int) -> None:
-        self.entries[(node, log_name)] = SizeCacheEntry(element_size, now_us)
+    def put(self, node: str, log_name: str, element_size: int) -> None:
+        self.entries[(node, log_name)] = element_size
 
     def invalidate(self, node: str, log_name: str) -> None:
         self.entries.pop((node, log_name), None)
@@ -91,6 +90,78 @@ _STATUS_ERRORS = {
     STATUS_SIZE_MISMATCH: SizeMismatch,
     STATUS_STORAGE_FAILURE: StorageFailure,
 }
+
+
+def _check_reply(reply, kind: type, what: str) -> None:
+    """Raise unless `reply` is an OK `kind` reply. Replies come from outside
+    the program, so an unknown status byte raises a plain TransportError."""
+    if not isinstance(reply, kind):
+        raise TransportError(f"{what}: unexpected {type(reply).__name__}")
+    if reply.status != STATUS_OK:
+        name = framing.STATUS_NAMES.get(reply.status, f"status {reply.status}")
+        raise _STATUS_ERRORS.get(reply.status, TransportError)(f"{what}: {name}")
+
+
+# -- sans-I/O protocol core ---------------------------------------------------------
+# A client sends `request(request_id)` as often as it likes and hands the reply
+# it gets back to `result`.
+
+class SizeQuery:
+    """One element-size exchange with a log on `target`."""
+
+    def __init__(self, target: str, log_name: str):
+        self.target = target
+        self.log_name = log_name
+
+    def request(self, request_id: int) -> SizeRequest:
+        return SizeRequest(request_id, self.log_name)
+
+    def result(self, reply) -> int:
+        _check_reply(reply, SizeReply, f"size of {self.log_name!r} on {self.target}")
+        return reply.element_size
+
+
+class AppendCall:
+    """One remote append. Its element size is unknown until the cache or a
+    size exchange supplies it through `learn_size`; after that the append
+    request may be resent freely, since retries reuse the message id and the
+    server's dedup index applies it once."""
+
+    def __init__(self, cache: SizeCache | None, target: str, log_name: str,
+                 payload: bytes, message_id: bytes):
+        self.cache = cache
+        self.target = target
+        self.log_name = log_name
+        self.payload = payload
+        self.message_id = message_id
+        self.element_size: int | None = None
+        if cache is not None and (cached := cache.get(target, log_name)) is not None:
+            self.learn_size(cached)
+
+    def learn_size(self, element_size: int) -> None:
+        """Cache the size and check the payload fits before anything is sent."""
+        if self.cache is not None:
+            self.cache.put(self.target, self.log_name, element_size)
+        if len(self.payload) > element_size:
+            raise PayloadTooLarge(
+                f"payload {len(self.payload)} > element size {element_size} "
+                f"of {self.log_name!r} on {self.target}")
+        self.element_size = element_size
+
+    def request(self, request_id: int) -> AppendRequest:
+        return AppendRequest(request_id, self.log_name, self.message_id,
+                             self.element_size, self.payload)
+
+    def result(self, reply) -> int:
+        """The assigned seq; a size mismatch also drops the stale cached size."""
+        try:
+            _check_reply(reply, AppendReply,
+                         f"append to {self.log_name!r} on {self.target}")
+        except SizeMismatch:
+            if self.cache is not None:
+                self.cache.invalidate(self.target, self.log_name)
+            raise
+        return reply.seq
 
 
 class RequestHandler:
@@ -131,44 +202,23 @@ class RequestHandler:
         return AppendReply(msg.request_id, STATUS_OK, seq)
 
 
-class TransportServer:
+class TransportServer(RequestHandler):
     """Serves size and append requests over simulated channels."""
 
     def __init__(self, sim: Simulator, network: Network, node: str,
                  registry: LogRegistry):
-        self.sim = sim
+        super().__init__(registry, clock_us=lambda: sim.now_us)
         self.network = network
         self.node = node
-        self.registry = registry
-        self._handler = RequestHandler(registry, clock_us=lambda: sim.now_us)
 
-    @property
-    def on_append(self):
-        return self._handler.on_append
-
-    @on_append.setter
-    def on_append(self, hook) -> None:
-        self._handler.on_append = hook
-
-    def on_frame(self, frame: bytes, src: str) -> None:
-        try:
-            msg = framing.decode(frame)
-        except FrameError:
-            self.sim.record("bad-frame", node=self.node, src=src)
-            return
-        reply = self.handle_request(msg)
-        if reply is not None:
-            self.network.send(self.node, src, framing.encode(reply))
-
-    def handle_request(self, msg) -> framing.Message | None:
-        reply = self._handler.handle(msg)
-        if reply is None:
-            self.sim.record("stray-frame", node=self.node, type=type(msg).__name__)
-        return reply
+    def on_frame(self, msg, src: str) -> None:
+        """Answer one decoded request from `src`."""
+        self.network.send(self.node, src, framing.encode(self.handle(msg)))
 
 
 class TransportClient:
-    """Issues remote appends as simulated activities."""
+    """Drives the protocol core over simulated channels: retries with
+    exponential backoff and times out in simulated time."""
 
     def __init__(self, sim: Simulator, network: Network, node: str,
                  policy: RetryPolicy = RetryPolicy(), cache: SizeCache | None = None):
@@ -184,20 +234,13 @@ class TransportClient:
     def new_message_id(self) -> bytes:
         return self._rng.bytes(16)
 
-    def on_frame(self, frame: bytes, src: str) -> None:
-        try:
-            msg = framing.decode(frame)
-        except FrameError:
-            self.sim.record("bad-frame", node=self.node, src=src)
-            return
-        if isinstance(msg, (SizeReply, AppendReply)):
-            trigger = self._pending.get(msg.request_id)
-            if trigger is not None:
-                trigger.fire(msg)
-            else:
-                self.sim.record("late-reply", node=self.node, request_id=msg.request_id)
+    def on_reply(self, reply) -> None:
+        """Wake the exchange waiting on this decoded reply, if any still is."""
+        trigger = self._pending.get(reply.request_id)
+        if trigger is not None:
+            trigger.fire(reply)
         else:
-            self.sim.record("stray-frame", node=self.node, type=type(msg).__name__)
+            self.sim.record("late-reply", node=self.node, request_id=reply.request_id)
 
     # -- core request/reply with retry ------------------------------------
 
@@ -228,11 +271,8 @@ class TransportClient:
                 self._pending.pop(rid, None)
 
     def fetch_element_size(self, target: str, log_name: str):
-        reply = yield from self._roundtrip(
-            target, lambda rid: SizeRequest(rid, log_name))
-        if reply.status != STATUS_OK:
-            raise _STATUS_ERRORS[reply.status](f"{log_name!r} on {target}")
-        return reply.element_size
+        query = SizeQuery(target, log_name)
+        return query.result((yield from self._roundtrip(target, query.request)))
 
     def remote_append(self, target: str, log_name: str, payload: bytes,
                       message_id: bytes | None = None,
@@ -240,31 +280,11 @@ class TransportClient:
         """Process: returns the assigned sequence number (exactly-once)."""
         if message_id is None:
             message_id = self.new_message_id()
-        cached = self.cache.get(target, log_name) if self.cache is not None else None
-        if cached is not None:
-            element_size = cached.element_size
-        else:
-            element_size = yield from self.fetch_element_size(target, log_name)
-            if self.cache is not None:
-                self.cache.put(target, log_name, element_size, self.sim.now_us)
-        if len(payload) > element_size:
-            raise PayloadTooLarge(
-                f"payload {len(payload)} > element size {element_size} "
-                f"of {log_name!r} on {target}")
-        reply = yield from self._roundtrip(
-            target,
-            lambda rid: AppendRequest(rid, log_name, message_id, element_size, payload),
-            slice_ue=slice_ue)
-        if reply.status == STATUS_SIZE_MISMATCH:
-            if self.cache is not None:
-                self.cache.invalidate(target, log_name)
-            raise SizeMismatch(
-                f"element size of {log_name!r} on {target} changed server-side")
-        if reply.status != STATUS_OK:
-            raise _STATUS_ERRORS.get(reply.status, TransportError)(
-                f"append to {log_name!r} on {target} failed: "
-                f"{framing.STATUS_NAMES.get(reply.status, reply.status)}")
-        return reply.seq
+        call = AppendCall(self.cache, target, log_name, payload, message_id)
+        if call.element_size is None:
+            call.learn_size((yield from self.fetch_element_size(target, log_name)))
+        reply = yield from self._roundtrip(target, call.request, slice_ue=slice_ue)
+        return call.result(reply)
 
     def measure_latency(self, target: str, log_name: str, payload_size: int,
                         count: int, slice_ue: str | None = None):
@@ -288,19 +308,20 @@ class TransportClient:
 
 def wire_node(network: Network, node: str, client: TransportClient | None = None,
               server: TransportServer | None = None) -> None:
-    """Register one endpoint that routes requests to the server and replies
-    to the client living on the same node."""
+    """Register the node's one endpoint. It is the only place a simulated
+    frame is decoded: requests go to the server and replies to the client
+    living on the node, and an undecodable frame is recorded as `bad-frame`."""
 
     def dispatch(frame: bytes, src: str) -> None:
         try:
             msg = framing.decode(frame)
         except FrameError:
+            network.sim.record("bad-frame", node=node, src=src)
             return
         if isinstance(msg, (SizeRequest, AppendRequest)):
             if server is not None:
-                server.on_frame(frame, src)
-        else:
-            if client is not None:
-                client.on_frame(frame, src)
+                server.on_frame(msg, src)
+        elif client is not None:
+            client.on_reply(msg)
 
     network.register_endpoint(node, dispatch)

@@ -3,6 +3,7 @@ import pytest
 from fabricsim.errors import PayloadTooLarge, SizeMismatch, UnknownLog
 from fabricsim.logstore import LogRegistry
 from fabricsim.sockfab import SocketClient, SocketLogServer
+from fabricsim.transport import SizeCache
 
 
 @pytest.fixture
@@ -50,12 +51,16 @@ def test_socket_payload_too_large(served):
 
 def test_socket_stale_cache_size_mismatch(served):
     registry, client = served
-    client.remote_append("inbox", b"fill", mid(3), use_cache=True)
-    registry.get("inbox").resize(512)
-    with pytest.raises(SizeMismatch):
-        client.remote_append("inbox", b"stale", mid(4), use_cache=True)
-    # cache invalidated: next cached append re-fetches and succeeds
-    assert client.remote_append("inbox", b"fresh", mid(5), use_cache=True) == 2
+    cached = SocketClient(client._sock.getpeername(), cache=SizeCache())
+    try:
+        cached.remote_append("inbox", b"fill", mid(3))
+        registry.get("inbox").resize(512)
+        with pytest.raises(SizeMismatch):
+            cached.remote_append("inbox", b"stale", mid(4))
+        # cache invalidated: next cached append re-fetches and succeeds
+        assert cached.remote_append("inbox", b"fresh", mid(5)) == 2
+    finally:
+        cached.close()
 
 
 def test_socket_two_clients_interleave(served):

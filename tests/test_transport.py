@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from fabricsim import framing
 from fabricsim.errors import (
     DeliveryAbandoned,
     PayloadTooLarge,
     RouteUnreachable,
     SizeMismatch,
+    TransportError,
     UnknownLog,
 )
 from fabricsim.framing import (
     STATUS_OK,
     STATUS_SIZE_MISMATCH,
     STATUS_UNKNOWN_LOG,
+    AppendReply,
     AppendRequest,
     SizeReply,
     SizeRequest,
@@ -20,8 +23,10 @@ from fabricsim.logstore import LogRegistry
 from fabricsim.netsim import LinkSpec, Network
 from fabricsim.simcore import Simulator, run_to_completion
 from fabricsim.transport import (
+    AppendCall,
     RetryPolicy,
     SizeCache,
+    SizeQuery,
     TransportClient,
     TransportServer,
     wire_node,
@@ -29,8 +34,8 @@ from fabricsim.transport import (
 
 
 def build(tmp_path, seed=1, latency_ms=50.0, sd_ms=0.0, loss=0.0, dup=0.0,
-          policy=RetryPolicy(), cache=None):
-    sim = Simulator(seed=seed)
+          policy=RetryPolicy(), cache=None, trace=False):
+    sim = Simulator(seed=seed, trace=trace)
     link = LinkSpec("wire", "client", "server", latency_ms, sd_ms,
                     loss_prob=loss, duplicate_prob=dup,
                     base_capacity_mbps=10_000.0)
@@ -129,18 +134,18 @@ def test_unreachable_target_raises_immediately(tmp_path):
         run_to_completion(sim, client.remote_append("mars", "data", b"x"))
 
 
-# -- server handle_request (wire surface, no client) ------------------------------
+# -- server handle (wire surface, no client) --------------------------------------
 
 def test_size_request_reply(tmp_path):
     sim, net, registry, server, client = build(tmp_path)
     registry.create("data", 1024, 8)
-    reply = server.handle_request(SizeRequest(7, "data"))
+    reply = server.handle(SizeRequest(7, "data"))
     assert reply == SizeReply(7, STATUS_OK, 1024)
 
 
 def test_size_request_unknown_log(tmp_path):
     sim, net, registry, server, client = build(tmp_path)
-    reply = server.handle_request(SizeRequest(8, "nope"))
+    reply = server.handle(SizeRequest(8, "nope"))
     assert reply.status == STATUS_UNKNOWN_LOG
 
 
@@ -148,8 +153,8 @@ def test_append_retry_carries_original_seq(tmp_path):
     sim, net, registry, server, client = build(tmp_path)
     registry.create("data", 64, 8)
     mid = bytes(range(16))
-    first = server.handle_request(AppendRequest(1, "data", mid, 64, b"payload"))
-    retry = server.handle_request(AppendRequest(2, "data", mid, 64, b"payload"))
+    first = server.handle(AppendRequest(1, "data", mid, 64, b"payload"))
+    retry = server.handle(AppendRequest(2, "data", mid, 64, b"payload"))
     assert first.seq == retry.seq == 1
     assert registry.get("data").next_seq == 2
 
@@ -157,15 +162,60 @@ def test_append_retry_carries_original_seq(tmp_path):
 def test_append_request_size_mismatch_reply(tmp_path):
     sim, net, registry, server, client = build(tmp_path)
     registry.create("data", 64, 8)
-    reply = server.handle_request(AppendRequest(3, "data", bytes(16), 128, b"x"))
+    reply = server.handle(AppendRequest(3, "data", bytes(16), 128, b"x"))
     assert reply.status == STATUS_SIZE_MISMATCH
     assert reply.seq == 0
 
 
 def test_nonexistent_log_append_reply(tmp_path):
     sim, net, registry, server, client = build(tmp_path)
-    reply = server.handle_request(AppendRequest(4, "ghost", bytes(16), 8, b"x"))
+    reply = server.handle(AppendRequest(4, "ghost", bytes(16), 8, b"x"))
     assert reply.status == STATUS_UNKNOWN_LOG
+
+
+# -- protocol core (no simulator, no socket) ----------------------------------------
+
+def test_unknown_status_byte_raises_transport_error():
+    with pytest.raises(TransportError) as size_err:
+        SizeQuery("server", "data").result(SizeReply(1, 9, 0))
+    assert type(size_err.value) is TransportError
+    call = AppendCall(None, "server", "data", b"x", bytes(16))
+    call.learn_size(64)
+    with pytest.raises(TransportError) as append_err:
+        call.result(AppendReply(2, 9, 0))
+    assert type(append_err.value) is TransportError
+
+
+# -- receive side: the node endpoint decodes each frame once --------------------------
+
+def test_malformed_frame_recorded_once_as_bad_frame(tmp_path):
+    sim, net, registry, server, client = build(tmp_path, trace=True)
+    net.send("client", "server", b"\x02\x00\x00\x00\x7f\x00")  # unknown type 0x7f
+    sim.run()
+    bad = [f for _, kind, f in sim.trace if kind == "bad-frame"]
+    assert bad == [{"node": "server", "src": "client"}]
+
+
+def test_each_delivered_frame_is_decoded_once(tmp_path, monkeypatch):
+    decodes = 0
+    real_decode = framing.decode
+
+    def counting_decode(frame):
+        nonlocal decodes
+        decodes += 1
+        return real_decode(frame)
+
+    monkeypatch.setattr(framing, "decode", counting_decode)
+    sim, net, registry, server, client = build(
+        tmp_path, seed=3, latency_ms=10.0, sd_ms=2.0, loss=0.2, dup=0.05, trace=True)
+    registry.create("data", 16, 256)
+    procs = [sim.spawn(client.remote_append("server", "data", i.to_bytes(16, "little")))
+             for i in range(200)]
+    sim.run()
+    assert all(p.error is None for p in procs)
+    kinds = [kind for _, kind, _ in sim.trace]
+    assert kinds.count("drop") > 0 and kinds.count("duplicate") > 0
+    assert decodes == kinds.count("deliver")
 
 
 # -- retries under faults -----------------------------------------------------------
