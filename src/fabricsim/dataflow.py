@@ -231,6 +231,7 @@ class DeployedGraph:
         self.fabric = fabric
         self.ops = ops
         self.window = window
+        self._external_inputs = frozenset(graph.external_inputs())
 
     # -- naming ------------------------------------------------------------
 
@@ -268,7 +269,7 @@ class DeployedGraph:
         """Process: deliver an external operand; idempotent for identical
         values, a hard error for conflicting ones."""
         node = self.graph.node(node_id)
-        if (node_id, port) not in self.graph.external_inputs():
+        if (node_id, port) not in self._external_inputs:
             raise DataflowError(f"{node_id}.{port} is not an external input")
         vt = node.input_type(port)
         payload = pack_operand(iteration, vt, value)

@@ -177,6 +177,8 @@ class HandlerEngine:
                 if seq < log.earliest_seq:
                     # entry evicted before it could fire; bound logs should be
                     # sized so this cannot happen, but never wedge the binding
+                    self.failures.append(InvocationFailure(
+                        binding.binding_id, seq, "evicted before firing"))
                     self._cursors[binding.binding_id] = seq
                     continue
                 entry = log.read(seq)

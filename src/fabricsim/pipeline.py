@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .dataflow import (
     BYTES,
+    DEFAULT_WINDOW,
     DataflowGraph,
     DeployedGraph,
     GraphNode,
@@ -27,7 +28,15 @@ from .dataflow import (
     compile_graph,
     unpack_operand,
 )
-from .detect import ALERT_SIZE, DUTY_CYCLE_S, ChangeAlert, Window, detect_change
+from .detect import (
+    ALERT_SIZE,
+    DEFAULT_ALPHA,
+    DUTY_CYCLE_S,
+    WINDOW_LEN,
+    ChangeAlert,
+    Window,
+    detect_change,
+)
 from .errors import ConfigError
 from .events import AppendEffect
 from .netsim import Network
@@ -39,7 +48,6 @@ from .pilot import (
     PilotController,
     QueueDelayModel,
     SystemSpec,
-    TaskResult,
     TaskSpec,
     audit_payload,
 )
@@ -47,6 +55,7 @@ from .simcore import Simulator, s_to_us, sleep
 from .weather import RECORD_SIZE, REPORT_CADENCE_S, TelemetryRecord, WeatherModel
 
 TELEMETRY_ELEMENT = 1024  # matches the measured 1 KB message workload
+TELEMETRY_CAPACITY = 4096  # ~341 h at the 5-minute cadence; windows need the last 12
 
 
 @dataclass
@@ -54,8 +63,7 @@ class CupsParams:
     duration_s: float
     cadence_s: float = REPORT_CADENCE_S
     duty_cycle_s: float = DUTY_CYCLE_S
-    window_len: int = 6
-    alpha: float = 0.05
+    alpha: float = DEFAULT_ALPHA
     channels: tuple[str, ...] = ("wind_speed",)
     eval_offset_s: float = 2.0      # after the duty tick, lets the last record land
     forward_offset_s: float = 4.0   # alert fetch offset within the duty cycle
@@ -63,8 +71,6 @@ class CupsParams:
     task_cores: int = 64
     estimated_runtime_s: float = 420.39
     strategy: str = "proactive"
-    telemetry_capacity: int = 4096
-    dataflow_window: int = 256
     unl: str = "unl-edge"
     ucsb: str = "ucsb-repo"
     nd: str = "nd-hpc"
@@ -72,7 +78,7 @@ class CupsParams:
     def __post_init__(self):
         if self.duration_s < 2 * self.duty_cycle_s:
             raise ConfigError("scenario too short for a single evaluation")
-        if self.window_len * self.cadence_s != self.duty_cycle_s:
+        if WINDOW_LEN * self.cadence_s != self.duty_cycle_s:
             raise ConfigError("window must span exactly one duty cycle")
 
 
@@ -104,8 +110,8 @@ class CupsPipeline:
         self.nd = FabricNode(sim, network, params.nd, state_dir / params.nd)
         self.nodes = {n.name: n for n in (self.unl, self.ucsb, self.nd)}
 
-        self.ucsb.create_log("telemetry", TELEMETRY_ELEMENT, params.telemetry_capacity)
-        self.ucsb.create_log("alerts", ALERT_SIZE, params.dataflow_window)
+        self.ucsb.create_log("telemetry", TELEMETRY_ELEMENT, TELEMETRY_CAPACITY)
+        self.ucsb.create_log("alerts", ALERT_SIZE, DEFAULT_WINDOW)
         self.nd.create_log("pilot_events", 256, 1024)
 
         self.facility = Facility(sim, system, label=params.nd)
@@ -121,13 +127,13 @@ class CupsPipeline:
     # -- deployment ------------------------------------------------------
 
     def _deploy_detector(self) -> DeployedGraph:
-        pair_bytes = 2 * self.params.window_len * RECORD_SIZE
+        pair_bytes = 2 * WINDOW_LEN * RECORD_SIZE
 
         def detect_op(pair: bytes):
             records = [TelemetryRecord.unpack(pair[i * RECORD_SIZE:(i + 1) * RECORD_SIZE])
-                       for i in range(2 * self.params.window_len)]
-            previous = Window(tuple(records[:self.params.window_len]))
-            current = Window(tuple(records[self.params.window_len:]))
+                       for i in range(2 * WINDOW_LEN)]
+            previous = Window(tuple(records[:WINDOW_LEN]))
+            current = Window(tuple(records[WINDOW_LEN:]))
             chosen = None
             for channel in self.params.channels:
                 alert = detect_change(current, previous, self.params.alpha, channel)
@@ -141,9 +147,7 @@ class CupsPipeline:
                              BYTES(ALERT_SIZE), "detect_change")],
             edges=[],
             placement={"detect": self.params.ucsb})
-        return compile_graph(graph, self.nodes,
-                             {"detect_change": OpDef(detect_op)},
-                             window=self.params.dataflow_window)
+        return compile_graph(graph, self.nodes, {"detect_change": OpDef(detect_op)})
 
     def _deploy_cfd(self) -> DeployedGraph:
         params = self.params
@@ -151,7 +155,7 @@ class CupsPipeline:
         def cfd_op(alert_bytes: bytes):
             alert = ChangeAlert.unpack(alert_bytes)
             task = TaskSpec(
-                data_size_bytes=2 * params.window_len * RECORD_SIZE,
+                data_size_bytes=2 * WINDOW_LEN * RECORD_SIZE,
                 threshold_bytes=params.threshold_bytes,
                 estimated_runtime_s=params.estimated_runtime_s,
                 cores=params.task_cores,
@@ -166,18 +170,29 @@ class CupsPipeline:
             edges=[],
             placement={"cfd": self.params.nd})
         return compile_graph(graph, self.nodes,
-                             {"run_simulation": OpDef(cfd_op, activity=True)},
-                             window=self.params.dataflow_window)
+                             {"run_simulation": OpDef(cfd_op, activity=True)})
 
     def _wire_alert_filter(self) -> None:
+        """Fires once per detector output: records the evaluation (and the
+        alert, on a vote) as it arrives, so the report never depends on how
+        long the output logs retain entries."""
         ucsb = self.params.ucsb
         vt = BYTES(ALERT_SIZE)
 
         def filter_votes(entry, ctx):
             _, raw = unpack_operand(vt, entry.payload)
             alert = ChangeAlert.unpack(raw)
+            row = {
+                "timestamp_us": alert.timestamp_us,
+                "channel": alert.channel,
+                "vote": alert.vote,
+                **{f"p_{r.test_name}": r.p_value for r in alert.results},
+                **{f"reject_{r.test_name}": r.reject for r in alert.results},
+            }
+            self.metrics.evaluations.append(row)
             if not alert.vote:
                 return []
+            self.metrics.alerts.append(row)
             return [AppendEffect(ucsb, "alerts", alert.pack())]
 
         self.ucsb.engine.register_handler("alert.filter", filter_votes)
@@ -205,25 +220,29 @@ class CupsPipeline:
     def evaluator(self):
         """Duty-cycle change detection at the repository node."""
         p = self.params
-        window_span = int(p.window_len)
         ticks = int(p.duration_s // p.duty_cycle_s)
         for m in range(2, ticks + 1):
             target_us = s_to_us(m * p.duty_cycle_s + p.eval_offset_s)
             if target_us > self.sim.now_us:
                 yield sleep(target_us - self.sim.now_us)
-            records = self._telemetry_between(s_to_us((m - 2) * p.duty_cycle_s),
-                                              s_to_us(m * p.duty_cycle_s))
-            if len(records) != 2 * window_span:
+            records = self._telemetry_window(m)
+            if len(records) != 2 * WINDOW_LEN:
                 self.metrics.skipped_evaluations += 1
                 continue
             pair = b"".join(r.pack() for r in records)
             yield from self.detector.inject(self.ucsb, "detect", "pair",
                                             iteration=m, value=pair)
 
-    def _telemetry_between(self, lo_us: int, hi_us: int) -> list[TelemetryRecord]:
+    def _telemetry_window(self, m: int) -> list[TelemetryRecord]:
+        """The records of duty cycles m-1 and m. The one station appends each
+        record exactly once and in order, so record i lands as seq i. The
+        timestamp filter stays: after a missing or late record the window
+        comes up short and is skipped instead of shifting."""
+        p = self.params
+        lo_us, hi_us = s_to_us((m - 2) * p.duty_cycle_s), s_to_us(m * p.duty_cycle_s)
         store = self.ucsb.registry.get("telemetry")
-        result = store.scan(store.earliest_seq, store.next_seq - 1)
-        records = [TelemetryRecord.unpack(e.payload) for e in result.entries]
+        entries = store.scan((m - 2) * WINDOW_LEN + 1, m * WINDOW_LEN).entries
+        records = [TelemetryRecord.unpack(e.payload) for e in entries]
         return [r for r in records if lo_us < r.timestamp_us <= hi_us]
 
     def forwarder(self):
@@ -257,28 +276,7 @@ class CupsPipeline:
         for proc in procs:
             if proc.error is not None:
                 raise proc.error
-        self._collect()
-        return self.metrics
-
-    def _collect(self) -> None:
-        alert_vt = BYTES(ALERT_SIZE)
-        result_vt = BYTES(TASK_RESULT_SIZE)
-        out = self.ucsb.registry.get(self.detector.out_log("detect"))
-        for entry in out.scan(out.earliest_seq, out.next_seq - 1).entries:
-            alert = ChangeAlert.unpack(unpack_operand(alert_vt, entry.payload)[1])
-            row = {
-                "timestamp_us": alert.timestamp_us,
-                "channel": alert.channel,
-                "vote": alert.vote,
-                **{f"p_{r.test_name}": r.p_value for r in alert.results},
-                **{f"reject_{r.test_name}": r.reject for r in alert.results},
-            }
-            self.metrics.evaluations.append(row)
-            if alert.vote:
-                self.metrics.alerts.append(row)
-        results = self.nd.registry.get(self.cfd.out_log("cfd"))
-        for entry in results.scan(results.earliest_seq, results.next_seq - 1).entries:
-            result = TaskResult.unpack(unpack_operand(result_vt, entry.payload)[1])
+        for result in self.controller.results:
             validity_s = (self.params.duty_cycle_s
                           - (result.complete_us - result.telemetry_timestamp_us) / 1e6)
             self.metrics.tasks.append({
@@ -290,9 +288,9 @@ class CupsPipeline:
                 "telemetry_timestamp_us": result.telemetry_timestamp_us,
                 "validity_s": validity_s,
             })
-        self.metrics.handler_failures = (len(self.unl.engine.failures)
-                                         + len(self.ucsb.engine.failures)
-                                         + len(self.nd.engine.failures))
+        self.metrics.handler_failures = sum(len(n.engine.failures)
+                                            for n in self.nodes.values())
+        return self.metrics
 
     def check_invariants(self) -> dict[str, bool]:
         alert_ts = {a["timestamp_us"] for a in self.metrics.alerts}

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .metrics import summarize
-from .netsim import Network, SliceConfig
+from .netsim import DEFAULT_SLICE_SD_MBPS, Network, SliceConfig
 from .node import FabricNode
 from .pilot import Facility, PilotController, TaskSpec
 from .pipeline import CupsParams, CupsPipeline, sustained_rate_s
@@ -110,7 +110,7 @@ def _run_slicing_sweep(config: dict, seed: int):
                   ue_high["name"]: ue_high["efficiency"]}
     network = Network(sim, build_links(config), routes=build_routes(config),
                       ue_efficiency=efficiency,
-                      slice_sd_mbps=spec.get("noise_sd_mbps", 4.0))
+                      slice_sd_mbps=spec.get("noise_sd_mbps", DEFAULT_SLICE_SD_MBPS))
     link_id = spec["link"]
     base = network.links[link_id].base_capacity_mbps
     fractions = [float(f) for f in spec["fractions"]]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .netsim import LinkSpec
-from .pilot import CfdCostModel, QueueDelayModel, SystemSpec, default_runtime_table
+from .pilot import CfdCostModel, QueueDelayModel, SystemSpec
 from .simcore import s_to_us
 from .weather import ChannelModel, WeatherModel
 
@@ -260,20 +260,22 @@ def load_scenario(ref: str | Path) -> dict:
 
 
 # -- object builders ---------------------------------------------------------
+# Each builder passes only the keys a scenario sets, so the dataclasses hold
+# the one copy of every default.
+
+def _given(spec: dict, keys) -> dict:
+    return {key: spec[key] for key in keys if key in spec}
+
 
 def build_links(raw: dict) -> list[LinkSpec]:
     links = []
     for spec in raw["topology"]["links"]:
-        partitions = tuple((s_to_us(a), s_to_us(b))
-                           for a, b in spec.get("partitions_s", ()))
-        links.append(LinkSpec(
-            link_id=spec["id"], a=spec["a"], b=spec["b"],
-            latency_mean_ms=spec["latency_mean_ms"],
-            latency_sd_ms=spec["latency_sd_ms"],
-            loss_prob=spec.get("loss_prob", 0.0),
-            base_capacity_mbps=spec.get("base_capacity_mbps", 10_000.0),
-            partitions_us=partitions,
-            duplicate_prob=spec.get("duplicate_prob", 0.0)))
+        fields = _given(spec, ("a", "b", "latency_mean_ms", "latency_sd_ms",
+                               "loss_prob", "base_capacity_mbps", "duplicate_prob"))
+        if "partitions_s" in spec:
+            fields["partitions_us"] = tuple((s_to_us(a), s_to_us(b))
+                                            for a, b in spec["partitions_s"])
+        links.append(LinkSpec(link_id=spec["id"], **fields))
     return links
 
 
@@ -288,33 +290,24 @@ def build_routes(raw: dict) -> dict[tuple[str, str], list[str]]:
 def build_weather(spec: dict) -> WeatherModel:
     channels = {}
     for name, ch in spec["channels"].items():
-        channels[name] = ChannelModel(
-            base_mean=ch["mean"], noise_sd=ch["noise_sd"],
-            changes=tuple((t, m) for t, m in ch.get("changes", ())))
-    return WeatherModel(station_id=spec.get("station_id", "cups-station-1"),
-                        channels=channels)
+        fields = {"base_mean": ch["mean"], "noise_sd": ch["noise_sd"]}
+        if "changes" in ch:
+            fields["changes"] = tuple((t, m) for t, m in ch["changes"])
+        channels[name] = ChannelModel(**fields)
+    return WeatherModel(channels=channels, **_given(spec, ("station_id",)))
 
 
 def build_queue_delay(spec: dict | None) -> QueueDelayModel:
-    if not spec:
-        return QueueDelayModel()
-    return QueueDelayModel(kind=spec["kind"], value_s=spec.get("value_s", 0.0),
-                           mu=spec.get("mu", 7.0), sigma=spec.get("sigma", 1.5))
+    return QueueDelayModel(**_given(spec or {}, _QUEUE_DELAY))
 
 
 def build_system(spec: dict | None) -> SystemSpec:
     spec = spec or {}
-    return SystemSpec(
-        total_nodes=spec.get("total_nodes", 4),
-        cores_per_node=spec.get("cores_per_node", 64),
-        max_runtime_s=spec.get("max_runtime_s", 48 * 3600.0),
-        queue_delay=build_queue_delay(spec.get("queue_delay")))
+    fields = _given(spec, ("total_nodes", "cores_per_node", "max_runtime_s"))
+    if "queue_delay" in spec:
+        fields["queue_delay"] = build_queue_delay(spec["queue_delay"])
+    return SystemSpec(**fields)
 
 
 def build_cost_model(spec: dict | None) -> CfdCostModel:
-    spec = spec or {}
-    return CfdCostModel(
-        mean_runtime_s=spec.get("mean_runtime_s", 420.39),
-        runtime_sd_s=spec.get("runtime_sd_s", 36.29),
-        runtime_table=default_runtime_table(),
-        multi_node_penalty=spec.get("multi_node_penalty", 1.15))
+    return CfdCostModel(**_given(spec or {}, _COST_MODEL))

@@ -235,6 +235,23 @@ def test_c7_end_to_end_timing(tmp_path):
            f"sustained gap {gap:.1f} s")
 
 
+def test_c7_report_independent_of_log_retention(tmp_path):
+    # 360 h outlasts the 256-entry detector and alert logs (~128 h) and the
+    # 4096-record telemetry log (~341 h); the report must still hold every
+    # evaluation and one task per alert
+    config = load_scenario("e2e_cups")
+    config["cups"]["duration_s"] = 360 * 3600.0
+    result, _, ok = run_scenario(config, tmp_path)
+    tasks_per_alert = [sum(t["telemetry_timestamp_us"] == a["timestamp_us"]
+                           for t in result["tasks"]) for a in result["alerts"]]
+    report("C7 long horizon",
+           ok and result["evaluations"] == 719
+           and all(n == 1 for n in tasks_per_alert)
+           and all(result["invariants"].values()),
+           f"{result['evaluations']} evaluations, tasks per alert {tasks_per_alert}, "
+           f"invariants {result['invariants']}")
+
+
 # -- criterion 8: crash-replay equivalence across a 3-node pipeline -----------------------------
 
 def _pipeline_run(tmp_path, crash_plan=None, seed=808):

@@ -126,6 +126,22 @@ def test_handler_panic_recorded_and_engine_continues(tmp_path):
     assert alpha.engine.failures[0].seq == 2
 
 
+def test_entries_evicted_before_firing_recorded_as_failures(tmp_path):
+    sim, net, alpha, beta = build_pair(tmp_path)
+    alpha.create_log("events", 16, 2)
+    fired = []
+    alpha.engine.register_handler("collect", lambda e, ctx: fired.append(e.seq) or [])
+    alpha.engine.bind("events", "collect")
+    for i in range(5):
+        alpha.append_local("events", bytes([i]))
+    sim.run()
+    assert fired == [4, 5]
+    assert [(f.seq, f.error) for f in alpha.engine.failures] == [
+        (1, "evicted before firing"), (2, "evicted before firing"),
+        (3, "evicted before firing")]
+    assert {f.binding_id for f in alpha.engine.failures} == {"events__collect"}
+
+
 def test_remote_effects_traverse_transport(tmp_path):
     sim, net, alpha, beta = build_pair(tmp_path)
     alpha.create_log("events", 16, 64)
