@@ -3,8 +3,9 @@
 Each graph-node port gets its own operand log on the fabric node the graph
 node is placed on. A node fires for iteration i exactly when every input
 port holds an operand for i; firing is driven by handlers bound to the port
-logs, and completeness is established by scanning those logs, never by
-waiting. Operand and output message ids derive from logical identity
+logs, and completeness is established from a per-port index of those logs
+(iteration -> seqs, extended by the entries appended since its last use),
+never by waiting. Operand and output message ids derive from logical identity
 (graph, node, port, iteration), so retries, re-deliveries, and crash replays
 collapse into the single-assignment discipline: identical re-delivery is a
 no-op, a conflicting value is a hard error, and exactly one output operand
@@ -29,6 +30,7 @@ from .errors import (
     UnknownPlacement,
 )
 from .events import AppendEffect
+from .logstore import LogStore
 from .node import FabricNode
 
 DEFAULT_WINDOW = 256
@@ -222,6 +224,56 @@ def _logical_mid(*parts) -> bytes:
     return h.digest()
 
 
+class _PortIndex:
+    """Iteration -> seqs of one port log's operands, absorbed incrementally.
+
+    Holds seqs only: payloads stay in the log and are read on lookup. Most
+    iterations have one operand, so its seq is a plain int in `first`; any
+    further seqs for the same iteration (a re-delivery the log's dedup index
+    no longer remembers, or a conflicting value) go to `later`.
+    """
+
+    def __init__(self, store: LogStore, vt: VType):
+        self.store = store
+        self.vt = vt
+        self.mark = 0  # highest seq absorbed
+        self.first: dict[int, int] = {}
+        self.later: dict[int, list[int]] = {}
+
+    def absorb(self) -> None:
+        """Index the entries appended since the last call, whatever path
+        appended them; each operand's type tag is checked here, once."""
+        store = self.store
+        hi = store.next_seq - 1
+        if hi <= self.mark:
+            return
+        for entry in store.scan(max(self.mark + 1, store.earliest_seq), hi).entries:
+            self.mark = entry.seq  # a mistagged operand raises once, then is skipped
+            iteration, _ = unpack_operand(self.vt, entry.payload)
+            if self.first.setdefault(iteration, entry.seq) != entry.seq:
+                self.later.setdefault(iteration, []).append(entry.seq)
+        self.mark = hi
+        if len(self.first) > 2 * store.capacity:
+            # forget iterations whose every operand is evicted (amortised)
+            earliest = store.earliest_seq
+            self.later = {it: seqs for it, seqs in self.later.items()
+                          if seqs[-1] >= earliest}
+            self.first = {it: seq for it, seq in self.first.items()
+                          if seq >= earliest or it in self.later}
+
+    def payloads(self, iteration: int) -> list[bytes]:
+        """Distinct retained payloads for iteration, in log order."""
+        self.absorb()
+        first = self.first.get(iteration)
+        if first is None:
+            return []
+        store = self.store
+        earliest = store.earliest_seq
+        return list(dict.fromkeys(store.read(seq).payload
+                                  for seq in (first, *self.later.get(iteration, ()))
+                                  if seq >= earliest))
+
+
 class DeployedGraph:
     """A compiled graph: operand logs created, firing handlers bound."""
 
@@ -232,6 +284,7 @@ class DeployedGraph:
         self.ops = ops
         self.window = window
         self._external_inputs = frozenset(graph.external_inputs())
+        self._port_indexes: dict[str, _PortIndex] = {}
 
     # -- naming ------------------------------------------------------------
 
@@ -246,22 +299,13 @@ class DeployedGraph:
 
     # -- operand access ------------------------------------------------------
 
-    def _operands_for(self, registry, log_name: str, vt: VType, iteration: int):
+    def _port_index(self, registry, log_name: str, vt: VType) -> _PortIndex:
         store = registry.get(log_name)
-        result = store.scan(store.earliest_seq, store.next_seq - 1)
-        values = []
-        for entry in result.entries:
-            it, value = unpack_operand(vt, entry.payload)
-            if it == iteration:
-                values.append(entry.payload)
-        return values
-
-    def _distinct(self, payloads: list[bytes]) -> list[bytes]:
-        seen = []
-        for p in payloads:
-            if p not in seen:
-                seen.append(p)
-        return seen
+        index = self._port_indexes.get(log_name)
+        if index is None or index.store is not store:
+            # first use, or the log was reopened after a crash
+            index = self._port_indexes[log_name] = _PortIndex(store, vt)
+        return index
 
     # -- injection --------------------------------------------------------------
 
@@ -278,8 +322,7 @@ class DeployedGraph:
         target = self.graph.placement[node_id]
         log_name = self.port_log(node_id, port)
         if via.name == target:
-            existing = self._distinct(self._operands_for(
-                via.registry, log_name, vt, iteration))
+            existing = self._port_index(via.registry, log_name, vt).payloads(iteration)
             if existing and any(p != payload for p in existing):
                 raise DoubleAssignment(
                     f"{node_id}.{port} iteration {iteration} already holds a "
@@ -300,8 +343,9 @@ class DeployedGraph:
             iteration = operand_iteration(entry.payload)
             values = []
             for port, vt in node.inputs:
-                payloads = self._distinct(self._operands_for(
-                    ctx._registry, self.port_log(node.node_id, port), vt, iteration))
+                payloads = self._port_index(
+                    ctx._registry, self.port_log(node.node_id, port), vt
+                ).payloads(iteration)
                 if len(payloads) > 1:
                     raise DoubleAssignment(
                         f"conflicting operands for {node.node_id}.{port} "
@@ -354,13 +398,10 @@ class DeployedGraph:
         for node in self.graph.nodes:
             registry = self.placed(node.node_id).registry
             for port, vt in node.inputs:
-                store = registry.get(self.port_log(node.node_id, port))
-                by_iter: dict[int, set[bytes]] = {}
-                for entry in store.scan(store.earliest_seq, store.next_seq - 1).entries:
-                    it = operand_iteration(entry.payload)
-                    by_iter.setdefault(it, set()).add(entry.payload)
-                for it, payloads in by_iter.items():
-                    if len(payloads) > 1:
+                index = self._port_index(registry, self.port_log(node.node_id, port), vt)
+                index.absorb()
+                for it in list(index.later):
+                    if len(index.payloads(it)) > 1:
                         raise CorruptGraphState(
                             f"conflicting operands for {node.node_id}.{port} "
                             f"iteration {it}")

@@ -135,16 +135,14 @@ class LogStore:
             raise UnknownLog(f"no log file at {path}")
         name = name or path.stem
         element_size, capacity, hdr_next, _ = _read_header(path)
-        next_seq, earliest_seq, torn = _scan_live_range(path, element_size,
-                                                        capacity, hdr_next)
+        next_seq, earliest_seq, torn, live = _scan_live_range(path, element_size,
+                                                              capacity, hdr_next)
         store = cls(path, name, element_size, capacity, next_seq, earliest_seq, dedup_limit)
         store.torn_discarded = torn
         store._load_dedup()
         # live records are ground truth for the ids they still hold
-        for seq in range(earliest_seq, next_seq):
-            entry = store._read_slot(seq)
-            if entry is not None:
-                store._dedup_remember(entry.message_id, entry.seq, persist=False)
+        for seq, message_id in live:
+            store._dedup_remember(message_id, seq, persist=False)
         return store
 
     # -- public surface ---------------------------------------------------
@@ -169,6 +167,8 @@ class LogStore:
 
     def append(self, payload: bytes, message_id: bytes, created_at_us: int = 0) -> int:
         """Durably append; returns the assigned (or original, on dedup) seq."""
+        if self._closed:
+            raise StorageFailure(f"log {self.name!r} is closed")
         if len(message_id) != 16:
             raise InvalidLogConfig("message_id must be exactly 16 bytes")
         if len(payload) > self.element_size:
@@ -272,6 +272,7 @@ class LogStore:
         os.close(self._fd)
         os.close(self._dedup_fd)
         self._closed = True
+        self._dedup.clear()
 
     # -- on-disk layout ----------------------------------------------------
 
@@ -294,6 +295,8 @@ class LogStore:
                 f.write(record)
 
     def _read_slot(self, seq: int) -> LogEntry | None:
+        if self._closed:  # its fd numbers may already belong to another file
+            raise StorageFailure(f"log {self.name!r} is closed")
         raw = os.pread(self._fd, self._stride(), self._slot_offset(seq))
         return _parse_record(raw, self.element_size)
 
@@ -401,50 +404,49 @@ def _parse_record(raw: bytes, element_size: int) -> LogEntry | None:
     return LogEntry(seq, payload, message_id, created_at_us)
 
 
-def _scan_live_range(path: Path, element_size: int, capacity: int,
-                     header_next: int) -> tuple[int, int, bool]:
-    """Reconstruct (next_seq, earliest_seq, torn_discarded) from the records.
+def _scan_live_range(path: Path, element_size: int, capacity: int, header_next: int
+                     ) -> tuple[int, int, bool, list[tuple[int, bytes]]]:
+    """Reconstruct (next_seq, earliest_seq, torn_discarded, live) from the
+    records, where live holds the (seq, message_id) of every retained record
+    in seq order.
 
     The header's counters may be stale after a crash; records are the truth.
     Exactly one invalid non-blank slot is tolerated, and only if it is where
     the next append would have landed (a torn final write).
     """
     stride = RECORD_OVERHEAD + element_size
-    valid: dict[int, int] = {}   # slot -> seq
+    live: list[tuple[int, bytes]] = []   # (seq, message_id) of valid records
     bad_slots: list[int] = []
     with open(path, "rb") as f:
         f.seek(HEADER_SIZE)
-        for slot in range(capacity):
-            raw = f.read(stride)
-            if not raw.strip(b"\x00"):
-                continue
-            entry = _parse_record(raw, element_size)
-            if entry is None:
-                bad_slots.append(slot)
-            elif (entry.seq - 1) % capacity != slot:
-                bad_slots.append(slot)
-            else:
-                valid[slot] = entry.seq
-            if len(raw) < stride:
-                break
-    if not valid:
+        area = f.read(capacity * stride)
+    for slot, off in enumerate(range(0, len(area), stride)):
+        raw = area[off:off + stride]
+        if not raw.strip(b"\x00"):
+            continue
+        entry = _parse_record(raw, element_size)
+        if entry is None or (entry.seq - 1) % capacity != slot:
+            bad_slots.append(slot)
+        else:
+            live.append((entry.seq, entry.message_id))
+    if not live:
         if len(bad_slots) > 1:
             raise CorruptHeader(f"{path}: multiple corrupt records")
         if bad_slots and bad_slots[0] != 0:
             raise CorruptHeader(f"{path}: corrupt record in slot {bad_slots[0]}")
         nxt = max(header_next, 1)
-        return nxt, nxt, bool(bad_slots)
-    max_seq = max(valid.values())
+        return nxt, nxt, bool(bad_slots), []
+    live.sort()
+    earliest, max_seq = live[0][0], live[-1][0]
     next_seq = max_seq + 1
     if bad_slots:
         torn_slot = (next_seq - 1) % capacity
         if len(bad_slots) > 1 or bad_slots[0] != torn_slot:
             raise CorruptHeader(f"{path}: corrupt records beyond the torn tail "
                                 f"(slots {bad_slots})")
-    earliest = min(valid.values())
-    if max_seq - earliest + 1 != len(valid):
+    if max_seq - earliest + 1 != len(live):
         raise CorruptHeader(f"{path}: live sequence range has gaps")
-    return next_seq, earliest, bool(bad_slots)
+    return next_seq, earliest, bool(bad_slots), live
 
 
 class LogRegistry:

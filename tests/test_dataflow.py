@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from fabricsim.dataflow import (
@@ -17,12 +19,14 @@ from fabricsim.dataflow import (
     validate,
 )
 from fabricsim.errors import (
+    CorruptGraphState,
     CycleDetected,
     DataflowError,
     DoubleAssignment,
     TypeMismatch,
     UnknownPlacement,
 )
+from fabricsim.logstore import LogStore
 from fabricsim.netsim import LinkSpec, Network
 from fabricsim.node import FabricNode
 from fabricsim.simcore import Simulator, run_to_completion, sleep
@@ -258,6 +262,168 @@ def test_activity_op_occupies_simulated_time(tmp_path):
     sim.run()
     assert dg.output_value("neg", 0) == -7
     assert sim.now_us >= 2_000_000
+
+
+# -- per-port operand index ----------------------------------------------------------
+
+def id_graph():
+    return DataflowGraph(
+        graph_id="g",
+        nodes=[GraphNode("id", (("v", INT64),), INT64, "id")],
+        edges=[], placement={"id": "left"})
+
+
+ID_OPS = {"id": OpDef(lambda v: v)}
+
+
+def test_firing_reads_each_operand_a_bounded_number_of_times(tmp_path, monkeypatch):
+    sim, fabric = build_fabric(tmp_path)
+    dg = compile_graph(id_graph(), fabric, ID_OPS, window=256)
+    reads = []
+    real_read_slot = LogStore._read_slot
+
+    def counting_read_slot(self, seq):
+        reads.append(self.name)
+        return real_read_slot(self, seq)
+
+    monkeypatch.setattr(LogStore, "_read_slot", counting_read_slot)
+    for i in range(200):
+        run_to_completion(sim, dg.inject(fabric["left"], "id", "v", i, 3 * i))
+        sim.run()
+    monkeypatch.undo()
+    assert len(reads) <= 4 * 200  # a whole-log scan per firing reads ~200**2 / 2
+    assert dg.output_count("id") == 200
+    assert dg.output_value("id", 199) == 597
+
+
+def test_small_window_fires_each_iteration_once_and_forgets_evicted(tmp_path):
+    sim, fabric = build_fabric(tmp_path)
+    dg = compile_graph(id_graph(), fabric, ID_OPS, window=4)
+    out = fabric["left"].registry.get(dg.out_log("id"))
+    for i in range(6):
+        run_to_completion(sim, dg.inject(fabric["left"], "id", "v", i, 10 + i))
+        sim.run()
+    # iteration 0's operand is evicted, so a new value for it is no conflict;
+    # its output id is still remembered, so it is not emitted twice
+    run_to_completion(sim, dg.inject(fabric["left"], "id", "v", 0, 99))
+    sim.run()
+    assert out.next_seq == 7
+    for i in range(6, 12):
+        run_to_completion(sim, dg.inject(fabric["left"], "id", "v", i, 10 + i))
+        sim.run()
+    assert out.next_seq == 13  # one output per iteration
+    assert [dg.output_value("id", i) for i in range(8, 12)] == [18, 19, 20, 21]
+    assert not fabric["left"].engine.failures
+
+
+def test_conflicting_inject_after_value_indexed_raises(tmp_path):
+    sim, fabric = build_fabric(tmp_path)
+    dg = compile_graph(add_graph(), fabric, ADD_OPS)
+    run_to_completion(sim, dg.inject(fabric["left"], "add", "x", 0, 2))
+    sim.run()  # x's firing indexes iteration 0, then waits for y
+    with pytest.raises(DoubleAssignment):
+        run_to_completion(sim, dg.inject(fabric["left"], "add", "x", 0, 99))
+    run_to_completion(sim, dg.inject(fabric["left"], "add", "x", 0, 2))  # no-op
+
+
+def test_conflicting_operand_appended_after_indexing_blocks_firing(tmp_path):
+    sim, fabric = build_fabric(tmp_path)
+    left = fabric["left"]
+    dg = compile_graph(add_graph(), fabric, ADD_OPS)
+    run_to_completion(sim, dg.inject(left, "add", "x", 0, 2))
+    sim.run()
+    # bypasses inject's own check, as a remote append would
+    left.append_local(dg.port_log("add", "x"), pack_operand(0, INT64, 99))
+    run_to_completion(sim, dg.inject(left, "add", "y", 0, 3))
+    sim.run()
+    assert dg.output_count("add") == 0
+    assert any("DoubleAssignment" in f.error for f in left.engine.failures)
+
+
+def test_mistagged_operand_raises_type_mismatch_on_absorbing_firing(tmp_path):
+    sim, fabric = build_fabric(tmp_path)
+    left = fabric["left"]
+    dg = compile_graph(id_graph(), fabric, ID_OPS)
+    seq = left.append_local(dg.port_log("id", "v"), pack_operand(0, FLOAT64, 1.5))
+    sim.run()
+    assert [(f.seq, f.error.split(":")[0]) for f in left.engine.failures] \
+        == [(seq, "TypeMismatch")]
+    assert dg.output_count("id") == 0
+    # checked once: later iterations on the same port still fire
+    run_to_completion(sim, dg.inject(left, "id", "v", 1, 5))
+    sim.run()
+    assert dg.output_value("id", 1) == 5
+    assert len(left.engine.failures) == 1
+
+
+def test_index_rebuilds_when_log_reopened_after_torn_tail(tmp_path):
+    sim, fabric = build_fabric(tmp_path)
+    left = fabric["left"]
+    dg = compile_graph(add_graph(), fabric, ADD_OPS)
+    run_to_completion(sim, dg.inject(left, "add", "x", 0, 7))
+    run_to_completion(sim, dg.inject(left, "add", "x", 1, 8))
+    sim.run()  # both x operands indexed
+    left.registry.close_all()
+    path = left.registry.path_for(dg.port_log("add", "x"))
+    os.truncate(path, path.stat().st_size - 3)  # tear iteration 1's record
+    assert left.registry.get(dg.port_log("add", "x")).torn_discarded
+    # the torn operand is gone, so a different value for iteration 1 is accepted
+    run_to_completion(sim, dg.inject(left, "add", "x", 1, 99))
+    for i in range(2):
+        run_to_completion(sim, dg.inject(left, "add", "y", i, 1))
+    sim.run()
+    assert [dg.output_value("add", i) for i in range(2)] == [8, 100]
+
+
+def test_resume_sweep_rejects_conflicting_operands(tmp_path):
+    sim, fabric = build_fabric(tmp_path)
+    left = fabric["left"]
+    dg = compile_graph(add_graph(), fabric, ADD_OPS)
+    port_log = dg.port_log("add", "x")
+    left.append_local(port_log, pack_operand(0, INT64, 2))
+    left.append_local(port_log, pack_operand(0, INT64, 2))  # identical re-delivery
+    left.append_local(port_log, pack_operand(1, INT64, 5))
+    left.close()
+    fabric["right"].close()
+    sim2, fabric2 = _restart(tmp_path, seed=6)
+    compile_graph(add_graph(), fabric2, ADD_OPS).resume()
+
+    fabric2["left"].append_local(port_log, pack_operand(1, INT64, 6))
+    fabric2["left"].close()
+    fabric2["right"].close()
+    sim3, fabric3 = _restart(tmp_path, seed=7)
+    with pytest.raises(CorruptGraphState):
+        compile_graph(add_graph(), fabric3, ADD_OPS).resume()
+
+
+def test_resume_sweep_index_serves_first_firings(tmp_path, monkeypatch):
+    sim, fabric = build_fabric(tmp_path)
+    dg = compile_graph(add_graph(), fabric, ADD_OPS)
+    for i in range(20):
+        run_to_completion(sim, dg.inject(fabric["left"], "add", "x", i, i))
+    sim.run()
+    fabric["left"].close()
+    fabric["right"].close()
+
+    sim2, fabric2 = _restart(tmp_path, seed=5)
+    dg2 = compile_graph(add_graph(), fabric2, ADD_OPS)
+    dg2.resume()
+    scanned = []
+    real_scan = LogStore.scan
+
+    def counting_scan(self, lo, hi):
+        result = real_scan(self, lo, hi)
+        if self.name == dg2.port_log("add", "x"):
+            scanned.extend(e.seq for e in result.entries)
+        return result
+
+    monkeypatch.setattr(LogStore, "scan", counting_scan)
+    for i in range(20):
+        run_to_completion(sim2, dg2.inject(fabric2["left"], "add", "y", i, 100))
+    sim2.run()
+    monkeypatch.undo()
+    assert scanned == []  # x's log was indexed once, by the sweep
+    assert [dg2.output_value("add", i) for i in range(20)] == [100 + i for i in range(20)]
 
 
 # -- resume ---------------------------------------------------------------------

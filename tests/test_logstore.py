@@ -10,8 +10,10 @@ from fabricsim.errors import (
     PayloadTooLarge,
     SeqEvicted,
     SeqNotAssigned,
+    StorageFailure,
     UnknownLog,
 )
+from fabricsim import logstore
 from fabricsim.logstore import HEADER_SIZE, RECORD_OVERHEAD, LogRegistry, LogStore
 
 
@@ -223,6 +225,47 @@ def test_recover_preserves_dedup_index(tmp_path):
     assert r.append(b"retry", mid(42)) == 1
     assert r.next_seq == 2
     r.close()
+
+
+def test_recover_parses_each_live_record_once(tmp_path, monkeypatch):
+    path = tmp_path / "once.log"
+    s = LogStore.create(path, "once", 32, 128)
+    for i in range(1, 101):
+        s.append(f"entry-{i}".encode(), mid(i))
+    s.close()
+    parses = []
+    real_parse = logstore._parse_record
+
+    def counting_parse(raw, element_size):
+        parses.append(1)
+        return real_parse(raw, element_size)
+
+    monkeypatch.setattr(logstore, "_parse_record", counting_parse)
+    r = LogStore.recover(path)
+    assert len(parses) == 100  # one per non-blank slot; 28 slots are blank
+    assert (r.earliest_seq, r.next_seq) == (1, 101)
+    assert r.append(b"retry", mid(37)) == 37  # live ids seed the dedup index
+    r.close()
+
+
+def test_closed_store_refuses_io(tmp_path):
+    a = LogStore.create(tmp_path / "a.log", "a", 8, 16)
+    a.append(b"a-first", mid(1))
+    a.close()
+    b = LogStore.create(tmp_path / "b.log", "b", 8, 16)
+    b.append(b"b-first", mid(1))
+    # b took the fd numbers a released; a write through a would land in b
+    assert (b._fd, b._dedup_fd) == (a._fd, a._dedup_fd)
+    with pytest.raises(StorageFailure, match="closed"):
+        a.append(b"XXXXXXXX", mid(2))
+    with pytest.raises(StorageFailure, match="closed"):
+        a.read(1)
+    with pytest.raises(StorageFailure, match="closed"):
+        a.scan(1, 1)
+    assert b.next_seq == 2
+    assert b._read_slot(2) is None
+    assert not a._dedup  # released on close
+    b.close()
 
 
 def test_truncation_at_every_byte_of_last_record(tmp_path):
