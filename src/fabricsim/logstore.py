@@ -8,6 +8,12 @@ and discarded on recovery, anywhere else it is corruption.
 
 A bounded message-id dedup index (LRU) is persisted in a sidecar journal so
 retried appends return the original sequence number instead of writing twice.
+
+Durability: `append` hands the record, the header and the journal entry to
+the operating system before it returns, so a log survives a process crash.
+Nothing is fsynced unless `flush()` is called, so a power cut may lose the
+most recent appends. Each reopen CRC-checks every record and every journal
+entry.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -44,7 +53,9 @@ RECORD_OVERHEAD = _RECORD_PREFIX.size + _CRC.size  # 40 bytes
 
 DEFAULT_DEDUP_LIMIT = 65_536
 _DEDUP_ENTRY = struct.Struct("<16sQ")  # message_id, seq (crc32 appended)
-_DEDUP_STRIDE = _DEDUP_ENTRY.size + _CRC.size
+_DEDUP_CHECKED = struct.Struct("<24sI")  # the entry's bytes, crc32
+_DEDUP_PAIRS = struct.Struct("<16sQ4x")  # message_id, seq
+_DEDUP_STRIDE = _DEDUP_CHECKED.size
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]{1,128}")
 
@@ -139,10 +150,7 @@ class LogStore:
                                                               capacity, hdr_next)
         store = cls(path, name, element_size, capacity, next_seq, earliest_seq, dedup_limit)
         store.torn_discarded = torn
-        store._load_dedup()
-        # live records are ground truth for the ids they still hold
-        for seq, message_id in live:
-            store._dedup_remember(message_id, seq, persist=False)
+        store._load_dedup(live)
         return store
 
     # -- public surface ---------------------------------------------------
@@ -166,7 +174,12 @@ class LogStore:
             return self._next_seq - self._earliest_seq
 
     def append(self, payload: bytes, message_id: bytes, created_at_us: int = 0) -> int:
-        """Durably append; returns the assigned (or original, on dedup) seq."""
+        """Append; returns the assigned (or original, on dedup) seq.
+
+        The record, the header and the journal entry are written to the OS
+        before this returns: the append survives a process crash, but not a
+        power cut unless `flush()` is called afterwards.
+        """
         if self._closed:
             raise StorageFailure(f"log {self.name!r} is closed")
         if len(message_id) != 16:
@@ -212,12 +225,18 @@ class LogStore:
             earliest, nxt = self._earliest_seq, self._next_seq
         hi = min(hi, nxt - 1)
         truncated = lo < earliest
-        start = max(lo, earliest)
+        seq = max(lo, earliest)
+        element_size = self.element_size
+        stride = RECORD_OVERHEAD + element_size
         entries = []
-        for seq in range(start, hi + 1):
-            entry = self._read_slot(seq)
-            if entry is not None and entry.seq == seq:
-                entries.append(entry)
+        while seq <= hi:  # at most two runs: up to the wrap point, then after it
+            slot = (seq - 1) % self.capacity
+            run = min(hi - seq + 1, self.capacity - slot)
+            raw = self._pread(run * stride, HEADER_SIZE + slot * stride)
+            for i, rec in _decode_slots(raw, element_size):
+                if rec is not None and rec[0] == seq + i:
+                    entries.append(LogEntry(rec[0], rec[4][:rec[3]], rec[1], rec[2]))
+            seq += run
         first_available = earliest if truncated and nxt > earliest else None
         return ScanResult(entries, truncated, first_available)
 
@@ -295,10 +314,13 @@ class LogStore:
                 f.write(record)
 
     def _read_slot(self, seq: int) -> LogEntry | None:
+        raw = self._pread(self._stride(), self._slot_offset(seq))
+        return _parse_record(raw, self.element_size)
+
+    def _pread(self, size: int, offset: int) -> bytes:
         if self._closed:  # its fd numbers may already belong to another file
             raise StorageFailure(f"log {self.name!r} is closed")
-        raw = os.pread(self._fd, self._stride(), self._slot_offset(seq))
-        return _parse_record(raw, self.element_size)
+        return os.pread(self._fd, size, offset)
 
     def _persist_header(self) -> None:
         os.pwrite(self._fd,
@@ -338,20 +360,27 @@ class LogStore:
         os.lseek(self._dedup_fd, 0, os.SEEK_END)
         self._dedup_journal_entries = len(self._dedup)
 
-    def _load_dedup(self) -> None:
-        try:
-            raw = self._dedup_path().read_bytes()
-        except FileNotFoundError:
-            return
-        count = 0
-        for off in range(0, len(raw) - _DEDUP_STRIDE + 1, _DEDUP_STRIDE):
-            chunk = raw[off:off + _DEDUP_STRIDE]
-            body, crc = chunk[:_DEDUP_ENTRY.size], chunk[_DEDUP_ENTRY.size:]
-            if _CRC.unpack(crc)[0] != zlib.crc32(body):
-                break  # torn tail; ignore the rest
-            mid, seq = _DEDUP_ENTRY.unpack(body)
-            self._dedup_remember(mid, seq, persist=False)
-            count += 1
+    def _load_dedup(self, live: list[tuple[bytes, int]]) -> None:
+        """Rebuild the index from the journal, then from the live records'
+        (message_id, seq) pairs, which are ground truth for the ids they
+        still hold; cut any torn journal tail."""
+        raw = os.pread(self._dedup_fd, os.fstat(self._dedup_fd).st_size, 0)
+        view = memoryview(raw)[:len(raw) - len(raw) % _DEDUP_STRIDE]
+        entries, stored = tuple(zip(*_DEDUP_CHECKED.iter_unpack(view))) or ((), ())
+        computed = tuple(map(zlib.crc32, entries))
+        count = len(computed)
+        if computed != stored:  # torn tail; ignore it and the rest
+            count = next(i for i, (a, b) in enumerate(zip(computed, stored)) if a != b)
+        pairs = list(_DEDUP_PAIRS.iter_unpack(view[:count * _DEDUP_STRIDE]))
+        index = OrderedDict(pairs)
+        if (len(index) == count <= self._dedup_limit and len(live) <= count
+                and pairs[count - len(live):] == live):
+            # replaying distinct ids within the limit, then re-touching the
+            # journal's own last entries in order, yields exactly this order
+            self._dedup = index
+        else:
+            for mid, seq in pairs + live:
+                self._dedup_remember(mid, seq, persist=False)
         self._dedup_journal_entries = count
         os.lseek(self._dedup_fd, count * _DEDUP_STRIDE, os.SEEK_SET)
         os.ftruncate(self._dedup_fd, count * _DEDUP_STRIDE)
@@ -387,27 +416,55 @@ def _read_header(path: Path) -> tuple[int, int, int, int]:
     return element_size, capacity, next_seq, earliest_seq
 
 
+@lru_cache(maxsize=64)
+def _record_structs(element_size: int) -> tuple[struct.Struct, struct.Struct]:
+    """The record decoder for one element size: (seq, message_id,
+    created_at_us, payload_len, padded payload, crc32), and the same bytes
+    split as (checksummed body, crc32)."""
+    return (struct.Struct(f"<Q16sQI{element_size}sI"),
+            struct.Struct(f"<{_RECORD_PREFIX.size + element_size}sI"))
+
+
 def _parse_record(raw: bytes, element_size: int) -> LogEntry | None:
     """None for blank/short/checksum-failed slots."""
-    stride = RECORD_OVERHEAD + element_size
-    if len(raw) < stride:
+    record, _ = _record_structs(element_size)
+    if len(raw) < record.size:
         return None
-    body, crc_raw = raw[:stride - 4], raw[stride - 4:stride]
-    seq, message_id, created_at_us, payload_len = _RECORD_PREFIX.unpack(body[:_RECORD_PREFIX.size])
-    if seq == 0:
+    seq, message_id, created_at_us, payload_len, padded, crc = record.unpack_from(raw)
+    if (seq == 0 or payload_len > element_size
+            or crc != zlib.crc32(raw[:record.size - _CRC.size])):
         return None
-    if _CRC.unpack(crc_raw)[0] != zlib.crc32(body):
-        return None
-    if payload_len > element_size:
-        return None
-    payload = body[_RECORD_PREFIX.size:_RECORD_PREFIX.size + payload_len]
-    return LogEntry(seq, payload, message_id, created_at_us)
+    return LogEntry(seq, padded[:payload_len], message_id, created_at_us)
+
+
+def _decode_slots(raw: bytes, element_size: int) -> Iterator[tuple[int, tuple | None]]:
+    """Yield (index, record) for each non-blank slot of a run of slots.
+
+    record is the unpacked (seq, message_id, created_at_us, payload_len,
+    padded payload, crc) tuple, or None when the slot fails the checks of
+    `_parse_record`; a short final slot counts as one that fails them.
+    """
+    record, checked = _record_structs(element_size)
+    stride = record.size
+    whole = len(raw) - len(raw) % stride
+    view = memoryview(raw)[:whole]
+    crcs = map(zlib.crc32, map(itemgetter(0), checked.iter_unpack(view)))
+    for index, (rec, crc) in enumerate(zip(record.iter_unpack(view), crcs)):
+        if rec[0] == 0:  # blank unless any byte is set
+            if raw.count(0, index * stride, (index + 1) * stride) != stride:
+                yield index, None
+        elif rec[3] > element_size or rec[5] != crc:
+            yield index, None
+        else:
+            yield index, rec
+    if raw.count(0, whole) != len(raw) - whole:
+        yield whole // stride, None
 
 
 def _scan_live_range(path: Path, element_size: int, capacity: int, header_next: int
-                     ) -> tuple[int, int, bool, list[tuple[int, bytes]]]:
+                     ) -> tuple[int, int, bool, list[tuple[bytes, int]]]:
     """Reconstruct (next_seq, earliest_seq, torn_discarded, live) from the
-    records, where live holds the (seq, message_id) of every retained record
+    records, where live holds the (message_id, seq) of every retained record
     in seq order.
 
     The header's counters may be stale after a crash; records are the truth.
@@ -415,20 +472,16 @@ def _scan_live_range(path: Path, element_size: int, capacity: int, header_next: 
     the next append would have landed (a torn final write).
     """
     stride = RECORD_OVERHEAD + element_size
-    live: list[tuple[int, bytes]] = []   # (seq, message_id) of valid records
+    live: list[tuple[bytes, int]] = []   # (message_id, seq) of valid records
     bad_slots: list[int] = []
     with open(path, "rb") as f:
         f.seek(HEADER_SIZE)
         area = f.read(capacity * stride)
-    for slot, off in enumerate(range(0, len(area), stride)):
-        raw = area[off:off + stride]
-        if not raw.strip(b"\x00"):
-            continue
-        entry = _parse_record(raw, element_size)
-        if entry is None or (entry.seq - 1) % capacity != slot:
+    for slot, rec in _decode_slots(area, element_size):
+        if rec is None or (rec[0] - 1) % capacity != slot:
             bad_slots.append(slot)
         else:
-            live.append((entry.seq, entry.message_id))
+            live.append((rec[1], rec[0]))
     if not live:
         if len(bad_slots) > 1:
             raise CorruptHeader(f"{path}: multiple corrupt records")
@@ -436,8 +489,8 @@ def _scan_live_range(path: Path, element_size: int, capacity: int, header_next: 
             raise CorruptHeader(f"{path}: corrupt record in slot {bad_slots[0]}")
         nxt = max(header_next, 1)
         return nxt, nxt, bool(bad_slots), []
-    live.sort()
-    earliest, max_seq = live[0][0], live[-1][0]
+    live.sort(key=itemgetter(1))
+    earliest, max_seq = live[0][1], live[-1][1]
     next_seq = max_seq + 1
     if bad_slots:
         torn_slot = (next_seq - 1) % capacity

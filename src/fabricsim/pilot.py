@@ -29,6 +29,8 @@ HOURS_24_S = 24 * 3600.0
 REFERENCE_CORES = 64
 REFERENCE_MEAN_S = 420.39
 REFERENCE_SD_S = 36.29
+# data volume one node handles; larger task inputs get more nodes
+DEFAULT_THRESHOLD_BYTES = 1024
 # single-node scaling fit: serial floor plus a parallelizable share anchored
 # at the measured 64-core point
 _SERIAL_S = 180.0
@@ -276,7 +278,8 @@ class PilotController:
     """Decision loop binding alerts to task executions."""
 
     def __init__(self, facility: Facility, cost_model: CfdCostModel,
-                 threshold_bytes: int = 1024, task_cores: int = REFERENCE_CORES,
+                 threshold_bytes: int = DEFAULT_THRESHOLD_BYTES,
+                 task_cores: int = REFERENCE_CORES,
                  strategy: str = "reactive", include_queued: bool = False):
         if strategy not in ("reactive", "proactive"):
             raise ConfigError(f"unknown pilot strategy {strategy!r}")

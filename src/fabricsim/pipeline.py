@@ -42,6 +42,9 @@ from .events import AppendEffect
 from .netsim import Network
 from .node import FabricNode
 from .pilot import (
+    DEFAULT_THRESHOLD_BYTES,
+    REFERENCE_CORES,
+    REFERENCE_MEAN_S,
     TASK_RESULT_SIZE,
     CfdCostModel,
     Facility,
@@ -67,9 +70,9 @@ class CupsParams:
     channels: tuple[str, ...] = ("wind_speed",)
     eval_offset_s: float = 2.0      # after the duty tick, lets the last record land
     forward_offset_s: float = 4.0   # alert fetch offset within the duty cycle
-    threshold_bytes: int = 1024
-    task_cores: int = 64
-    estimated_runtime_s: float = 420.39
+    threshold_bytes: int = DEFAULT_THRESHOLD_BYTES
+    task_cores: int = REFERENCE_CORES
+    estimated_runtime_s: float = REFERENCE_MEAN_S
     strategy: str = "proactive"
     unl: str = "unl-edge"
     ucsb: str = "ucsb-repo"
@@ -307,7 +310,7 @@ class CupsPipeline:
         }
 
 
-def sustained_rate_s(seed: int, tasks: int = 8, cores: int = 64,
+def sustained_rate_s(seed: int, tasks: int = 8, cores: int = REFERENCE_CORES,
                      cost_model: CfdCostModel | None = None) -> list[float]:
     """Gaps between completions of back-to-back runs on one dedicated pilot."""
     sim = Simulator(seed=seed)

@@ -13,7 +13,14 @@ from .errors import ConfigError
 from .metrics import summarize
 from .netsim import DEFAULT_SLICE_SD_MBPS, Network, SliceConfig
 from .node import FabricNode
-from .pilot import Facility, PilotController, TaskSpec
+from .pilot import (
+    DEFAULT_THRESHOLD_BYTES,
+    REFERENCE_CORES,
+    REFERENCE_MEAN_S,
+    Facility,
+    PilotController,
+    TaskSpec,
+)
 from .pipeline import CupsParams, CupsPipeline, sustained_rate_s
 from .scenario import (
     build_cost_model,
@@ -269,18 +276,16 @@ def _queue_sweep_run(spec: dict, delay_spec: dict, strategy: str,
     facility = Facility(sim, build_system(system_spec),
                         label=f"sweep-{strategy}", stream_label="sweep")
     cost_model = build_cost_model(None)
-    controller = PilotController(
-        facility, cost_model,
-        threshold_bytes=spec.get("threshold_bytes", 1024),
-        task_cores=spec.get("cores", 64), strategy=strategy)
+    threshold_bytes = spec.get("threshold_bytes", DEFAULT_THRESHOLD_BYTES)
+    cores = spec.get("cores", REFERENCE_CORES)
+    controller = PilotController(facility, cost_model, threshold_bytes=threshold_bytes,
+                                 task_cores=cores, strategy=strategy)
     controller.start()
     latencies: list[float] = []
 
     def alert_driver(index: int):
-        task = TaskSpec(spec.get("data_size_bytes", 672),
-                        spec.get("threshold_bytes", 1024),
-                        spec.get("estimated_runtime_s", 420.39),
-                        spec.get("cores", 64),
+        task = TaskSpec(spec.get("data_size_bytes", 672), threshold_bytes,
+                        spec.get("estimated_runtime_s", REFERENCE_MEAN_S), cores,
                         telemetry_timestamp_us=index)
         issued = sim.now_us
         result = yield from controller.handle_task(task)

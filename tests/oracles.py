@@ -1,11 +1,15 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's code paths: exact permutation tests
-enumerate every split of the pooled sample, and statistics are recomputed
-from first principles.
+enumerate every split of the pooled sample, statistics are recomputed
+from first principles, and log recovery re-reads the on-disk format one
+record at a time.
 """
 
+import collections
 import itertools
+import struct
+import zlib
 
 import numpy as np
 
@@ -64,3 +68,89 @@ def oracle_rejects(x, y, alpha=0.05):
     """Reject decisions per test from the permutation oracle."""
     return {name: permutation_pvalue(x, y, stat) < alpha
             for name, stat in ORACLE_STATISTICS.items()}
+
+
+# -- log recovery ----------------------------------------------------------
+
+_LOG_MAGIC = b"XGFLOG01"
+_LOG_HEADER_SIZE = 64
+_LOG_HEADER = struct.Struct("<8sIIIIQQ")
+_RECORD_PREFIX = struct.Struct("<Q16sQI")
+_JOURNAL_STRIDE = 28  # 16-byte id, u64 seq, u32 crc
+
+
+def _reference_record(raw, element_size):
+    """(seq, message_id) of one slot's record, or None if it fails a check."""
+    stride = _RECORD_PREFIX.size + element_size + 4
+    if len(raw) < stride:
+        return None
+    seq, message_id, _, payload_len = _RECORD_PREFIX.unpack(raw[:_RECORD_PREFIX.size])
+    (crc,) = struct.unpack("<I", raw[stride - 4:stride])
+    if seq == 0 or crc != zlib.crc32(raw[:stride - 4]) or payload_len > element_size:
+        return None
+    return seq, message_id
+
+
+def reference_recover(log, journal, dedup_limit):
+    """Reopen a log from its file and dedup-journal bytes, one slot and one
+    journal entry at a time.
+
+    Returns None where recovery must raise CorruptHeader, else a dict of
+    next_seq, earliest_seq, torn_discarded, dedup (the (id, seq) pairs in
+    LRU order), journal_entries and journal_bytes (the journal's length
+    after its torn tail is cut).
+    """
+    if len(log) < _LOG_HEADER_SIZE:
+        return None
+    body = log[:_LOG_HEADER.size]
+    (crc,) = struct.unpack_from("<I", log, _LOG_HEADER.size)
+    magic, version, element_size, capacity, _, header_next, _ = _LOG_HEADER.unpack(body)
+    if (crc != zlib.crc32(body) or magic != _LOG_MAGIC or version != 1
+            or element_size < 1 or capacity < 1):
+        return None
+    stride = _RECORD_PREFIX.size + element_size + 4
+    area = log[_LOG_HEADER_SIZE:_LOG_HEADER_SIZE + capacity * stride]
+    live, bad = [], []
+    for slot, off in enumerate(range(0, len(area), stride)):
+        raw = area[off:off + stride]
+        if raw.count(0) == len(raw):
+            continue
+        record = _reference_record(raw, element_size)
+        if record is None or (record[0] - 1) % capacity != slot:
+            bad.append(slot)
+        else:
+            live.append(record)
+    live.sort()
+    if not live:
+        if len(bad) > 1 or (bad and bad[0] != 0):
+            return None
+        next_seq = earliest = max(header_next, 1)
+    else:
+        earliest, next_seq = live[0][0], live[-1][0] + 1
+        if bad and (len(bad) > 1 or bad[0] != (next_seq - 1) % capacity):
+            return None
+        if next_seq - earliest != len(live):
+            return None
+
+    dedup = collections.OrderedDict()
+
+    def remember(message_id, seq):
+        if message_id in dedup:
+            dedup.move_to_end(message_id)
+            return
+        dedup[message_id] = seq
+        while len(dedup) > dedup_limit:
+            dedup.popitem(last=False)
+
+    count = 0
+    for off in range(0, len(journal) - _JOURNAL_STRIDE + 1, _JOURNAL_STRIDE):
+        message_id, seq, crc = struct.unpack("<16sQI", journal[off:off + _JOURNAL_STRIDE])
+        if crc != zlib.crc32(journal[off:off + _JOURNAL_STRIDE - 4]):
+            break
+        remember(message_id, seq)
+        count += 1
+    for seq, message_id in live:
+        remember(message_id, seq)
+    return {"next_seq": next_seq, "earliest_seq": earliest, "torn_discarded": bool(bad),
+            "dedup": list(dedup.items()), "journal_entries": count,
+            "journal_bytes": count * _JOURNAL_STRIDE}

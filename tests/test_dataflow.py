@@ -276,17 +276,11 @@ def id_graph():
 ID_OPS = {"id": OpDef(lambda v: v)}
 
 
-def test_firing_reads_each_operand_a_bounded_number_of_times(tmp_path, monkeypatch):
+def test_firing_reads_each_operand_a_bounded_number_of_times(tmp_path, monkeypatch,
+                                                              decoded_records):
     sim, fabric = build_fabric(tmp_path)
     dg = compile_graph(id_graph(), fabric, ID_OPS, window=256)
-    reads = []
-    real_read_slot = LogStore._read_slot
-
-    def counting_read_slot(self, seq):
-        reads.append(self.name)
-        return real_read_slot(self, seq)
-
-    monkeypatch.setattr(LogStore, "_read_slot", counting_read_slot)
+    reads = decoded_records  # slots decoded by read and scan
     for i in range(200):
         run_to_completion(sim, dg.inject(fabric["left"], "id", "v", i, 3 * i))
         sim.run()

@@ -1,5 +1,6 @@
 import random
 import threading
+import zlib
 
 import pytest
 
@@ -15,6 +16,8 @@ from fabricsim.errors import (
 )
 from fabricsim import logstore
 from fabricsim.logstore import HEADER_SIZE, RECORD_OVERHEAD, LogRegistry, LogStore
+
+from . import oracles
 
 
 def mid(i: int) -> bytes:
@@ -170,6 +173,45 @@ def test_scan_clamps_beyond_head(store):
     assert [e.seq for e in result.entries] == [1]
 
 
+def test_scan_matches_per_seq_read_across_the_wrap_point(tmp_path):
+    cap, element = 8, 6
+    stride = RECORD_OVERHEAD + element
+    path = tmp_path / "wrap.log"
+    s = LogStore.create(path, "wrap", element, cap)
+    for i in range(1, 4):
+        s.append(f"p{i}".encode(), mid(i))
+    with open(path, "rb") as f:
+        f.seek(HEADER_SIZE + 2 * stride)
+        stale = f.read(stride)  # seq 3's record, which seq 11 overwrites
+    for i in range(4, 14):
+        s.append(f"p{i}".encode(), mid(i))
+    with open(path, "r+b") as f:
+        f.seek(HEADER_SIZE + 2 * stride)
+        f.write(stale)                                  # slot of seq 11 holds seq 3
+        f.seek(HEADER_SIZE + ((9 - 1) % cap) * stride + 30)
+        f.write(b"\xff")                                # seq 9 fails its CRC
+    earliest, nxt = s.earliest_seq, s.next_seq
+    assert (earliest, nxt) == (6, 14)
+
+    def read_or_none(seq):
+        try:
+            return s.read(seq)
+        except SeqEvicted:
+            return None
+
+    by_read = {seq: read_or_none(seq) for seq in range(earliest, nxt)}
+    assert by_read[9] is None and by_read[11] is None
+    for lo in range(0, nxt + 2):
+        for hi in range(lo - 1, nxt + 2):
+            result = s.scan(lo, hi)
+            expected = [by_read[seq] for seq in range(max(lo, earliest), min(hi, nxt - 1) + 1)
+                        if by_read[seq] is not None]
+            assert result.entries == expected, (lo, hi)
+            assert result.truncated == (lo <= hi and lo < earliest), (lo, hi)
+            assert result.first_available == (earliest if result.truncated else None)
+    s.close()
+
+
 # -- recover ---------------------------------------------------------------------
 
 def test_recover_round_trips_100_entries(tmp_path):
@@ -227,24 +269,124 @@ def test_recover_preserves_dedup_index(tmp_path):
     r.close()
 
 
-def test_recover_parses_each_live_record_once(tmp_path, monkeypatch):
+def test_recover_parses_each_live_record_once(tmp_path, decoded_records):
     path = tmp_path / "once.log"
     s = LogStore.create(path, "once", 32, 128)
     for i in range(1, 101):
         s.append(f"entry-{i}".encode(), mid(i))
     s.close()
-    parses = []
-    real_parse = logstore._parse_record
-
-    def counting_parse(raw, element_size):
-        parses.append(1)
-        return real_parse(raw, element_size)
-
-    monkeypatch.setattr(logstore, "_parse_record", counting_parse)
     r = LogStore.recover(path)
-    assert len(parses) == 100  # one per non-blank slot; 28 slots are blank
+    # each of the 100 written slots exactly once; 28 slots were never written
+    assert sorted(decoded_records) == list(range(1, 101))
     assert (r.earliest_seq, r.next_seq) == (1, 101)
     assert r.append(b"retry", mid(37)) == 37  # live ids seed the dedup index
+    r.close()
+
+
+def test_recover_matches_reference_on_random_histories(tmp_path):
+    # appends with repeated ids, an LRU small enough to evict, journal
+    # compactions, reopens (some after a cut journal) and wraparound; then
+    # the log and the journal are cut (or a byte flipped) at random and
+    # recovery is compared with the one-record-at-a-time reference
+    outcomes = {"recovered": 0, "corrupt": 0}
+    for seed in range(150):
+        rng = random.Random(seed)
+        element, capacity = rng.randint(1, 12), rng.randint(1, 10)
+        limit, id_pool = rng.choice([2, 5, 64]), rng.choice([4, 12, 10_000])
+        path = tmp_path / f"h{seed}.log"
+        journal = path.with_suffix(".log.dedup")
+        s = LogStore.create(path, "h", element, capacity, dedup_limit=limit)
+        for _ in range(rng.randint(0, 40)):
+            op = rng.random()
+            if op < 0.05:
+                s._compact_dedup()
+            elif op < 0.12:
+                s.close()
+                if op < 0.08:
+                    data = journal.read_bytes()
+                    journal.write_bytes(data[:rng.randint(0, len(data))])
+                s = LogStore.recover(path, dedup_limit=limit)
+            else:
+                s.append(rng.randbytes(rng.randint(0, element)), mid(rng.randint(1, id_pool)))
+        s.close()
+        for target in (path, journal):
+            data = target.read_bytes()
+            cut = rng.random()
+            if cut < 0.3:
+                data = data[:rng.randint(0, len(data))]
+            elif cut < 0.4 and data:
+                at = rng.randrange(len(data))
+                data = data[:at] + bytes([data[at] ^ 0x5A]) + data[at + 1:]
+            target.write_bytes(data)
+        if expect_recovery_as_reference(path, limit):
+            outcomes["recovered"] += 1
+        else:
+            outcomes["corrupt"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def expect_recovery_as_reference(path, limit) -> bool:
+    """Recover path and check the outcome against the reference; True if it
+    recovered, False if both raised CorruptHeader."""
+    journal = path.with_suffix(".log.dedup")
+    expected = oracles.reference_recover(path.read_bytes(), journal.read_bytes(), limit)
+    if expected is None:
+        with pytest.raises(CorruptHeader):
+            LogStore.recover(path, dedup_limit=limit)
+        return False
+    r = LogStore.recover(path, dedup_limit=limit)
+    got = {"next_seq": r.next_seq, "earliest_seq": r.earliest_seq,
+           "torn_discarded": r.torn_discarded, "dedup": list(r._dedup.items()),
+           "journal_entries": r._dedup_journal_entries,
+           "journal_bytes": journal.stat().st_size}
+    r.close()
+    assert got == expected, path.name
+    return True
+
+
+def test_recover_replays_a_journal_with_a_repeated_id_entry_by_entry(tmp_path):
+    # a journal naming one id twice replays as an LRU would: the first seq
+    # stays, even though the live record (seq 2) is the journal's last entry
+    path = tmp_path / "dup.log"
+    s = LogStore.create(path, "dup", 8, 1)
+    s.append(b"a", mid(1))
+    s.append(b"b", mid(2))
+    s.close()
+    entries = b""
+    for seq in (1, 2):
+        body = mid(2) + seq.to_bytes(8, "little")
+        entries += body + zlib.crc32(body).to_bytes(4, "little")
+    path.with_suffix(".log.dedup").write_bytes(entries)
+    assert expect_recovery_as_reference(path, 64)
+    r = LogStore.recover(path)
+    assert (r.next_seq, list(r._dedup.items())) == (3, [(mid(2), 1)])
+    r.close()
+
+
+@pytest.mark.parametrize("fault", ["payload_len_too_long", "seq_zero"])
+def test_record_failing_a_check_besides_its_crc_is_skipped_and_torn(tmp_path, fault):
+    path = tmp_path / "f.log"
+    s = LogStore.create(path, "f", 8, 16)
+    for i in range(1, 6):
+        s.append(bytes([i]), mid(i))
+    stride = RECORD_OVERHEAD + 8
+    offset = HEADER_SIZE + 4 * stride  # seq 5, the newest record
+    record = bytearray(path.read_bytes()[offset:offset + stride])
+    if fault == "payload_len_too_long":
+        record[32:36] = (9).to_bytes(4, "little")
+    else:
+        record[0:8] = bytes(8)
+    record[-4:] = zlib.crc32(record[:-4]).to_bytes(4, "little")  # a valid CRC
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        f.write(record)
+    with pytest.raises(SeqEvicted):
+        s.read(5)
+    assert [e.seq for e in s.scan(1, 5).entries] == [1, 2, 3, 4]
+    s.close()
+    assert expect_recovery_as_reference(path, logstore.DEFAULT_DEDUP_LIMIT)
+    r = LogStore.recover(path)
+    assert (r.next_seq, r.torn_discarded) == (5, True)
     r.close()
 
 
