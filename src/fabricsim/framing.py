@@ -9,6 +9,9 @@ Frame layout, all integers little-endian:
 
 Strings are u16 length + UTF-8 bytes; payloads are u32 length + bytes.
 Every request carries a u64 request id that the matching reply echoes.
+Each layout is one precompiled `struct.Struct`: a reply encodes with one
+`pack` and decodes with one `unpack`; a request reads its fixed head with
+`unpack_from` and slices out the name and the payload.
 """
 
 from __future__ import annotations
@@ -72,98 +75,86 @@ class AppendReply:
 Message = SizeRequest | SizeReply | AppendRequest | AppendReply
 
 
-def _pack_str(s: str) -> bytes:
+# One precompiled layout per message; the u32 body length leads each frame.
+_HEADER = struct.Struct("<IB")              # body length, type
+_REQUEST_HEAD = struct.Struct("<IBQH")      # ... request id, log name length
+_APPEND_TAIL = struct.Struct("<16sII")      # message id, expected size, payload length
+_SIZE_REPLY = struct.Struct("<IBQBI")       # ... request id, status, element size
+_APPEND_REPLY = struct.Struct("<IBQBQ")     # ... request id, status, seq
+_HEAD_LEN = _REQUEST_HEAD.size
+_TAIL_LEN = _APPEND_TAIL.size
+_REPLY_LAYOUTS = {TYPE_SIZE_REPLY: (_SIZE_REPLY, SizeReply),
+                  TYPE_APPEND_REPLY: (_APPEND_REPLY, AppendReply)}
+
+
+def _name_bytes(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise FrameError("string field too long")
-    return struct.pack("<H", len(raw)) + raw
-
-
-def _pack_bytes(b: bytes) -> bytes:
-    return struct.pack("<I", len(b)) + b
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FrameError("truncated frame body")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u16()
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FrameError("invalid UTF-8 in string field") from exc
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise FrameError(f"{len(self.buf) - self.pos} trailing bytes in frame")
+    return raw
 
 
 def encode(msg: Message) -> bytes:
-    if isinstance(msg, SizeRequest):
-        body = (bytes([TYPE_SIZE_REQUEST]) + struct.pack("<Q", msg.request_id)
-                + _pack_str(msg.log_name))
-    elif isinstance(msg, SizeReply):
-        body = bytes([TYPE_SIZE_REPLY]) + struct.pack(
-            "<QBI", msg.request_id, msg.status, msg.element_size)
-    elif isinstance(msg, AppendRequest):
+    if isinstance(msg, AppendRequest):
         if len(msg.message_id) != 16:
             raise FrameError("message_id must be 16 bytes")
-        body = (bytes([TYPE_APPEND_REQUEST]) + struct.pack("<Q", msg.request_id)
-                + _pack_str(msg.log_name) + bytes(msg.message_id)
-                + struct.pack("<I", msg.expected_element_size)
-                + _pack_bytes(msg.payload))
-    elif isinstance(msg, AppendReply):
-        body = bytes([TYPE_APPEND_REPLY]) + struct.pack(
-            "<QBQ", msg.request_id, msg.status, msg.seq)
-    else:
-        raise FrameError(f"cannot encode {type(msg).__name__}")
-    return struct.pack("<I", len(body)) + body
+        name, payload = _name_bytes(msg.log_name), msg.payload
+        head = _REQUEST_HEAD.pack(_HEAD_LEN - 4 + len(name) + _TAIL_LEN + len(payload),
+                                  TYPE_APPEND_REQUEST, msg.request_id, len(name))
+        tail = _APPEND_TAIL.pack(msg.message_id, msg.expected_element_size, len(payload))
+        return b"".join((head, name, tail, payload))
+    if isinstance(msg, AppendReply):
+        return _APPEND_REPLY.pack(_APPEND_REPLY.size - 4, TYPE_APPEND_REPLY,
+                                  msg.request_id, msg.status, msg.seq)
+    if isinstance(msg, SizeRequest):
+        name = _name_bytes(msg.log_name)
+        return _REQUEST_HEAD.pack(_HEAD_LEN - 4 + len(name), TYPE_SIZE_REQUEST,
+                                  msg.request_id, len(name)) + name
+    if isinstance(msg, SizeReply):
+        return _SIZE_REPLY.pack(_SIZE_REPLY.size - 4, TYPE_SIZE_REPLY,
+                                msg.request_id, msg.status, msg.element_size)
+    raise FrameError(f"cannot encode {type(msg).__name__}")
+
+
+def _check_end(end: int, size: int) -> None:
+    if end > size:
+        raise FrameError("truncated frame body")
+    if end < size:
+        raise FrameError(f"{size - end} trailing bytes in frame")
 
 
 def decode(frame: bytes) -> Message:
-    if len(frame) < 5:
+    size = len(frame)
+    if size < 5:
         raise FrameError("frame shorter than header")
-    (body_len,) = struct.unpack("<I", frame[:4])
+    body_len, mtype = _HEADER.unpack_from(frame)
     if body_len > MAX_FRAME_BODY:
         raise FrameError(f"frame body {body_len} exceeds limit")
-    if len(frame) != 4 + body_len:
-        raise FrameError(f"frame length mismatch: header says {body_len}, "
-                         f"got {len(frame) - 4}")
-    r = _Reader(frame[4:])
-    mtype = r.u8()
-    if mtype == TYPE_SIZE_REQUEST:
-        msg: Message = SizeRequest(r.u64(), r.string())
-    elif mtype == TYPE_SIZE_REPLY:
-        msg = SizeReply(r.u64(), r.u8(), r.u32())
-    elif mtype == TYPE_APPEND_REQUEST:
-        msg = AppendRequest(r.u64(), r.string(), r.take(16), r.u32(), r.blob())
-    elif mtype == TYPE_APPEND_REPLY:
-        msg = AppendReply(r.u64(), r.u8(), r.u64())
-    else:
+    if size != 4 + body_len:
+        raise FrameError(f"frame length mismatch: header says {body_len}, got {size - 4}")
+    reply = _REPLY_LAYOUTS.get(mtype)
+    if reply is not None:
+        layout, cls = reply
+        _check_end(layout.size, size)
+        _, _, request_id, status, value = layout.unpack(frame)
+        return cls(request_id, status, value)
+    if mtype != TYPE_APPEND_REQUEST and mtype != TYPE_SIZE_REQUEST:
         raise FrameError(f"unknown message type 0x{mtype:02x}")
-    r.done()
-    return msg
+    if size < _HEAD_LEN:
+        raise FrameError("truncated frame body")
+    _, _, request_id, name_len = _REQUEST_HEAD.unpack_from(frame)
+    end = _HEAD_LEN + name_len
+    if mtype == TYPE_APPEND_REQUEST:
+        if end + _TAIL_LEN > size:
+            raise FrameError("truncated frame body")
+        message_id, expected, payload_len = _APPEND_TAIL.unpack_from(frame, end)
+        _check_end(end + _TAIL_LEN + payload_len, size)
+    else:
+        _check_end(end, size)
+    try:
+        name = frame[_HEAD_LEN:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameError("invalid UTF-8 in string field") from exc
+    if mtype == TYPE_SIZE_REQUEST:
+        return SizeRequest(request_id, name)
+    return AppendRequest(request_id, name, message_id, expected, frame[end + _TAIL_LEN:])

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidSlice, NetError, RouteUnreachable
-from .simcore import Simulator, ms_to_us, s_to_us, sleep
+from .simcore import US_PER_MS, Simulator, s_to_us, sleep
 
 MIN_LATENCY_US = 100  # 0.1 ms floor on sampled latency
 
@@ -95,13 +95,9 @@ class TransferRecord:
         return self.nbytes * 8 / ((self.end_us - self.start_us) / 1e6) / 1e6
 
 
-@dataclass
-class _Endpoint:
-    callback: Callable[[bytes, str], None]
-
-
 class Network:
-    """Deterministic frame delivery over a static topology."""
+    """Deterministic frame delivery over a static topology, which is what lets
+    `hop_plan` resolve each `(src, dst)` pair's route once and keep it."""
 
     def __init__(self, sim: Simulator, links: list[LinkSpec],
                  routes: dict[tuple[str, str], list[str]] | None = None,
@@ -115,20 +111,19 @@ class Network:
         self.ue_efficiency = dict(ue_efficiency or {})
         self.slice_sd_mbps = slice_sd_mbps
         self.active_slices: dict[str, list[SliceConfig]] = {}
-        self._endpoints: dict[str, _Endpoint] = {}
+        self._endpoints: dict[str, Callable[[bytes, str], None]] = {}
         self._rngs: dict[str, np.random.Generator] = {}
+        self._plans: dict[tuple[str, str], tuple] = {}
 
     def _rng(self, label: str) -> np.random.Generator:
-        rng = self._rngs.get(label)
-        if rng is None:
-            rng = self.sim.rng(label)
-            self._rngs[label] = rng
-        return rng
+        if label not in self._rngs:
+            self._rngs[label] = self.sim.rng(label)
+        return self._rngs[label]
 
     # -- endpoints and routing -------------------------------------------
 
     def register_endpoint(self, node: str, callback: Callable[[bytes, str], None]) -> None:
-        self._endpoints[node] = _Endpoint(callback)
+        self._endpoints[node] = callback
 
     def route(self, src: str, dst: str) -> list[LinkSpec]:
         explicit = self.routes.get((src, dst))
@@ -138,6 +133,15 @@ class Network:
             if {link.a, link.b} == {src, dst}:
                 return [link]
         raise RouteUnreachable(f"no route {src} -> {dst}")
+
+    def hop_plan(self, src: str, dst: str) -> tuple[tuple[LinkSpec, np.random.Generator], ...]:
+        """`route(src, dst)` paired with each link's RNG, resolved once per pair.
+        A failed lookup raises `RouteUnreachable` and is not cached."""
+        plan = self._plans.get((src, dst))
+        if plan is None:
+            plan = self._plans[(src, dst)] = tuple(
+                (link, self._rng(f"link:{link.link_id}")) for link in self.route(src, dst))
+        return plan
 
     # -- slicing -----------------------------------------------------------
 
@@ -212,42 +216,45 @@ class Network:
         """Launch a frame along the route; losses and partitions drop it."""
         if not frame:
             raise NetError("empty frame")
-        hops = self.route(src, dst)
-        self._traverse(src, dst, frame, hops, 0, slice_ue)
+        self._traverse(src, dst, frame, self.hop_plan(src, dst), 0, slice_ue)
 
     def _traverse(self, src: str, dst: str, frame: bytes,
-                  hops: list[LinkSpec], index: int, slice_ue: str | None) -> None:
-        if index >= len(hops):
+                  plan: tuple[tuple[LinkSpec, np.random.Generator], ...],
+                  index: int, slice_ue: str | None) -> None:
+        sim = self.sim
+        if index == len(plan):
+            if sim.trace is not None:
+                sim.record("deliver", src=src, dst=dst, nbytes=len(frame))
             endpoint = self._endpoints.get(dst)
-            self.sim.record("deliver", src=src, dst=dst, nbytes=len(frame))
             if endpoint is not None:
-                endpoint.callback(frame, src)
+                endpoint(frame, src)
             return
-        link = hops[index]
-        rng = self._rng(f"link:{link.link_id}")
-        now = self.sim.now_us
-        if link.partitioned_at(now):
-            self.sim.record("drop", link=link.link_id, reason="partition", nbytes=len(frame))
+        link, rng = plan[index]
+        if link.partitions_us and link.partitioned_at(sim.now_us):
+            if sim.trace is not None:
+                sim.record("drop", link=link.link_id, reason="partition", nbytes=len(frame))
             return
+        # per-link draw order: loss, then duplicate, then one normal per copy
         if link.loss_prob > 0.0 and rng.random() < link.loss_prob:
-            self.sim.record("drop", link=link.link_id, reason="loss", nbytes=len(frame))
+            if sim.trace is not None:
+                sim.record("drop", link=link.link_id, reason="loss", nbytes=len(frame))
             return
         copies = 1
         if link.duplicate_prob > 0.0 and rng.random() < link.duplicate_prob:
             copies = 2
-            self.sim.record("duplicate", link=link.link_id, nbytes=len(frame))
+            if sim.trace is not None:
+                sim.record("duplicate", link=link.link_id, nbytes=len(frame))
         for _ in range(copies):
             delay = self._hop_delay_us(link, len(frame), rng, slice_ue)
-            self.sim.record("hop", link=link.link_id, delay_us=delay, nbytes=len(frame))
-            self.sim.schedule(delay, self._traverse, src, dst, frame,
-                              hops, index + 1, slice_ue)
+            if sim.trace is not None:
+                sim.record("hop", link=link.link_id, delay_us=delay, nbytes=len(frame))
+            sim.schedule(delay, self._traverse, src, dst, frame, plan, index + 1, slice_ue)
 
     def _hop_delay_us(self, link: LinkSpec, nbytes: int,
                       rng: np.random.Generator, slice_ue: str | None) -> int:
-        latency_us = ms_to_us(link.latency_mean_ms)
-        if link.latency_sd_ms > 0.0:
-            latency_us = ms_to_us(rng.normal(link.latency_mean_ms, link.latency_sd_ms))
-        latency_us = max(latency_us, MIN_LATENCY_US)
+        mean_ms, sd_ms = link.latency_mean_ms, link.latency_sd_ms
+        latency_ms = rng.normal(mean_ms, sd_ms) if sd_ms > 0.0 else mean_ms
+        latency_us = max(int(round(latency_ms * US_PER_MS)), MIN_LATENCY_US)  # ms_to_us
         capacity_mbps = link.base_capacity_mbps
         if slice_ue is not None:
             slc = self.slice_for_ue(link.link_id, slice_ue)

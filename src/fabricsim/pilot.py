@@ -144,7 +144,6 @@ class PilotSpec:
     runtime_s: float
     submit_time_us: int
     activate_time_us: int | None = None  # set when the queue delay is known
-    released: bool = False
 
     def expire_time_us(self) -> int | None:
         if self.activate_time_us is None:
@@ -152,8 +151,6 @@ class PilotSpec:
         return self.activate_time_us + s_to_us(self.runtime_s)
 
     def state_at(self, now_us: int) -> str:
-        if self.released:
-            return "done"
         if self.activate_time_us is None or now_us < self.activate_time_us:
             return "queued"
         if now_us >= self.expire_time_us():
@@ -234,10 +231,6 @@ class Facility:
         self._record("pilot-active", pilot=pilot.pilot_id)
         trigger, self._activation = self._activation, Trigger(self.sim)
         trigger.fire(pilot)
-
-    def release_pilot(self, pilot: PilotSpec) -> None:
-        pilot.released = True
-        self._record("pilot-release", pilot=pilot.pilot_id)
 
     def active_pilots(self) -> list[PilotSpec]:
         now = self.sim.now_us

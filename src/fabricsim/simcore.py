@@ -5,6 +5,9 @@ insertion order, so a run is fully determined by the topology and the seed.
 Long-running activities are written as generators that yield `sleep(...)`,
 a `Trigger`, or another `Process`; the engine resumes them when the awaited
 thing happens.
+
+A heap entry is the event itself, `[t, tie, fn, args]`; cancelling a
+pending event sets its `fn` slot to None, and the loop skips it.
 """
 
 from __future__ import annotations
@@ -90,19 +93,22 @@ def wait(trigger: Trigger, timeout_us: int | None = None) -> _WaitFor:
 class _WaitSlot:
     """Arbitrates between a trigger firing and its timeout; first wins."""
 
-    __slots__ = ("process", "claimed", "timeout_handle")
+    __slots__ = ("process", "claimed", "timeout_event")
 
     def __init__(self, process: "Process"):
         self.process = process
         self.claimed = False
-        self.timeout_handle: _EventHandle | None = None
+        self.timeout_event: list | None = None
+
+    def claim(self) -> None:
+        self.claimed = True
+        if self.timeout_event is not None:
+            self.timeout_event[2] = None
 
     def resolve(self, value: Any) -> None:
         if self.claimed:
             return
-        self.claimed = True
-        if self.timeout_handle is not None:
-            self.timeout_handle.cancel()
+        self.claim()
         self.process._sim._resume(self.process, value)
 
     def expire(self) -> None:
@@ -130,25 +136,13 @@ class Process:
         return self.done.fired
 
 
-class _EventHandle:
-    __slots__ = ("cancelled", "fn", "args")
-
-    def __init__(self, fn: Callable, args: tuple):
-        self.cancelled = False
-        self.fn = fn
-        self.args = args
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Simulator:
     """Single-clock event queue with generator-based processes."""
 
     def __init__(self, seed: int = 0, trace: bool = False):
         self.now_us = 0
         self.seed = seed
-        self._heap: list[tuple[int, int, _EventHandle]] = []
+        self._heap: list[list] = []
         self._tie = itertools.count()
         self.trace: list[tuple[int, str, dict]] | None = [] if trace else None
 
@@ -162,12 +156,13 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------
 
-    def schedule(self, delay_us: int, fn: Callable, *args) -> _EventHandle:
+    def schedule(self, delay_us: int, fn: Callable, *args) -> list:
+        """Queue `fn(*args)`; returns the heap entry `[t, tie, fn, args]`."""
         if delay_us < 0:
             raise ValueError("cannot schedule in the past")
-        handle = _EventHandle(fn, args)
-        heapq.heappush(self._heap, (self.now_us + int(delay_us), next(self._tie), handle))
-        return handle
+        event = [self.now_us + int(delay_us), next(self._tie), fn, args]
+        heapq.heappush(self._heap, event)
+        return event
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         proc = Process(self, gen, name)
@@ -195,27 +190,27 @@ class Simulator:
             raise ValueError("clock cannot move backwards")
         fired: list[tuple[int, str]] = []
         while self._heap and self._heap[0][0] <= until_us:
-            t, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
+            t, _, fn, args = heapq.heappop(self._heap)
+            if fn is None:
                 continue
             self.now_us = t
-            fired.append((t, getattr(handle.fn, "__qualname__", repr(handle.fn))))
-            handle.fn(*handle.args)
+            fired.append((t, getattr(fn, "__qualname__", repr(fn))))
+            fn(*args)
         self.now_us = until_us
         return fired
 
     def run(self, until_us: int | None = None, max_events: int = 50_000_000) -> None:
         """Drain the queue (optionally up to a time bound)."""
         fired = 0
-        while self._heap:
-            t = self._heap[0][0]
-            if until_us is not None and t > until_us:
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            if until_us is not None and heap[0][0] > until_us:
                 break
-            t, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
+            t, _, fn, args = pop(heap)
+            if fn is None:
                 continue
             self.now_us = t
-            handle.fn(*handle.args)
+            fn(*args)
             fired += 1
             if fired > max_events:
                 raise RuntimeError("event budget exhausted; runaway simulation?")
@@ -241,9 +236,7 @@ class Simulator:
             proc.error = exc
             if proc.done._waiters:
                 for slot in list(proc.done._waiters):
-                    slot.claimed = True
-                    if slot.timeout_handle is not None:
-                        slot.timeout_handle.cancel()
+                    slot.claim()
                     self.schedule(0, self._step, slot.process, exc, True)
                 proc.done._waiters.clear()
                 proc.done.fired = True
@@ -274,7 +267,7 @@ class Simulator:
         slot = _WaitSlot(proc)
         trigger._waiters.append(slot)
         if timeout_us is not None:
-            slot.timeout_handle = self.schedule(timeout_us, slot.expire)
+            slot.timeout_event = self.schedule(timeout_us, slot.expire)
 
 
 def run_to_completion(sim: Simulator, gen: Generator, until_us: int | None = None) -> Any:

@@ -220,6 +220,8 @@ class TransportClient:
     """Drives the protocol core over simulated channels: retries with
     exponential backoff and times out in simulated time."""
 
+    _IDS_PER_DRAW = 256  # one rng.bytes(16 * n) draw yields the bytes of n bytes(16) draws
+
     def __init__(self, sim: Simulator, network: Network, node: str,
                  policy: RetryPolicy = RetryPolicy(), cache: SizeCache | None = None):
         self.sim = sim
@@ -230,23 +232,28 @@ class TransportClient:
         self._request_ids = itertools.count(1)
         self._pending: dict[int, Trigger] = {}
         self._rng: np.random.Generator = sim.rng(f"client:{node}")
+        self._ids, self._ids_pos = b"", 0
 
     def new_message_id(self) -> bytes:
-        return self._rng.bytes(16)
+        """The next 16 bytes of the client's stream, drawn in batches."""
+        if self._ids_pos == len(self._ids):
+            self._ids, self._ids_pos = self._rng.bytes(16 * self._IDS_PER_DRAW), 0
+        self._ids_pos += 16
+        return self._ids[self._ids_pos - 16:self._ids_pos]
 
     def on_reply(self, reply) -> None:
         """Wake the exchange waiting on this decoded reply, if any still is."""
         trigger = self._pending.get(reply.request_id)
         if trigger is not None:
             trigger.fire(reply)
-        else:
+        elif self.sim.trace is not None:
             self.sim.record("late-reply", node=self.node, request_id=reply.request_id)
 
     # -- core request/reply with retry ------------------------------------
 
     def _roundtrip(self, target: str, build_request, slice_ue: str | None = None):
         """Send until a reply lands; replies to any earlier attempt count."""
-        self.network.route(self.node, target)  # raises RouteUnreachable early
+        self.network.hop_plan(self.node, target)  # raises RouteUnreachable early
         attempt = 0
         issued: list[int] = []
         trigger = Trigger(self.sim)
@@ -292,7 +299,7 @@ class TransportClient:
         discarded (connection start-up / cold cache), stats cover the rest."""
         if count < 2:
             raise TransportError("need at least two samples")
-        self.network.route(self.node, target)
+        self.network.hop_plan(self.node, target)
         samples_ms = []
         for i in range(count):
             payload = bytes([i % 256]) * payload_size
@@ -316,7 +323,8 @@ def wire_node(network: Network, node: str, client: TransportClient | None = None
         try:
             msg = framing.decode(frame)
         except FrameError:
-            network.sim.record("bad-frame", node=node, src=src)
+            if network.sim.trace is not None:
+                network.sim.record("bad-frame", node=node, src=src)
             return
         if isinstance(msg, (SizeRequest, AppendRequest)):
             if server is not None:

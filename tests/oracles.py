@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's code paths: exact permutation tests
 enumerate every split of the pooled sample, statistics are recomputed
-from first principles, and log recovery re-reads the on-disk format one
-record at a time.
+from first principles, log recovery re-reads the on-disk format one
+record at a time, and frame decoding reads one field at a time.
 """
 
 import collections
@@ -12,6 +12,9 @@ import struct
 import zlib
 
 import numpy as np
+
+from fabricsim import framing
+from fabricsim.errors import FrameError
 
 
 def welch_t_stat(x, y):
@@ -154,3 +157,71 @@ def reference_recover(log, journal, dedup_limit):
     return {"next_seq": next_seq, "earliest_seq": earliest, "torn_discarded": bool(bad),
             "dedup": list(dedup.items()), "journal_entries": count,
             "journal_bytes": count * _JOURNAL_STRIDE}
+
+
+class _FieldReader:
+    """Field-at-a-time cursor over a frame body."""
+
+    def __init__(self, buf):
+        self.buf = buf
+        self.pos = 0
+
+    def take(self, n):
+        if self.pos + n > len(self.buf):
+            raise FrameError("truncated frame body")
+        out = self.buf[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self):
+        return self.take(1)[0]
+
+    def u16(self):
+        return struct.unpack("<H", self.take(2))[0]
+
+    def u32(self):
+        return struct.unpack("<I", self.take(4))[0]
+
+    def u64(self):
+        return struct.unpack("<Q", self.take(8))[0]
+
+    def string(self):
+        n = self.u16()
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FrameError("invalid UTF-8 in string field") from exc
+
+    def blob(self):
+        return self.take(self.u32())
+
+    def done(self):
+        if self.pos != len(self.buf):
+            raise FrameError(f"{len(self.buf) - self.pos} trailing bytes in frame")
+
+
+def reference_decode(frame):
+    """Decode one wire frame by reading each field in turn; the same
+    `FrameError` cases as `framing.decode`."""
+    if len(frame) < 5:
+        raise FrameError("frame shorter than header")
+    (body_len,) = struct.unpack("<I", frame[:4])
+    if body_len > framing.MAX_FRAME_BODY:
+        raise FrameError(f"frame body {body_len} exceeds limit")
+    if len(frame) != 4 + body_len:
+        raise FrameError(f"frame length mismatch: header says {body_len}, "
+                         f"got {len(frame) - 4}")
+    r = _FieldReader(frame[4:])
+    mtype = r.u8()
+    if mtype == framing.TYPE_SIZE_REQUEST:
+        msg = framing.SizeRequest(r.u64(), r.string())
+    elif mtype == framing.TYPE_SIZE_REPLY:
+        msg = framing.SizeReply(r.u64(), r.u8(), r.u32())
+    elif mtype == framing.TYPE_APPEND_REQUEST:
+        msg = framing.AppendRequest(r.u64(), r.string(), r.take(16), r.u32(), r.blob())
+    elif mtype == framing.TYPE_APPEND_REPLY:
+        msg = framing.AppendReply(r.u64(), r.u8(), r.u64())
+    else:
+        raise FrameError(f"unknown message type 0x{mtype:02x}")
+    r.done()
+    return msg

@@ -13,6 +13,8 @@ from fabricsim.framing import (
     encode,
 )
 
+from . import oracles
+
 
 def test_size_request_round_trip():
     msg = SizeRequest(7, "telemetry")
@@ -101,3 +103,66 @@ def test_fuzzed_bytes_never_crash_decoder():
             decode(blob)
         except FrameError:
             pass
+
+
+# -- differential check against the field-at-a-time reference decoder ----------------
+
+def _random_message(rng):
+    rid = rng.randrange(2**64)
+    name = "".join(rng.choice("ab_-é€") for _ in range(rng.randrange(12)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return SizeRequest(rid, name)
+    if kind == 1:
+        return SizeReply(rid, rng.randrange(256), rng.randrange(2**32))
+    if kind == 2:
+        return AppendRequest(rid, name, rng.randbytes(16), rng.randrange(2**32),
+                             rng.randbytes(rng.randrange(40)))
+    return AppendReply(rid, rng.randrange(256), rng.randrange(2**64))
+
+
+def _with_length(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "little") + body
+
+
+def _mangled(frame: bytes, rng):
+    """The frame, each truncation of it, a one-byte extension, and frames with
+    a changed type byte, a corrupted length header or an invalid UTF-8 name.
+    Cut or extended bodies also come with their length header fixed up, so
+    they reach the body-level checks."""
+    body = frame[4:]
+    yield frame
+    for cut in range(len(frame)):
+        yield frame[:cut]
+    for cut in range(len(body)):
+        yield _with_length(body[:cut])
+    extra = bytes([rng.randrange(256)])
+    yield frame + extra
+    yield _with_length(body + extra)
+    for mtype in (0x00, 0x01, 0x02, 0x03, 0x04, 0x05, rng.randrange(256)):
+        yield frame[:4] + bytes([mtype]) + body[1:]
+    for length in (len(body) - 1, len(body) + 1, rng.randrange(2**32),
+                   framing.MAX_FRAME_BODY + 1):
+        yield length.to_bytes(4, "little") + body
+    if body[0] in (framing.TYPE_SIZE_REQUEST, framing.TYPE_APPEND_REQUEST) \
+            and frame[13:15] != bytes(2):  # a non-empty name: spoil its first byte
+        yield frame[:15] + b"\xff" + frame[16:]
+
+
+def _outcome(decoder, frame):
+    try:
+        return decoder(frame)
+    except FrameError:
+        return FrameError
+
+
+def test_decode_matches_reference_decoder_on_valid_and_mangled_frames():
+    rng = random.Random(6)
+    outcomes = {"message": 0, "error": 0}
+    for _ in range(1000):
+        frame = encode(_random_message(rng))
+        for variant in _mangled(frame, rng):
+            expected = _outcome(oracles.reference_decode, variant)
+            assert _outcome(decode, variant) == expected, variant
+            outcomes["error" if expected is FrameError else "message"] += 1
+    assert min(outcomes.values()) >= 1000

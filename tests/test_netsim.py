@@ -262,3 +262,10 @@ def test_identical_seed_identical_event_trace():
 
 def test_different_seed_different_trace():
     assert _lossy_trace(42) != _lossy_trace(43)
+
+
+def test_lossy_trace_matches_pinned_history():
+    # a literal, so it pins the per-link draw order (loss, then duplicate,
+    # then one normal per copy) and the hop delays across code changes
+    assert _lossy_trace(42) == \
+        "abb77d7123ee38f278a1520d9bb849318edbdb7d01ad21820d50d1408abdd588"

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -216,6 +220,82 @@ def test_each_delivered_frame_is_decoded_once(tmp_path, monkeypatch):
     kinds = [kind for _, kind, _ in sim.trace]
     assert kinds.count("drop") > 0 and kinds.count("duplicate") > 0
     assert decodes == kinds.count("deliver")
+
+
+def _lossy_appends(root, n, seed, trace):
+    """`n` concurrent 16-byte appends over a 10 +- 4 ms link with 20% loss and
+    5% duplication."""
+    sim, net, registry, server, client = build(
+        root, seed=seed, latency_ms=10.0, sd_ms=4.0, loss=0.2, dup=0.05, trace=trace)
+    registry.create("data", 16, 2 * n)
+    procs = [sim.spawn(client.remote_append("server", "data", i.to_bytes(16, "little")))
+             for i in range(n)]
+    sim.run()
+    assert all(p.error is None for p in procs)
+    return sim, net, registry, [p.result for p in procs]
+
+
+def test_lossy_appends_reproduce_pinned_history(tmp_path):
+    # literals: every frame's fate and timing, the order the appends land
+    # in, and the message ids drawn
+    sim, net, registry, seqs = _lossy_appends(tmp_path, 300, seed=11, trace=True)
+    kinds = [kind for _, kind, _ in sim.trace]
+    assert {"drop", "duplicate", "late-reply"} <= set(kinds)
+    trace_hash = hashlib.sha256("\n".join(sim.trace_lines()).encode()).hexdigest()
+    assert trace_hash == "22e25e43a3f4fe59a8ea465169b34e0c72427504156f910af5c5b94adc9898a4"
+    seqs_hash = hashlib.sha256(json.dumps(seqs).encode()).hexdigest()
+    assert seqs_hash == "02df379aba65e1b1f71f1dd39dde4212b048ae9894c5c0dafddc493ff80c5186"
+    ids = b"".join(e.message_id for e in registry.get("data").scan(1, 300).entries)
+    assert hashlib.sha256(ids).hexdigest() == \
+        "e43e320d2d1657923c9cca25a1a4ca985831069b9f0d3d8423c96505a6855dd3"
+
+
+def test_message_ids_are_the_client_stream_in_order(tmp_path):
+    sim, net, registry, server, client = build(tmp_path, seed=4)
+    stream = Simulator(seed=4).rng("client:client")
+    # 600 ids cross two refills of the client's id buffer
+    assert [client.new_message_id() for _ in range(600)] == \
+        [stream.bytes(16) for _ in range(600)]
+
+
+def test_untraced_run_never_calls_record(tmp_path, monkeypatch):
+    records = Counter()
+    real_record = Simulator.record
+
+    def counting_record(self, kind, **fields):
+        records[kind] += 1
+        real_record(self, kind, **fields)
+
+    monkeypatch.setattr(Simulator, "record", counting_record)
+    for trace in (True, False):
+        records.clear()
+        sim, net, *_ = _lossy_appends(tmp_path / str(trace), 100, seed=5, trace=trace)
+        net.send("client", "server", b"\x02\x00\x00\x00\x7f\x00")  # a bad frame
+        sim.run()
+        if trace:  # the run reaches every record site of the wire path
+            assert set(records) == {"hop", "deliver", "drop", "duplicate",
+                                    "late-reply", "bad-frame"}
+        else:
+            assert sum(records.values()) == 0
+
+
+def test_wire_path_resolves_each_route_once_and_decodes_each_frame_once(
+        tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Network, "route", counted("route", Network.route))
+    monkeypatch.setattr(framing, "decode", counted("decode", framing.decode))
+    sim, *_ = _lossy_appends(tmp_path, 100, seed=5, trace=True)
+    kinds = Counter(kind for _, kind, _ in sim.trace)
+    assert kinds["hop"] > 400
+    assert calls["route"] == 2  # client -> server and server -> client
+    assert calls["decode"] == kinds["deliver"]
 
 
 # -- retries under faults -----------------------------------------------------------
