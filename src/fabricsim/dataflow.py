@@ -113,16 +113,25 @@ def pack_operand(iteration: int, vt: VType, value) -> bytes:
     return _OPERAND_PREFIX.pack(iteration, _TYPE_CODES[vt.kind], len(raw)) + raw
 
 
+def _operand_prefix(payload: bytes) -> tuple[int, int, int]:
+    if len(payload) < _OPERAND_PREFIX.size:
+        raise TypeMismatch(f"operand of {len(payload)} bytes is shorter than its prefix")
+    return _OPERAND_PREFIX.unpack_from(payload)
+
+
 def unpack_operand(vt: VType, payload: bytes):
-    iteration, code, length = _OPERAND_PREFIX.unpack_from(payload)
+    iteration, code, length = _operand_prefix(payload)
     if code != _TYPE_CODES[vt.kind]:
         raise TypeMismatch(f"operand tagged {code}, log expects {vt}")
-    raw = payload[_OPERAND_PREFIX.size:_OPERAND_PREFIX.size + length]
+    raw = payload[_OPERAND_PREFIX.size:]
+    fits = length <= vt.width if vt.kind == "bytes" else length == vt.width
+    if length != len(raw) or not fits:
+        raise TypeMismatch(f"length field {length} wrong for {len(raw)} bytes of {vt}")
     return iteration, decode_value(vt, raw)
 
 
 def operand_iteration(payload: bytes) -> int:
-    return _OPERAND_PREFIX.unpack_from(payload)[0]
+    return _operand_prefix(payload)[0]
 
 
 @dataclass(frozen=True)

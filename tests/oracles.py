@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's code paths: exact permutation tests
 enumerate every split of the pooled sample, statistics are recomputed
-from first principles, log recovery re-reads the on-disk format one
-record at a time, and frame decoding reads one field at a time.
+from first principles, the detector's three tests go through `scipy.stats`,
+log recovery re-reads the on-disk format one record at a time, and frame
+decoding reads one field at a time.
 """
 
 import collections
@@ -12,6 +13,7 @@ import struct
 import zlib
 
 import numpy as np
+from scipy import stats
 
 from fabricsim import framing
 from fabricsim.errors import FrameError
@@ -71,6 +73,25 @@ def oracle_rejects(x, y, alpha=0.05):
     """Reject decisions per test from the permutation oracle."""
     return {name: permutation_pvalue(x, y, stat) < alpha
             for name, stat in ORACLE_STATISTICS.items()}
+
+
+def reference_welch_t(x, y):
+    """Welch's t-test through `scipy.stats`, with the detector's rule for
+    two constant windows."""
+    if np.var(x) == 0.0 and np.var(y) == 0.0:
+        return (0.0, 1.0) if np.mean(x) == np.mean(y) else (np.inf, 0.0)
+    res = stats.ttest_ind(x, y, equal_var=False)
+    return float(res.statistic), float(res.pvalue)
+
+
+def reference_mann_whitney_u(x, y):
+    res = stats.mannwhitneyu(x, y, alternative="two-sided", method="auto")
+    return float(res.statistic), float(res.pvalue)
+
+
+def reference_ks_2samp(x, y):
+    res = stats.ks_2samp(x, y, method="exact")
+    return float(res.statistic), float(res.pvalue)
 
 
 # -- log recovery ----------------------------------------------------------

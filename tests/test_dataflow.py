@@ -1,4 +1,5 @@
 import os
+import struct
 
 import pytest
 
@@ -76,6 +77,18 @@ def test_value_type_enforcement():
 def test_operand_round_trip():
     payload = pack_operand(7, FLOAT64, 3.25)
     assert unpack_operand(FLOAT64, payload) == (7, 3.25)
+
+
+@pytest.mark.parametrize("vt, payload", [
+    (INT64, pack_operand(3, INT64, 7)[:5]),             # shorter than the prefix
+    (INT64, pack_operand(3, INT64, 7)[:-1]),            # value cut short
+    (INT64, pack_operand(3, INT64, 7) + b"\x00"),       # trailing byte
+    (INT64, struct.pack("<QBI", 3, 1, 4) + bytes(4)),   # 4-byte int64, length agreeing
+    (BYTES(4), pack_operand(3, BYTES(8), b"abcdef")),   # longer than the type allows
+], ids=["short-prefix", "short-value", "trailing-byte", "narrow-int", "over-width"])
+def test_malformed_operand_raises_type_mismatch(vt, payload):
+    with pytest.raises(TypeMismatch):
+        unpack_operand(vt, payload)
 
 
 # -- graph validation ---------------------------------------------------------------
@@ -344,6 +357,25 @@ def test_mistagged_operand_raises_type_mismatch_on_absorbing_firing(tmp_path):
         == [(seq, "TypeMismatch")]
     assert dg.output_count("id") == 0
     # checked once: later iterations on the same port still fire
+    run_to_completion(sim, dg.inject(left, "id", "v", 1, 5))
+    sim.run()
+    assert dg.output_value("id", 1) == 5
+    assert len(left.engine.failures) == 1
+
+
+def test_short_operand_appended_remotely_fails_its_firing_once(tmp_path):
+    sim, fabric = build_fabric(tmp_path)
+    left, right = fabric["left"], fabric["right"]
+    dg = compile_graph(id_graph(), fabric, ID_OPS)
+    short = pack_operand(0, INT64, 7)[:5]
+    seq = run_to_completion(sim, right.client.remote_append(
+        "left", dg.port_log("id", "v"), short))
+    sim.run()
+    assert [(f.seq, f.error.split(":")[0]) for f in left.engine.failures] \
+        == [(seq, "TypeMismatch")]
+    # the port index meets it on the next local inject, which raises once
+    with pytest.raises(TypeMismatch):
+        run_to_completion(sim, dg.inject(left, "id", "v", 1, 5))
     run_to_completion(sim, dg.inject(left, "id", "v", 1, 5))
     sim.run()
     assert dg.output_value("id", 1) == 5

@@ -1,13 +1,34 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from fabricsim.detect import ChangeAlert, Window, detect_change, majority_vote
+from fabricsim.detect import (
+    ChangeAlert,
+    Window,
+    detect_change,
+    ks_2samp,
+    majority_vote,
+    mann_whitney_u,
+    welch_t,
+)
 from fabricsim.errors import InvalidWindow
 from fabricsim.weather import TelemetryRecord
 
-from .oracles import oracle_rejects, permutation_pvalue, welch_t_stat
+from .oracles import (
+    oracle_rejects,
+    permutation_pvalue,
+    reference_ks_2samp,
+    reference_mann_whitney_u,
+    reference_welch_t,
+    welch_t_stat,
+)
+
+KERNELS = ((welch_t, reference_welch_t),
+           (mann_whitney_u, reference_mann_whitney_u),
+           (ks_2samp, reference_ks_2samp))
 
 
 def make_window(values, start_s=300):
@@ -134,3 +155,110 @@ def test_false_alert_rate_under_null():
         cur, prev = window_pair(rng.normal(2.0, 0.3, 6), rng.normal(2.0, 0.3, 6))
         alerts += detect_change(cur, prev, alpha=0.05).vote
     assert alerts / trials <= 0.07
+
+
+# -- kernels against scipy.stats ------------------------------------------------------
+
+def identical(got, want):
+    """Equal as a report writes them: Python floats, bit for bit (0.0 is not
+    -0.0), NaN matching NaN."""
+    return [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def kernel_mismatches(pairs):
+    return [(kernel.__name__, x.tolist(), y.tolist(), got, want)
+            for x, y in pairs for kernel, reference in KERNELS
+            if not identical(got := kernel(x, y), want := reference(x, y))]
+
+
+def test_kernels_match_scipy_on_every_tie_free_labeling():
+    ranks = range(1, 13)
+    pairs = [(np.array(c, dtype=float), np.array([r for r in ranks if r not in c],
+                                                 dtype=float))
+             for c in itertools.combinations(ranks, 6)]
+    assert len(pairs) == 924
+    assert kernel_mismatches(pairs)[:3] == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's precision-loss note
+def test_kernels_match_scipy_on_random_windows():
+    # continuous, rounded and near-constant windows at scales from 1e-3 to 1e6
+    rng = np.random.default_rng(2026)
+    pairs = []
+    for i in range(5000):
+        scale = 10.0 ** rng.uniform(-3.0, 6.0)
+        x = rng.normal(0.0, scale, 6)
+        y = rng.normal(rng.uniform(-2.0, 2.0) * scale, rng.uniform(0.2, 3.0) * scale, 6)
+        if i % 3 == 1:
+            # ties within and across windows: Mann-Whitney's normal branch
+            step = scale * rng.choice([0.25, 0.5, 1.0, 2.0])
+            x, y = np.round(x / step) * step, np.round(y / step) * step
+        elif i % 3 == 2:
+            centre = rng.normal(0.0, scale)
+            x = centre * (1.0 + rng.normal(0.0, 1e-13, 6))
+            y = centre * (1.0 + rng.normal(0.0, 1e-13, 6))
+        pairs.append((x, y))
+    assert sum(len(set(x) | set(y)) < 12 for x, y in pairs) > 1000
+    assert kernel_mismatches(pairs)[:3] == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and underflow notes
+def test_kernels_match_scipy_at_extreme_scales():
+    # squared variances overflow from about 1e77, and 1e-310 is subnormal
+    rng = np.random.default_rng(77)
+    pairs = [(rng.normal(0.0, scale, 6), rng.normal(scale, scale, 6))
+             for scale in (1e100, 1e160, 1e200, 1e300, 1e-310) for _ in range(20)]
+    assert kernel_mismatches(pairs)[:3] == []
+
+
+NAN, INF = math.nan, math.inf
+SEQ = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+# (x, y) -> (welch_t, mann_whitney_u, ks_2samp) results, taken from scipy
+EDGE_CASES = [
+    ([1.0, 2.0, 3.0, NAN, 5.0, 6.0], [7.0, 8.0, 9.0, 10.0, 11.0, 12.0],
+     ((NAN, NAN), (NAN, NAN), (NAN, NAN))),
+    (SEQ, [7.0, 8.0, NAN, 10.0, 11.0, 12.0],
+     ((NAN, NAN), (NAN, NAN), (NAN, NAN))),
+    ([1.0, 2.0, 3.0, INF, 5.0, 6.0], [7.0, 8.0, 9.0, 10.0, 11.0, 12.0],
+     ((NAN, NAN), (6.0, 0.06493506493506493), (0.8333333333333334, 0.025974025974025972))),
+    (SEQ, [7.0, 8.0, 9.0, 10.0, 11.0, INF],
+     ((NAN, NAN), (0.0, 0.0021645021645021645), (1.0, 0.0021645021645021645))),
+    ([2.0] * 6, [2.0] * 6,
+     ((0.0, 1.0), (18.0, 1.0), (0.0, 1.0))),
+    ([2.0] * 6, [3.0] * 6,
+     ((INF, 0.0), (0.0, 0.0012619447673879731), (1.0, 0.0021645021645021645))),
+    ([2.0] * 6, SEQ,
+     ((-1.9639610121239317, 0.10674552235509224), (9.0, 0.12907260511214724),
+      (0.6666666666666666, 0.14285714285714285))),
+    (SEQ, [2.0] * 6,
+     ((1.9639610121239317, 0.10674552235509224), (27.0, 0.12907260511214724),
+      (0.6666666666666666, 0.14285714285714285))),
+    ([1.0, 1.0, 1.0, 2.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0, 2.0, 2.0],
+     ((-0.5423261445466406, 0.599510635564107), (15.0, 0.6403735394530488),
+      (0.16666666666666666, 0.9999999999999998))),
+    ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0, 2.0, 1.0],
+     ((0.0, 1.0), (18.0, 1.0), (0.0, 1.0))),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in a variance
+@pytest.mark.parametrize("x, y, expected", EDGE_CASES)
+def test_kernel_edge_cases_pinned(x, y, expected):
+    # NaN anywhere gives (nan, nan) from all three; +inf, constant and
+    # all-tied windows keep scipy's values
+    x, y = np.array(x), np.array(y)
+    for (kernel, _), want in zip(KERNELS, expected):
+        assert identical(kernel(x, y), want), kernel.__name__
+
+
+def test_detect_change_never_calls_scipy_stats(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.stats called")
+
+    for name in ("ttest_ind", "mannwhitneyu", "ks_2samp"):
+        monkeypatch.setattr(stats, name, forbidden)
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        cur, prev = window_pair(np.round(rng.normal(3, 1, 6)), rng.normal(3, 1, 6))
+        detect_change(cur, prev)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from fabricsim.errors import ConfigError
 from fabricsim.netsim import LinkSpec, Network
 from fabricsim.pilot import CfdCostModel, QueueDelayModel, SystemSpec
 from fabricsim.pipeline import CupsParams, CupsPipeline, sustained_rate_s
+from fabricsim.runner import run_scenario
+from fabricsim.scenario import load_scenario
 from fabricsim.simcore import Simulator
 from fabricsim.weather import ChannelModel, WeatherModel
 
@@ -145,3 +150,16 @@ def test_pilot_audit_log_populated(tmp_path):
     kinds = [e.payload for e in audit.scan(1, audit.next_seq - 1).entries]
     assert any(b"pilot-submit" in k for k in kinds)
     assert any(b"task-complete" in k for k in kinds)
+
+
+def test_week_long_cups_evaluation_history_pinned(tmp_path):
+    # the bundled run makes only 7 evaluations; a week at seed 16 makes 335,
+    # past the detector log's 128 h retention, and pins every p-value and
+    # reject flag that reaches a report
+    config = load_scenario("e2e_cups")
+    config["cups"]["duration_s"] = 168 * 3600.0
+    _, series, ok = run_scenario(config, tmp_path, seed=16)
+    evaluations = series["evaluations"][1]
+    assert ok and len(evaluations) == 335
+    assert hashlib.sha256(json.dumps(evaluations).encode()).hexdigest() \
+        == "cbfcc2c812853493d345cd133b677f34a5c1c11e74874989816dd984c40fa887"
