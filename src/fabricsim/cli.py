@@ -27,12 +27,11 @@ from .scenario import BUNDLED, load_scenario
 def _cmd_run(args) -> int:
     try:
         config = load_scenario(args.scenario)
-    except ConfigError as exc:
+        out_dir = Path(args.out or f"out-{config['name']}")
+        report, series, ok = run_scenario(config, out_dir, seed=args.seed)
+    except ConfigError as exc:  # rejected on load, or while the run is built
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out or f"out-{config['name']}")
-    try:
-        report, series, ok = run_scenario(config, out_dir, seed=args.seed)
     except FabricError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -70,13 +69,13 @@ def _cmd_sweep(args) -> int:
             report, series, ok = run_scenario(config, out_dir, seed=seed)
         except FabricError as exc:
             print(f"seed {seed} failed: {exc}", file=sys.stderr)
-            worst = 1
-            continue
-        write_report(out_dir, report, series)
+            ok = False
+        else:
+            write_report(out_dir, report, series)
+            print(f"seed {seed}: {'ok' if ok else 'INVARIANT FAILURE'}")
         rows.append({"seed": seed, "ok": ok})
         if not ok:
             worst = 1
-        print(f"seed {seed}: {'ok' if ok else 'INVARIANT FAILURE'}")
     write_csv(out_root / "sweep_summary.csv", ["seed", "ok"], rows)
     return worst
 
@@ -91,14 +90,13 @@ def _cmd_log_inspect(args) -> int:
     except FabricError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return 1
-    header = store.header
     dump = {
         "header": {
-            "name": header.name,
-            "element_size": header.element_size,
-            "capacity": header.capacity,
-            "next_seq": header.next_seq,
-            "earliest_seq": header.earliest_seq,
+            "name": store.name,
+            "element_size": store.element_size,
+            "capacity": store.capacity,
+            "next_seq": store.next_seq,
+            "earliest_seq": store.earliest_seq,
         },
         "torn_entry_discarded": store.torn_discarded,
         "entries": [],

@@ -287,11 +287,10 @@ class DeployedGraph:
     """A compiled graph: operand logs created, firing handlers bound."""
 
     def __init__(self, graph: DataflowGraph, fabric: dict[str, FabricNode],
-                 ops: dict[str, OpDef], window: int):
+                 ops: dict[str, OpDef]):
         self.graph = graph
         self.fabric = fabric
         self.ops = ops
-        self.window = window
         self._external_inputs = frozenset(graph.external_inputs())
         self._port_indexes: dict[str, _PortIndex] = {}
 
@@ -443,7 +442,7 @@ def compile_graph(graph: DataflowGraph, fabric: dict[str, FabricNode],
         if node.op not in ops:
             raise DataflowError(f"unknown op {node.op!r} on node {node.node_id!r}")
 
-    dg = DeployedGraph(graph, fabric, ops, window)
+    dg = DeployedGraph(graph, fabric, ops)
     consumers_of: dict[str, list[Edge]] = {}
     for e in graph.edges:
         consumers_of.setdefault(e.producer, []).append(e)

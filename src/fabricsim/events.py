@@ -68,15 +68,8 @@ class HandlerContext:
     now_us: int
     _registry: object
 
-    def read(self, log_name: str, seq: int) -> LogEntry:
-        return self._registry.get(log_name).read(seq)
-
     def scan(self, log_name: str, lo: int, hi: int):
         return self._registry.get(log_name).scan(lo, hi)
-
-    def head(self, log_name: str) -> int:
-        """Highest assigned seq (0 if the log is empty)."""
-        return self._registry.get(log_name).next_seq - 1
 
 
 @dataclass(frozen=True)

@@ -61,15 +61,6 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]{1,128}")
 
 
 @dataclass(frozen=True)
-class LogHeader:
-    name: str
-    element_size: int
-    capacity: int
-    next_seq: int
-    earliest_seq: int
-
-
-@dataclass(frozen=True)
 class LogEntry:
     seq: int
     payload: bytes
@@ -156,12 +147,6 @@ class LogStore:
     # -- public surface ---------------------------------------------------
 
     @property
-    def header(self) -> LogHeader:
-        with self._lock:
-            return LogHeader(self.name, self.element_size, self.capacity,
-                             self._next_seq, self._earliest_seq)
-
-    @property
     def next_seq(self) -> int:
         return self._next_seq
 
@@ -194,7 +179,8 @@ class LogStore:
                 return prior
             seq = self._next_seq
             try:
-                self._write_slot(seq, payload, message_id, created_at_us)
+                os.pwrite(self._fd, self._record(seq, payload, message_id, created_at_us),
+                          self._slot_offset(seq))
                 self._next_seq = seq + 1
                 if self._next_seq - self._earliest_seq > self.capacity:
                     self._earliest_seq = self._next_seq - self.capacity
@@ -211,11 +197,11 @@ class LogStore:
             raise SeqNotAssigned(f"seq {seq} not assigned yet (next is {nxt})")
         if seq < earliest:
             raise SeqEvicted(f"seq {seq} evicted (earliest retained is {earliest})")
-        entry = self._read_slot(seq)
-        if entry is None or entry.seq != seq:
+        entries = self._entries(seq, seq)
+        if not entries:
             # slot was overwritten by a concurrent append racing this read
             raise SeqEvicted(f"seq {seq} evicted concurrently")
-        return entry
+        return entries[0]
 
     def scan(self, lo: int, hi: int) -> ScanResult:
         """Entries with lo <= seq <= hi, in order; evicted prefix is marked."""
@@ -223,20 +209,8 @@ class LogStore:
             return ScanResult([], False, None)
         with self._lock:
             earliest, nxt = self._earliest_seq, self._next_seq
-        hi = min(hi, nxt - 1)
         truncated = lo < earliest
-        seq = max(lo, earliest)
-        element_size = self.element_size
-        stride = RECORD_OVERHEAD + element_size
-        entries = []
-        while seq <= hi:  # at most two runs: up to the wrap point, then after it
-            slot = (seq - 1) % self.capacity
-            run = min(hi - seq + 1, self.capacity - slot)
-            raw = self._pread(run * stride, HEADER_SIZE + slot * stride)
-            for i, rec in _decode_slots(raw, element_size):
-                if rec is not None and rec[0] == seq + i:
-                    entries.append(LogEntry(rec[0], rec[4][:rec[3]], rec[1], rec[2]))
-            seq += run
+        entries = self._entries(max(lo, earliest), min(hi, nxt - 1))
         first_available = earliest if truncated and nxt > earliest else None
         return ScanResult(entries, truncated, first_available)
 
@@ -249,15 +223,12 @@ class LogStore:
         if new_element_size < 1:
             raise InvalidLogConfig("element_size must be >= 1")
         with self._lock:
-            live = []
-            for seq in range(self._earliest_seq, self._next_seq):
-                entry = self._read_slot(seq)
-                if entry is not None:
-                    if len(entry.payload) > new_element_size:
-                        raise InvalidLogConfig(
-                            f"live entry seq {entry.seq} has {len(entry.payload)} bytes; "
-                            f"cannot shrink element size to {new_element_size}")
-                    live.append(entry)
+            live = self._entries(self._earliest_seq, self._next_seq - 1)
+            for entry in live:
+                if len(entry.payload) > new_element_size:
+                    raise InvalidLogConfig(
+                        f"live entry seq {entry.seq} has {len(entry.payload)} bytes; "
+                        f"cannot shrink element size to {new_element_size}")
             tmp = self.path.with_suffix(self.path.suffix + ".tmp")
             old_size = self.element_size
             self.element_size = new_element_size
@@ -265,10 +236,10 @@ class LogStore:
                 with open(tmp, "wb") as f:
                     f.write(_pack_header(new_element_size, self.capacity,
                                          self._next_seq, self._earliest_seq))
-                    f.flush()
-                for entry in live:
-                    self._write_slot(entry.seq, entry.payload, entry.message_id,
-                                     entry.created_at_us, fd_path=tmp)
+                    for entry in live:
+                        f.seek(self._slot_offset(entry.seq))
+                        f.write(self._record(entry.seq, entry.payload, entry.message_id,
+                                             entry.created_at_us))
                 os.replace(tmp, self.path)
                 os.close(self._fd)
                 self._fd = os.open(self.path, os.O_RDWR)
@@ -295,32 +266,33 @@ class LogStore:
 
     # -- on-disk layout ----------------------------------------------------
 
-    def _stride(self) -> int:
-        return RECORD_OVERHEAD + self.element_size
-
     def _slot_offset(self, seq: int) -> int:
-        return HEADER_SIZE + ((seq - 1) % self.capacity) * self._stride()
+        stride = RECORD_OVERHEAD + self.element_size
+        return HEADER_SIZE + ((seq - 1) % self.capacity) * stride
 
-    def _write_slot(self, seq: int, payload: bytes, message_id: bytes,
-                    created_at_us: int, fd_path: Path | None = None) -> None:
+    def _record(self, seq: int, payload: bytes, message_id: bytes,
+                created_at_us: int) -> bytes:
         padded = payload.ljust(self.element_size, b"\x00")
         body = _RECORD_PREFIX.pack(seq, bytes(message_id), created_at_us, len(payload)) + padded
-        record = body + _CRC.pack(zlib.crc32(body))
-        if fd_path is None:
-            os.pwrite(self._fd, record, self._slot_offset(seq))
-        else:
-            with open(fd_path, "r+b") as f:
-                f.seek(self._slot_offset(seq))
-                f.write(record)
+        return body + _CRC.pack(zlib.crc32(body))
 
-    def _read_slot(self, seq: int) -> LogEntry | None:
-        raw = self._pread(self._stride(), self._slot_offset(seq))
-        return _parse_record(raw, self.element_size)
-
-    def _pread(self, size: int, offset: int) -> bytes:
-        if self._closed:  # its fd numbers may already belong to another file
-            raise StorageFailure(f"log {self.name!r} is closed")
-        return os.pread(self._fd, size, offset)
+    def _entries(self, seq: int, hi: int) -> list[LogEntry]:
+        """Retained entries seq..hi, one `pread` per contiguous run of slots;
+        a slot holding another seq or failing its checks is skipped."""
+        element_size = self.element_size
+        stride = RECORD_OVERHEAD + element_size
+        entries = []
+        while seq <= hi:  # at most two runs: up to the wrap point, then after it
+            if self._closed:  # its fd numbers may already belong to another file
+                raise StorageFailure(f"log {self.name!r} is closed")
+            slot = (seq - 1) % self.capacity
+            run = min(hi - seq + 1, self.capacity - slot)
+            raw = os.pread(self._fd, run * stride, HEADER_SIZE + slot * stride)
+            for i, rec in _decode_slots(raw, element_size):
+                if rec is not None and rec[0] == seq + i:
+                    entries.append(LogEntry(rec[0], rec[4][:rec[3]], rec[1], rec[2]))
+            seq += run
+        return entries
 
     def _persist_header(self) -> None:
         os.pwrite(self._fd,
@@ -425,24 +397,13 @@ def _record_structs(element_size: int) -> tuple[struct.Struct, struct.Struct]:
             struct.Struct(f"<{_RECORD_PREFIX.size + element_size}sI"))
 
 
-def _parse_record(raw: bytes, element_size: int) -> LogEntry | None:
-    """None for blank/short/checksum-failed slots."""
-    record, _ = _record_structs(element_size)
-    if len(raw) < record.size:
-        return None
-    seq, message_id, created_at_us, payload_len, padded, crc = record.unpack_from(raw)
-    if (seq == 0 or payload_len > element_size
-            or crc != zlib.crc32(raw[:record.size - _CRC.size])):
-        return None
-    return LogEntry(seq, padded[:payload_len], message_id, created_at_us)
-
-
 def _decode_slots(raw: bytes, element_size: int) -> Iterator[tuple[int, tuple | None]]:
     """Yield (index, record) for each non-blank slot of a run of slots.
 
     record is the unpacked (seq, message_id, created_at_us, payload_len,
-    padded payload, crc) tuple, or None when the slot fails the checks of
-    `_parse_record`; a short final slot counts as one that fails them.
+    padded payload, crc) tuple, or None when the slot is not all zero yet has
+    seq 0, or has a payload_len over the element size or a bad CRC; a short
+    final slot counts as one that fails these checks.
     """
     record, checked = _record_structs(element_size)
     stride = record.size
@@ -505,10 +466,9 @@ def _scan_live_range(path: Path, element_size: int, capacity: int, header_next: 
 class LogRegistry:
     """Per-node namespace of logs rooted at one directory."""
 
-    def __init__(self, root: str | os.PathLike, dedup_limit: int = DEFAULT_DEDUP_LIMIT):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.dedup_limit = dedup_limit
         self._open: dict[str, LogStore] = {}
 
     def path_for(self, name: str) -> Path:
@@ -518,8 +478,7 @@ class LogRegistry:
     def create(self, name: str, element_size: int, capacity: int) -> LogStore:
         if name in self._open:
             raise NameCollision(f"log {name!r} already open on this node")
-        store = LogStore.create(self.path_for(name), name, element_size, capacity,
-                                dedup_limit=self.dedup_limit)
+        store = LogStore.create(self.path_for(name), name, element_size, capacity)
         self._open[name] = store
         return store
 
@@ -532,7 +491,7 @@ class LogRegistry:
             path = self.path_for(name)
             if not path.exists():
                 raise UnknownLog(f"no log named {name!r}")
-            store = LogStore.recover(path, name, dedup_limit=self.dedup_limit)
+            store = LogStore.recover(path, name)
             self._open[name] = store
         return store
 

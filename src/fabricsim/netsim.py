@@ -171,11 +171,11 @@ class Network:
         return slc.prb_fraction * link.base_capacity_mbps * ue_efficiency
 
     def effective_capacity(self, link: LinkSpec | str, slc: SliceConfig,
-                           ue_efficiency: float, sample: bool = True) -> float:
+                           ue_efficiency: float) -> float:
         """Mbps available to the slice; sampled with calibrated noise."""
         link = self.links[link] if isinstance(link, str) else link
         nominal = self.nominal_capacity(link, slc, ue_efficiency)
-        if not sample or self.slice_sd_mbps == 0.0:
+        if self.slice_sd_mbps == 0.0:
             return nominal
         rng = self._rng(f"slice:{link.link_id}:{slc.assigned_ue}")
         rel_sd = self.slice_sd_mbps / nominal

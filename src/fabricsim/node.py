@@ -9,24 +9,22 @@ from __future__ import annotations
 from pathlib import Path
 
 from .events import HandlerEngine
-from .logstore import DEFAULT_DEDUP_LIMIT, LogRegistry, LogStore
+from .logstore import LogRegistry, LogStore
 from .netsim import Network
 from .simcore import Simulator
-from .transport import RetryPolicy, SizeCache, TransportClient, TransportServer, wire_node
+from .transport import TransportClient, TransportServer, wire_node
 
 
 class FabricNode:
     def __init__(self, sim: Simulator, network: Network, name: str,
-                 root_dir: str | Path, policy: RetryPolicy = RetryPolicy(),
-                 cache: SizeCache | None = None,
-                 dedup_limit: int = DEFAULT_DEDUP_LIMIT):
+                 root_dir: str | Path):
         self.sim = sim
         self.network = network
         self.name = name
         self.root_dir = Path(root_dir)
-        self.registry = LogRegistry(self.root_dir, dedup_limit=dedup_limit)
+        self.registry = LogRegistry(self.root_dir)
         self.server = TransportServer(sim, network, name, self.registry)
-        self.client = TransportClient(sim, network, name, policy=policy, cache=cache)
+        self.client = TransportClient(sim, network, name)
         self.engine = HandlerEngine(self)
         self.server.on_append = self.engine.notify_append
         wire_node(network, name, self.client, self.server)

@@ -204,14 +204,11 @@ class Facility:
         self.pilots: list[PilotSpec] = []
         self._rng = sim.rng(f"facility:{self.stream_label}")
         self._activation = Trigger(sim)
-        self.events: list[dict] = []
         self.on_event = None  # optional hook(dict) for audit logging
 
     def _record(self, kind: str, **fields) -> None:
-        event = {"t_us": self.sim.now_us, "kind": kind, **fields}
-        self.events.append(event)
         if self.on_event is not None:
-            self.on_event(event)
+            self.on_event({"t_us": self.sim.now_us, "kind": kind, **fields})
 
     def submit_pilot(self, nodes: int, runtime_s: float,
                      delay_key: str | int | None = None) -> PilotSpec:
@@ -273,7 +270,7 @@ class PilotController:
     def __init__(self, facility: Facility, cost_model: CfdCostModel,
                  threshold_bytes: int = DEFAULT_THRESHOLD_BYTES,
                  task_cores: int = REFERENCE_CORES,
-                 strategy: str = "reactive", include_queued: bool = False):
+                 strategy: str = "reactive"):
         if strategy not in ("reactive", "proactive"):
             raise ConfigError(f"unknown pilot strategy {strategy!r}")
         self.facility = facility
@@ -281,7 +278,6 @@ class PilotController:
         self.threshold_bytes = threshold_bytes
         self.task_cores = task_cores
         self.strategy = strategy
-        self.include_queued = include_queued
         self.results: list[TaskResult] = []
 
     def start(self) -> None:
@@ -300,9 +296,7 @@ class PilotController:
     def handle_task(self, task: TaskSpec):
         """Process: apply the decision logic, wait for capacity, execute."""
         n_req = self.nodes_for_task(task)
-        n_avail = available_nodes(self.facility.pilots, self.facility.sim.now_us,
-                                  self.include_queued)
-        if decide_submit(n_req, n_avail):
+        if decide_submit(n_req, self.facility.available_nodes()):
             nodes, runtime = pilot_parameters(n_req, task.estimated_runtime_s,
                                               self.facility.system)
             # placeholder pilots outlive a single task so follow-up work can

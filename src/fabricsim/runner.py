@@ -183,11 +183,12 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
         overrides["channels"] = tuple(overrides["channels"])
     overrides.update(spec.get("pilot", {}))  # every pilot key is a CupsParams field
     params = CupsParams(duration_s=spec["duration_s"], **overrides)
+    cost_model = build_cost_model(spec.get("cost_model"))
     pipeline = CupsPipeline(
         sim, network, out_dir / "state", params,
         weather=build_weather(spec["weather"]),
         system=build_system(spec.get("system")),
-        cost_model=build_cost_model(spec.get("cost_model")))
+        cost_model=cost_model)
     metrics = pipeline.run()
     invariants = pipeline.check_invariants()
 
@@ -200,7 +201,7 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     if sustained_tasks:
         gaps = sustained_rate_s(seed, tasks=sustained_tasks,
                                 cores=params.task_cores,
-                                cost_model=build_cost_model(spec.get("cost_model")))
+                                cost_model=cost_model)
         report["sustained"] = summarize(gaps)
         sustained_rows = [{"gap_index": i, "gap_s": g} for i, g in enumerate(gaps)]
     else:
@@ -220,9 +221,8 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
                                for i, v in enumerate(metrics.telemetry_latency_ms)]),
         "sustained_gaps": (["gap_index", "gap_s"], sustained_rows),
     }
-    pipeline.unl.close()
-    pipeline.ucsb.close()
-    pipeline.nd.close()
+    for node in pipeline.nodes.values():
+        node.close()
     return report, series, all(invariants.values())
 
 

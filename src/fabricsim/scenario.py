@@ -21,6 +21,8 @@ from .weather import ChannelModel, WeatherModel
 BUNDLED = ("table1", "slicing", "e2e_cups", "queue_sweep")
 
 _NUM = (int, float)
+# scalar field types and how an error names them; a float field takes an int
+_KINDS = {str: "string", int: "integer", float: "number", bool: "boolean"}
 
 
 def _join(path: str, key: str) -> str:
@@ -34,44 +36,41 @@ def _check_mapping(raw, schema: dict, path: str) -> None:
         if key not in schema:
             raise ConfigError(f"unknown key: {_join(path, key)}")
     for key, (required, kind) in schema.items():
-        if key not in raw:
-            if required:
-                raise ConfigError(f"missing key: {_join(path, key)}")
-            continue
-        value = raw[key]
-        where = _join(path, key)
-        if isinstance(kind, dict):
-            _check_mapping(value, kind, where)
-        elif callable(kind) and not isinstance(kind, type):
-            kind(value, where)
-        else:
-            if kind is float:
-                kind = _NUM
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ConfigError(f"bad value for {where}: expected "
-                                  f"{getattr(kind, '__name__', kind)}")
+        if key in raw:
+            _check_value(raw[key], kind, _join(path, key))
+        elif required:
+            raise ConfigError(f"missing key: {_join(path, key)}")
 
 
-def _list_of(item_schema, path_hint: str = "item"):
+def _check_value(value, kind, where: str) -> None:
+    """`kind` is a mapping schema, a scalar type or a checker function."""
+    if isinstance(kind, dict):
+        _check_mapping(value, kind, where)
+    elif kind in _KINDS:
+        types = _NUM if kind is float else kind
+        if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
+            raise ConfigError(f"bad value for {where}: expected {_KINDS[kind]}")
+    else:
+        kind(value, where)
+
+
+def _list_of(kind):
     def check(value, where):
         if not isinstance(value, list):
             raise ConfigError(f"bad value for {where}: expected a list")
         for i, item in enumerate(value):
-            if isinstance(item_schema, dict):
-                _check_mapping(item, item_schema, f"{where}[{i}]")
-            else:
-                item_schema(item, f"{where}[{i}]")
+            _check_value(item, kind, f"{where}[{i}]")
     return check
 
 
-def _str_item(value, where):
-    if not isinstance(value, str):
-        raise ConfigError(f"bad value for {where}: expected string")
-
-
-def _num_item(value, where):
-    if not isinstance(value, _NUM) or isinstance(value, bool):
-        raise ConfigError(f"bad value for {where}: expected number")
+def _mapping_of(kind, item_path):
+    """A name -> item mapping; `item_path(where, name)` gives its path or rejects it."""
+    def check(value, where):
+        if not isinstance(value, dict):
+            raise ConfigError(f"bad value for {where}: expected a mapping")
+        for name, item in value.items():
+            _check_value(item, kind, item_path(where, name))
+    return check
 
 
 def _pair_item(value, where):
@@ -80,13 +79,10 @@ def _pair_item(value, where):
         raise ConfigError(f"bad value for {where}: expected [number, number]")
 
 
-def _routes_check(value, where):
-    if not isinstance(value, dict):
-        raise ConfigError(f"bad value for {where}: expected a mapping")
-    for key, links in value.items():
-        if "->" not in key:
-            raise ConfigError(f"bad route key {key!r} in {where}: use 'src->dst'")
-        _list_of(_str_item)(links, f"{where}[{key!r}]")
+def _route_path(where, key):
+    if "->" not in key:
+        raise ConfigError(f"bad route key {key!r} in {where}: use 'src->dst'")
+    return f"{where}[{key!r}]"
 
 
 _LINK = {
@@ -103,7 +99,7 @@ _LINK = {
 
 _TOPOLOGY = {
     "links": (True, _list_of(_LINK)),
-    "routes": (False, _routes_check),
+    "routes": (False, _mapping_of(_list_of(str), _route_path)),
 }
 
 _QUEUE_DELAY = {
@@ -133,16 +129,9 @@ _CHANNEL = {
 }
 
 
-def _weather_channels(value, where):
-    if not isinstance(value, dict):
-        raise ConfigError(f"bad value for {where}: expected a mapping")
-    for name, spec in value.items():
-        _check_mapping(spec, _CHANNEL, f"{where}.{name}")
-
-
 _WEATHER = {
     "station_id": (False, str),
-    "channels": (True, _weather_channels),
+    "channels": (True, _mapping_of(_CHANNEL, "{}.{}".format)),
 }
 
 _MEASUREMENT = {
@@ -169,7 +158,7 @@ _SLICING = {
     "link": (True, str),
     "ue_low": (True, _UE),
     "ue_high": (True, _UE),
-    "fractions": (True, _list_of(_num_item)),
+    "fractions": (True, _list_of(float)),
     "samples": (True, int),
     "duration_s": (True, float),
     "noise_sd_mbps": (False, float),
@@ -187,7 +176,7 @@ _CUPS = {
     "cadence_s": (False, float),
     "duty_cycle_s": (False, float),
     "alpha": (False, float),
-    "channels": (False, _list_of(_str_item)),
+    "channels": (False, _list_of(str)),
     "eval_offset_s": (False, float),
     "forward_offset_s": (False, float),
     "weather": (True, _WEATHER),
@@ -206,7 +195,7 @@ _QUEUE_SWEEP = {
     "threshold_bytes": (False, int),
     "system": (False, _SYSTEM),
     "delays": (True, _list_of(_QUEUE_DELAY)),
-    "strategies": (False, _list_of(_str_item)),
+    "strategies": (False, _list_of(str)),
 }
 
 _TOP = {
@@ -260,22 +249,18 @@ def load_scenario(ref: str | Path) -> dict:
 
 
 # -- object builders ---------------------------------------------------------
-# Each builder passes only the keys a scenario sets, so the dataclasses hold
-# the one copy of every default.
-
-def _given(spec: dict, keys) -> dict:
-    return {key: spec[key] for key in keys if key in spec}
-
+# Each builder passes on only the keys a scenario sets, renamed where a field
+# is, so the dataclasses hold the one copy of every default.
 
 def build_links(raw: dict) -> list[LinkSpec]:
     links = []
     for spec in raw["topology"]["links"]:
-        fields = _given(spec, ("a", "b", "latency_mean_ms", "latency_sd_ms",
-                               "loss_prob", "base_capacity_mbps", "duplicate_prob"))
-        if "partitions_s" in spec:
+        fields = dict(spec)
+        fields["link_id"] = fields.pop("id")
+        if "partitions_s" in fields:
             fields["partitions_us"] = tuple((s_to_us(a), s_to_us(b))
-                                            for a, b in spec["partitions_s"])
-        links.append(LinkSpec(link_id=spec["id"], **fields))
+                                            for a, b in fields.pop("partitions_s"))
+        links.append(LinkSpec(**fields))
     return links
 
 
@@ -290,24 +275,20 @@ def build_routes(raw: dict) -> dict[tuple[str, str], list[str]]:
 def build_weather(spec: dict) -> WeatherModel:
     channels = {}
     for name, ch in spec["channels"].items():
-        fields = {"base_mean": ch["mean"], "noise_sd": ch["noise_sd"]}
-        if "changes" in ch:
-            fields["changes"] = tuple((t, m) for t, m in ch["changes"])
+        fields = dict(ch)
+        fields["base_mean"] = fields.pop("mean")
+        if "changes" in fields:
+            fields["changes"] = tuple((t, m) for t, m in fields["changes"])
         channels[name] = ChannelModel(**fields)
-    return WeatherModel(channels=channels, **_given(spec, ("station_id",)))
-
-
-def build_queue_delay(spec: dict | None) -> QueueDelayModel:
-    return QueueDelayModel(**_given(spec or {}, _QUEUE_DELAY))
+    return WeatherModel(**dict(spec, channels=channels))
 
 
 def build_system(spec: dict | None) -> SystemSpec:
-    spec = spec or {}
-    fields = _given(spec, ("total_nodes", "cores_per_node", "max_runtime_s"))
-    if "queue_delay" in spec:
-        fields["queue_delay"] = build_queue_delay(spec["queue_delay"])
+    fields = dict(spec or {})
+    if "queue_delay" in fields:
+        fields["queue_delay"] = QueueDelayModel(**fields["queue_delay"])
     return SystemSpec(**fields)
 
 
 def build_cost_model(spec: dict | None) -> CfdCostModel:
-    return CfdCostModel(**_given(spec or {}, _COST_MODEL))
+    return CfdCostModel(**(spec or {}))

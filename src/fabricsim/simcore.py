@@ -7,7 +7,7 @@ a `Trigger`, or another `Process`; the engine resumes them when the awaited
 thing happens.
 
 A heap entry is the event itself, `[t, tie, fn, args]`; cancelling a
-pending event sets its `fn` slot to None, and the loop skips it.
+pending event sets its `fn` slot to None, and `run` skips it.
 """
 
 from __future__ import annotations
@@ -183,24 +183,11 @@ class Simulator:
 
     # -- the loop -------------------------------------------------------
 
-    def advance(self, until_us: int) -> list[tuple[int, str]]:
-        """Fire every event with timestamp <= until_us, then set the clock.
-        Returns (timestamp, label) for each event fired, in firing order."""
-        if until_us < self.now_us:
-            raise ValueError("clock cannot move backwards")
-        fired: list[tuple[int, str]] = []
-        while self._heap and self._heap[0][0] <= until_us:
-            t, _, fn, args = heapq.heappop(self._heap)
-            if fn is None:
-                continue
-            self.now_us = t
-            fired.append((t, getattr(fn, "__qualname__", repr(fn))))
-            fn(*args)
-        self.now_us = until_us
-        return fired
-
     def run(self, until_us: int | None = None, max_events: int = 50_000_000) -> None:
-        """Drain the queue (optionally up to a time bound)."""
+        """Drain the queue; with `until_us`, fire every event with timestamp
+        <= until_us, then set the clock to it."""
+        if until_us is not None and until_us < self.now_us:
+            raise ValueError("clock cannot move backwards")
         fired = 0
         heap, pop = self._heap, heapq.heappop
         while heap:
@@ -214,7 +201,7 @@ class Simulator:
             fired += 1
             if fired > max_events:
                 raise RuntimeError("event budget exhausted; runaway simulation?")
-        if until_us is not None and until_us > self.now_us:
+        if until_us is not None:
             self.now_us = until_us
 
     # -- process stepping -----------------------------------------------

@@ -60,20 +60,8 @@ class RetryPolicy:
         return ms_to_us(min(self.base_ms * (2 ** attempt), self.cap_ms))
 
 
-class SizeCache:
-    """Opt-in per-client cache of (node, log) -> element size."""
-
-    def __init__(self):
-        self.entries: dict[tuple[str, str], int] = {}
-
-    def get(self, node: str, log_name: str) -> int | None:
-        return self.entries.get((node, log_name))
-
-    def put(self, node: str, log_name: str, element_size: int) -> None:
-        self.entries[(node, log_name)] = element_size
-
-    def invalidate(self, node: str, log_name: str) -> None:
-        self.entries.pop((node, log_name), None)
+# Opt-in per-client cache of (node, log) -> element size; `SizeCache()` is empty.
+SizeCache = dict[tuple[str, str], int]
 
 
 @dataclass(frozen=True)
@@ -135,13 +123,13 @@ class AppendCall:
         self.payload = payload
         self.message_id = message_id
         self.element_size: int | None = None
-        if cache is not None and (cached := cache.get(target, log_name)) is not None:
+        if cache is not None and (cached := cache.get((target, log_name))) is not None:
             self.learn_size(cached)
 
     def learn_size(self, element_size: int) -> None:
         """Cache the size and check the payload fits before anything is sent."""
         if self.cache is not None:
-            self.cache.put(self.target, self.log_name, element_size)
+            self.cache[(self.target, self.log_name)] = element_size
         if len(self.payload) > element_size:
             raise PayloadTooLarge(
                 f"payload {len(self.payload)} > element size {element_size} "
@@ -159,7 +147,7 @@ class AppendCall:
                          f"append to {self.log_name!r} on {self.target}")
         except SizeMismatch:
             if self.cache is not None:
-                self.cache.invalidate(self.target, self.log_name)
+                self.cache.pop((self.target, self.log_name), None)
             raise
         return reply.seq
 

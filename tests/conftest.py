@@ -6,20 +6,14 @@ from fabricsim import logstore
 @pytest.fixture
 def decoded_records(monkeypatch) -> list[int]:
     """The seq (0 if it fails its checks) of every non-blank slot that a
-    read, scan or recover decodes, through either record decoder."""
+    read, scan or recover decodes."""
     decoded: list[int] = []
-    real_parse, real_decode = logstore._parse_record, logstore._decode_slots
-
-    def counting_parse(raw, element_size):
-        entry = real_parse(raw, element_size)
-        decoded.append(entry.seq if entry is not None else 0)
-        return entry
+    real_decode = logstore._decode_slots
 
     def counting_decode(raw, element_size):
         for index, rec in real_decode(raw, element_size):
             decoded.append(rec[0] if rec is not None else 0)
             yield index, rec
 
-    monkeypatch.setattr(logstore, "_parse_record", counting_parse)
     monkeypatch.setattr(logstore, "_decode_slots", counting_decode)
     return decoded

@@ -34,10 +34,10 @@ def store(tmp_path):
 # -- create -------------------------------------------------------------------
 
 def test_create_fresh_log_starts_at_seq_one(store):
-    assert store.header.next_seq == 1
-    assert store.header.earliest_seq == 1
-    assert store.header.element_size == 1024
-    assert store.header.capacity == 4096
+    assert store.next_seq == 1
+    assert store.earliest_seq == 1
+    assert store.element_size == 1024
+    assert store.capacity == 4096
 
 
 def test_create_rejects_zero_element_size(tmp_path):
@@ -60,7 +60,7 @@ def test_create_twice_same_name_collides(tmp_path):
 
 def test_first_append_returns_seq_one(store):
     assert store.append(b"hello", mid(1)) == 1
-    assert store.header.next_seq == 2
+    assert store.next_seq == 2
 
 
 def test_appends_are_monotone(store):
@@ -405,7 +405,10 @@ def test_closed_store_refuses_io(tmp_path):
     with pytest.raises(StorageFailure, match="closed"):
         a.scan(1, 1)
     assert b.next_seq == 2
-    assert b._read_slot(2) is None
+    stride = RECORD_OVERHEAD + 8
+    with open(tmp_path / "b.log", "rb") as f:
+        f.seek(HEADER_SIZE + stride)  # slot 2: never written, so zero or absent
+        assert not any(f.read(stride))
     assert not a._dedup  # released on close
     b.close()
 
@@ -498,6 +501,27 @@ def test_resize_preserves_entries_and_seqs(tmp_path):
     r = LogStore.recover(path)
     assert r.element_size == 128
     assert r.next_seq == 7
+    r.close()
+
+
+def test_resize_of_a_wrapped_log_keeps_every_live_record(tmp_path):
+    path = tmp_path / "wrap.log"
+    s = LogStore.create(path, "wrap", 16, 8)
+    for i in range(1, 14):  # seqs 6..13 live, wrapped past slot 0
+        s.append(bytes([i]) * (i % 7 + 1), mid(i), created_at_us=1_000 * i + 7)
+    live = [(e.seq, e.payload, e.message_id, e.created_at_us)
+            for e in s.scan(1, 13).entries]
+    assert [row[0] for row in live] == list(range(6, 14))
+    s.resize(40)
+    s.close()
+    r = LogStore.recover(path)
+    assert (r.element_size, r.capacity, r.earliest_seq, r.next_seq) == (40, 8, 6, 14)
+    assert [(e.seq, e.payload, e.message_id, e.created_at_us)
+            for e in r.scan(1, 13).entries] == live
+    assert [(e.seq, e.payload, e.message_id, e.created_at_us)
+            for e in map(r.read, range(6, 14))] == live
+    assert r.append(b"again", mid(9)) == 9  # a retried live id keeps its seq
+    assert r.next_seq == 14
     r.close()
 
 

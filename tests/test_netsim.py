@@ -55,7 +55,7 @@ def test_frame_after_partition_window_is_delivered():
     sim = Simulator(seed=1)
     net = make_net(sim, partitions_us=((0, s_to_us(10)),))
     got = deliveries(net, sim)
-    sim.advance(s_to_us(10))
+    sim.run(until_us=s_to_us(10))
     net.send("a", "b", b"late")
     sim.run()
     assert len(got) == 1
@@ -251,7 +251,7 @@ def _lossy_trace(seed):
     net.register_endpoint("b", lambda frame, src: None)
     for i in range(200):
         net.send("a", "b", bytes([i % 256]) * 100)
-        sim.advance(sim.now_us + 1_000)
+        sim.run(until_us=sim.now_us + 1_000)
     sim.run()
     return hashlib.sha256("\n".join(sim.trace_lines()).encode()).hexdigest()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 from fabricsim.cli import main
 from fabricsim.errors import ConfigError
+from fabricsim.logstore import LogStore
 from fabricsim.metrics import read_csv, summarize, write_report
 from fabricsim.runner import run_scenario
 from fabricsim.scenario import BUNDLED, load_scenario, validate_scenario
@@ -43,6 +45,17 @@ def test_bad_value_type_rejected():
     config["seed"] = "three"
     with pytest.raises(ConfigError, match="seed"):
         validate_scenario(config)
+    config["seed"] = True  # a bool is not an integer
+    with pytest.raises(ConfigError, match="^bad value for seed: expected integer$"):
+        validate_scenario(config)
+    config = load_scenario("e2e_cups")
+    config["cups"]["duration_s"] = "long"
+    with pytest.raises(ConfigError,
+                       match=r"^bad value for cups\.duration_s: expected number$"):
+        validate_scenario(config)
+    config = load_scenario("table1")
+    config["latency"]["measurements"][0]["use_cache"] = True
+    validate_scenario(config)
 
 
 def test_unknown_scenario_kind_rejected():
@@ -130,6 +143,29 @@ def test_cli_rejects_bad_config_with_exit_two(tmp_path, capsys):
     assert "typo_key" in err
 
 
+def test_cli_config_error_found_while_building_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    config = load_scenario("e2e_cups")
+    config["cups"]["pilot"] = {"strategy": "bogus"}
+    bad.write_text(json.dumps(config))
+    code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and "bogus" in err
+
+
+def test_cli_sweep_records_a_seed_that_raises(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    config = load_scenario("e2e_cups")
+    config["cups"]["pilot"] = {"strategy": "bogus"}
+    bad.write_text(json.dumps(config))
+    code = main(["sweep", "--scenario", str(bad), "--seeds", "1..2",
+                 "--out", str(tmp_path / "sweep")])
+    assert code == 1
+    rows = read_csv(tmp_path / "sweep" / "sweep_summary.csv")
+    assert rows == [{"seed": "1", "ok": "false"}, {"seed": "2", "ok": "false"}]
+
+
 def test_cli_scenarios_lists_bundled(capsys):
     assert main(["scenarios"]) == 0
     out = capsys.readouterr().out.split()
@@ -159,6 +195,18 @@ def test_cli_log_inspect_round_trip(tmp_path, capsys):
     assert dump["header"]["next_seq"] == 4
     assert [e["seq"] for e in dump["entries"]] == [1, 2, 3]
     assert dump["torn_entry_discarded"] is False
+
+
+def test_cli_log_inspect_wrapped_log_output_pinned(tmp_path, capsys):
+    path = tmp_path / "wrapped.log"
+    store = LogStore.create(path, "wrapped", 16, 8)
+    for i in range(1, 14):  # seqs 6..13 live, wrapped past slot 0
+        store.append(bytes([i]) * (i % 7 + 1), i.to_bytes(16, "little"), 1_000 * i + 7)
+    store.close()
+    assert main(["log", "inspect", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e5a9a54bdaf1e1cec30485fc01f9c96ba8e586ddef72a634135cf5074398163c")
 
 
 def test_cli_log_inspect_fresh_log(tmp_path, capsys):

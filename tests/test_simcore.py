@@ -14,20 +14,25 @@ from fabricsim.simcore import (
 
 def test_advance_empty_queue_moves_clock():
     sim = Simulator()
-    fired = sim.advance(5_000)
-    assert fired == []
+    sim.run(until_us=5_000)
     assert sim.now_us == 5_000
 
 
 def test_advance_returns_fired_events_in_order():
     sim = Simulator()
     out = []
-    sim.schedule(200, out.append, 1)
-    sim.schedule(100, out.append, 2)
-    sim.schedule(900, out.append, 3)
-    fired = sim.advance(500)
-    assert [t for t, _ in fired] == [100, 200]
-    assert len(sim.advance(900)) == 1
+
+    def stamp(tag):
+        out.append((sim.now_us, tag))
+
+    sim.schedule(200, stamp, 1)
+    sim.schedule(100, stamp, 2)
+    sim.schedule(900, stamp, 3)
+    sim.run(until_us=500)
+    assert out == [(100, 2), (200, 1)]
+    assert sim.now_us == 500
+    sim.run(until_us=900)
+    assert out == [(100, 2), (200, 1), (900, 3)]
 
 
 def test_events_fire_in_timestamp_order():
@@ -36,7 +41,7 @@ def test_events_fire_in_timestamp_order():
     sim.schedule(300, fired.append, "c")
     sim.schedule(100, fired.append, "a")
     sim.schedule(200, fired.append, "b")
-    sim.advance(1_000)
+    sim.run(until_us=1_000)
     assert fired == ["a", "b", "c"]
 
 
@@ -45,15 +50,15 @@ def test_equal_timestamps_fire_in_insertion_order():
     fired = []
     for tag in ("first", "second", "third"):
         sim.schedule(50, fired.append, tag)
-    sim.advance(50)
+    sim.run(until_us=50)
     assert fired == ["first", "second", "third"]
 
 
 def test_advance_cannot_move_backwards():
     sim = Simulator()
-    sim.advance(10)
+    sim.run(until_us=10)
     with pytest.raises(ValueError):
-        sim.advance(5)
+        sim.run(until_us=5)
 
 
 def test_process_sleep_and_result():
@@ -132,11 +137,11 @@ def test_cancelled_timeout_is_skipped_without_count_or_clock_move():
     assert sim.now_us == 1_000
     sim = Simulator()
     proc = _waiter_beaten_by_trigger(sim)
-    fired = sim.advance(4_999)
-    assert [label for _, label in fired] == [
-        "Simulator._step", "Trigger.fire", "Simulator._step"]
-    assert sim.advance(6_000) == []
+    sim.run(until_us=4_999, max_events=3)
     assert proc.result == 42
+    assert sim.now_us == 4_999
+    sim.run(until_us=6_000, max_events=0)  # the cancelled timeout fires nothing
+    assert sim.now_us == 6_000
 
 def test_child_process_join_propagates_result():
     sim = Simulator()

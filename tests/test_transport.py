@@ -104,7 +104,7 @@ def test_stale_cache_surfaces_size_mismatch_not_corruption(tmp_path):
         run_to_completion(sim, client.remote_append("server", "data", b"stale"))
     after = [(e.seq, e.payload) for e in log.scan(1, 100).entries]
     assert after == before
-    assert client.cache.get("server", "data") is None  # invalidated
+    assert client.cache.get(("server", "data")) is None  # invalidated
 
 
 def test_append_after_cache_invalidation_succeeds(tmp_path):
