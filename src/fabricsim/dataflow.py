@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -132,6 +133,18 @@ def unpack_operand(vt: VType, payload: bytes):
 
 def operand_iteration(payload: bytes) -> int:
     return _operand_prefix(payload)[0]
+
+
+def _tagged_iterations(vt: VType, payloads: list[bytes]) -> list[int] | None:
+    """Each operand's iteration, its length, tag and value length checked
+    over the whole column; None for a variable-width type or any miss."""
+    size = _OPERAND_PREFIX.size + vt.width
+    if vt.kind == "bytes" or list(map(len, payloads)).count(size) != len(payloads):
+        return None
+    operands = list(struct.Struct(f"<QBI{vt.width}x").iter_unpack(b"".join(payloads)))
+    if set(map(itemgetter(1, 2), operands)) - {(_TYPE_CODES[vt.kind], vt.width)}:
+        return None
+    return list(map(itemgetter(0), operands))
 
 
 @dataclass(frozen=True)
@@ -251,16 +264,26 @@ class _PortIndex:
 
     def absorb(self) -> None:
         """Index the entries appended since the last call, whatever path
-        appended them; each operand's type tag is checked here, once."""
+        appended them, checking each operand's type tag once; the first call
+        after a reopen takes the records recovery validated instead of a scan."""
         store = self.store
         hi = store.next_seq - 1
         if hi <= self.mark:
             return
-        for entry in store.scan(max(self.mark + 1, store.earliest_seq), hi).entries:
-            self.mark = entry.seq  # a mistagged operand raises once, then is skipped
-            iteration, _ = unpack_operand(self.vt, entry.payload)
-            if self.first.setdefault(iteration, entry.seq) != entry.seq:
-                self.later.setdefault(iteration, []).append(entry.seq)
+        lo = max(self.mark + 1, store.earliest_seq)
+        first_seq, payloads = store.take_recovered() or (lo, [])
+        skip = max(lo - first_seq, 0)  # evicted since the reopen
+        entries = list(zip(range(first_seq, first_seq + len(payloads)), payloads))[skip:]
+        lo = max(lo, first_seq + len(payloads))
+        if lo <= hi:
+            entries += [(e.seq, e.payload) for e in store.scan(lo, hi).entries]
+        iterations = _tagged_iterations(self.vt, [payload for _, payload in entries])
+        for (seq, payload), iteration in zip(entries, iterations or [None] * len(entries)):
+            self.mark = seq  # a mistagged operand raises once, then is skipped
+            if iteration is None:
+                iteration = unpack_operand(self.vt, payload)[0]
+            if self.first.setdefault(iteration, seq) != seq:
+                self.later.setdefault(iteration, []).append(seq)
         self.mark = hi
         if len(self.first) > 2 * store.capacity:
             # forget iterations whose every operand is evicted (amortised)

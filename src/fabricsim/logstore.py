@@ -13,7 +13,7 @@ Durability: `append` hands the record, the header and the journal entry to
 the operating system before it returns, so a log survives a process crash.
 Nothing is fsynced unless `flush()` is called, so a power cut may lose the
 most recent appends. Each reopen CRC-checks every record and every journal
-entry.
+entry, a whole run of slots at once wherever the header's layout holds.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import getitem, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     CorruptHeader,
@@ -50,18 +51,18 @@ _HEADER_CRC = struct.Struct("<I")
 _RECORD_PREFIX = struct.Struct("<Q16sQI")  # seq, message_id, created_at_us, payload_len
 _CRC = struct.Struct("<I")
 RECORD_OVERHEAD = _RECORD_PREFIX.size + _CRC.size  # 40 bytes
+_CRC_RESIDUE = 0x2144DF1C  # crc32(body + _CRC.pack(c)) is this iff c == crc32(body)
 
 DEFAULT_DEDUP_LIMIT = 65_536
 _DEDUP_ENTRY = struct.Struct("<16sQ")  # message_id, seq (crc32 appended)
-_DEDUP_CHECKED = struct.Struct("<24sI")  # the entry's bytes, crc32
 _DEDUP_PAIRS = struct.Struct("<16sQ4x")  # message_id, seq
-_DEDUP_STRIDE = _DEDUP_CHECKED.size
+_DEDUP_STRIDE = _DEDUP_PAIRS.size
+_DEDUP_SLOT = struct.Struct(f"{_DEDUP_STRIDE}s")  # one whole entry, crc32 included
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]{1,128}")
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     seq: int
     payload: bytes
     message_id: bytes
@@ -102,6 +103,7 @@ class LogStore:
         self._dedup_fd = os.open(self._dedup_path(), os.O_RDWR | os.O_CREAT, 0o644)
         self._closed = False
         self.torn_discarded = False
+        self._recovered: tuple[int, list[int], list[bytes]] | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -136,12 +138,15 @@ class LogStore:
         if not path.exists():
             raise UnknownLog(f"no log file at {path}")
         name = name or path.stem
-        element_size, capacity, hdr_next, _ = _read_header(path)
-        next_seq, earliest_seq, torn, live = _scan_live_range(path, element_size,
+        element_size, capacity, hdr_next, area = _read_log(path)
+        next_seq, earliest_seq, torn, live = _scan_live_range(path, area, element_size,
                                                               capacity, hdr_next)
         store = cls(path, name, element_size, capacity, next_seq, earliest_seq, dedup_limit)
         store.torn_discarded = torn
-        store._load_dedup(live)
+        store._load_dedup(list(zip(map(itemgetter(1), live), map(itemgetter(0), live))))
+        if live:
+            store._recovered = (earliest_seq, list(map(itemgetter(3), live)),
+                                list(map(itemgetter(4), live)))
         return store
 
     # -- public surface ---------------------------------------------------
@@ -247,6 +252,14 @@ class LogStore:
                 self.element_size = old_size
                 raise StorageFailure(str(exc)) from exc
 
+    def take_recovered(self) -> tuple[int, list[bytes]] | None:
+        """Hand over, once, (first seq, payloads in seq order) of the records
+        the reopen validated; None afterwards, after close or if none."""
+        if self._recovered is None:
+            return None
+        (first_seq, lengths, padded), self._recovered = self._recovered, None
+        return first_seq, list(map(getitem, padded, map(slice, lengths)))
+
     def flush(self) -> None:
         try:
             os.fsync(self._fd)
@@ -263,6 +276,7 @@ class LogStore:
         os.close(self._dedup_fd)
         self._closed = True
         self._dedup.clear()
+        self._recovered = None
 
     # -- on-disk layout ----------------------------------------------------
 
@@ -288,7 +302,7 @@ class LogStore:
             slot = (seq - 1) % self.capacity
             run = min(hi - seq + 1, self.capacity - slot)
             raw = os.pread(self._fd, run * stride, HEADER_SIZE + slot * stride)
-            for i, rec in _decode_slots(raw, element_size):
+            for i, rec in _decode_slots(raw, element_size, range(seq, seq + run)):
                 if rec is not None and rec[0] == seq + i:
                     entries.append(LogEntry(rec[0], rec[4][:rec[3]], rec[1], rec[2]))
             seq += run
@@ -335,14 +349,14 @@ class LogStore:
     def _load_dedup(self, live: list[tuple[bytes, int]]) -> None:
         """Rebuild the index from the journal, then from the live records'
         (message_id, seq) pairs, which are ground truth for the ids they
-        still hold; cut any torn journal tail."""
+        still hold; cut any torn journal tail. Each entry's CRC is checked
+        by one crc32 call over the whole entry (see _CRC_RESIDUE)."""
         raw = os.pread(self._dedup_fd, os.fstat(self._dedup_fd).st_size, 0)
         view = memoryview(raw)[:len(raw) - len(raw) % _DEDUP_STRIDE]
-        entries, stored = tuple(zip(*_DEDUP_CHECKED.iter_unpack(view))) or ((), ())
-        computed = tuple(map(zlib.crc32, entries))
-        count = len(computed)
-        if computed != stored:  # torn tail; ignore it and the rest
-            count = next(i for i, (a, b) in enumerate(zip(computed, stored)) if a != b)
+        residues = list(map(zlib.crc32, map(itemgetter(0), _DEDUP_SLOT.iter_unpack(view))))
+        count = residues.count(_CRC_RESIDUE)
+        if count != len(residues):  # torn tail; ignore it and the rest
+            count = next(i for i, r in enumerate(residues) if r != _CRC_RESIDUE)
         pairs = list(_DEDUP_PAIRS.iter_unpack(view[:count * _DEDUP_STRIDE]))
         index = OrderedDict(pairs)
         if (len(index) == count <= self._dedup_limit and len(live) <= count
@@ -366,83 +380,100 @@ def _pack_header(element_size: int, capacity: int, next_seq: int, earliest_seq: 
     return packed.ljust(HEADER_SIZE, b"\x00")
 
 
-def _read_header(path: Path) -> tuple[int, int, int, int]:
+def _read_log(path: Path) -> tuple[int, int, int, bytes]:
+    """(element_size, capacity, next_seq, slot area) of a log whose header checks out."""
     try:
-        with open(path, "rb") as f:
-            raw = f.read(HEADER_SIZE)
+        raw = path.read_bytes()
     except OSError as exc:
         raise StorageFailure(str(exc)) from exc
     if len(raw) < HEADER_SIZE:
         raise CorruptHeader(f"{path}: short header ({len(raw)} bytes)")
     body = raw[:_HEADER.size]
-    (crc,) = _HEADER_CRC.unpack(raw[_HEADER.size:_HEADER.size + 4])
+    (crc,) = _HEADER_CRC.unpack_from(raw, _HEADER.size)
     if crc != zlib.crc32(body):
         raise CorruptHeader(f"{path}: header checksum mismatch")
-    magic, version, element_size, capacity, _, next_seq, earliest_seq = _HEADER.unpack(body)
+    magic, version, element_size, capacity, _, next_seq, _ = _HEADER.unpack(body)
     if magic != MAGIC:
         raise CorruptHeader(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise CorruptHeader(f"{path}: unsupported version {version}")
     if element_size < 1 or capacity < 1:
         raise CorruptHeader(f"{path}: nonsensical header geometry")
-    return element_size, capacity, next_seq, earliest_seq
+    stride = RECORD_OVERHEAD + element_size
+    return element_size, capacity, next_seq, raw[HEADER_SIZE:HEADER_SIZE + capacity * stride]
 
 
 @lru_cache(maxsize=64)
 def _record_structs(element_size: int) -> tuple[struct.Struct, struct.Struct]:
-    """The record decoder for one element size: (seq, message_id,
-    created_at_us, payload_len, padded payload, crc32), and the same bytes
-    split as (checksummed body, crc32)."""
-    return (struct.Struct(f"<Q16sQI{element_size}sI"),
-            struct.Struct(f"<{_RECORD_PREFIX.size + element_size}sI"))
+    """The record decoder for one element size, (seq, message_id,
+    created_at_us, payload_len, padded payload), and the whole-slot one."""
+    stride = RECORD_OVERHEAD + element_size
+    return struct.Struct(f"<Q16sQI{element_size}s4x"), struct.Struct(f"{stride}s")
 
 
-def _decode_slots(raw: bytes, element_size: int) -> Iterator[tuple[int, tuple | None]]:
-    """Yield (index, record) for each non-blank slot of a run of slots.
+def _decode_slots(raw: bytes, element_size: int, seqs: Sequence[int]
+                  ) -> Iterator[tuple[int, tuple | None]]:
+    """Iterate (index, record) over each non-blank slot of a run of slots
+    whose leading slots should hold `seqs`, in order, and the rest nothing.
 
     record is the unpacked (seq, message_id, created_at_us, payload_len,
-    padded payload, crc) tuple, or None when the slot is not all zero yet has
+    padded payload) tuple, or None when the slot is not all zero yet has
     seq 0, or has a payload_len over the element size or a bad CRC; a short
-    final slot counts as one that fails these checks.
-    """
-    record, checked = _record_structs(element_size)
+    final slot counts as one that fails these checks. The whole run is
+    checked first, with one crc32 per slot (it is _CRC_RESIDUE exactly when
+    the stored CRC is right); only a run that differs is classified slot by
+    slot."""
+    record, slot = _record_structs(element_size)
     stride = record.size
-    whole = len(raw) - len(raw) % stride
-    view = memoryview(raw)[:whole]
-    crcs = map(zlib.crc32, map(itemgetter(0), checked.iter_unpack(view)))
-    for index, (rec, crc) in enumerate(zip(record.iter_unpack(view), crcs)):
-        if rec[0] == 0:  # blank unless any byte is set
-            if raw.count(0, index * stride, (index + 1) * stride) != stride:
+    used = len(seqs) * stride
+    if len(raw) >= used:
+        view = memoryview(raw)[:used]
+        records = list(record.iter_unpack(view))
+        if (list(map(itemgetter(0), records)) == list(seqs)
+                and max(map(itemgetter(3), records), default=0) <= element_size
+                and raw.count(0, used) == len(raw) - used
+                and list(map(zlib.crc32, map(itemgetter(0), slot.iter_unpack(view)))
+                         ).count(_CRC_RESIDUE) == len(records)):
+            return enumerate(records)
+
+    def per_slot():
+        whole = len(raw) - len(raw) % stride
+        view = memoryview(raw)[:whole]
+        crcs = map(zlib.crc32, map(itemgetter(0), slot.iter_unpack(view)))
+        for index, (rec, crc) in enumerate(zip(record.iter_unpack(view), crcs)):
+            if rec[0] == 0:  # blank unless any byte is set
+                if raw.count(0, index * stride, (index + 1) * stride) != stride:
+                    yield index, None
+            elif rec[3] > element_size or crc != _CRC_RESIDUE:
                 yield index, None
-        elif rec[3] > element_size or rec[5] != crc:
-            yield index, None
-        else:
-            yield index, rec
-    if raw.count(0, whole) != len(raw) - whole:
-        yield whole // stride, None
+            else:
+                yield index, rec
+        if raw.count(0, whole) != len(raw) - whole:
+            yield whole // stride, None
+    return per_slot()
 
 
-def _scan_live_range(path: Path, element_size: int, capacity: int, header_next: int
-                     ) -> tuple[int, int, bool, list[tuple[bytes, int]]]:
+def _scan_live_range(path: Path, area: bytes, element_size: int, capacity: int,
+                     header_next: int) -> tuple[int, int, bool, list[tuple]]:
     """Reconstruct (next_seq, earliest_seq, torn_discarded, live) from the
-    records, where live holds the (message_id, seq) of every retained record
-    in seq order.
+    records, where live holds every retained record in seq order.
 
-    The header's counters may be stale after a crash; records are the truth.
+    The header's counters may be stale after a crash; records are the truth,
+    and the header only proposes the layout they are checked against first.
     Exactly one invalid non-blank slot is tolerated, and only if it is where
     the next append would have landed (a torn final write).
     """
-    stride = RECORD_OVERHEAD + element_size
-    live: list[tuple[bytes, int]] = []   # (message_id, seq) of valid records
+    live: list[tuple] = []   # valid records
     bad_slots: list[int] = []
-    with open(path, "rb") as f:
-        f.seek(HEADER_SIZE)
-        area = f.read(capacity * stride)
-    for slot, rec in _decode_slots(area, element_size):
+    # slots before the one the header's next append lands in hold the newest
+    wrap = (header_next - 1) % capacity
+    layout = [*range(header_next - wrap, header_next),
+              *range(max(header_next - capacity, 1), header_next - wrap)]
+    for slot, rec in _decode_slots(area, element_size, layout):
         if rec is None or (rec[0] - 1) % capacity != slot:
             bad_slots.append(slot)
         else:
-            live.append((rec[1], rec[0]))
+            live.append(rec)
     if not live:
         if len(bad_slots) > 1:
             raise CorruptHeader(f"{path}: multiple corrupt records")
@@ -450,8 +481,8 @@ def _scan_live_range(path: Path, element_size: int, capacity: int, header_next: 
             raise CorruptHeader(f"{path}: corrupt record in slot {bad_slots[0]}")
         nxt = max(header_next, 1)
         return nxt, nxt, bool(bad_slots), []
-    live.sort(key=itemgetter(1))
-    earliest, max_seq = live[0][1], live[-1][1]
+    live.sort(key=itemgetter(0))
+    earliest, max_seq = live[0][0], live[-1][0]
     next_seq = max_seq + 1
     if bad_slots:
         torn_slot = (next_seq - 1) % capacity

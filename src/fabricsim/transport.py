@@ -239,7 +239,7 @@ class TransportClient:
 
     # -- core request/reply with retry ------------------------------------
 
-    def _roundtrip(self, target: str, build_request, slice_ue: str | None = None):
+    def _roundtrip(self, target: str, build_request):
         """Send until a reply lands; replies to any earlier attempt count."""
         self.network.hop_plan(self.node, target)  # raises RouteUnreachable early
         attempt = 0
@@ -255,8 +255,7 @@ class TransportClient:
                 issued.append(request_id)
                 self._pending[request_id] = trigger
                 self.network.send(self.node, target,
-                                  framing.encode(build_request(request_id)),
-                                  slice_ue=slice_ue)
+                                  framing.encode(build_request(request_id)))
                 reply = yield wait(trigger, timeout_us=self.policy.timeout_us(attempt))
                 if reply is not TIMEOUT:
                     return reply
@@ -270,19 +269,17 @@ class TransportClient:
         return query.result((yield from self._roundtrip(target, query.request)))
 
     def remote_append(self, target: str, log_name: str, payload: bytes,
-                      message_id: bytes | None = None,
-                      slice_ue: str | None = None):
+                      message_id: bytes | None = None):
         """Process: returns the assigned sequence number (exactly-once)."""
         if message_id is None:
             message_id = self.new_message_id()
         call = AppendCall(self.cache, target, log_name, payload, message_id)
         if call.element_size is None:
             call.learn_size((yield from self.fetch_element_size(target, log_name)))
-        reply = yield from self._roundtrip(target, call.request, slice_ue=slice_ue)
+        reply = yield from self._roundtrip(target, call.request)
         return call.result(reply)
 
-    def measure_latency(self, target: str, log_name: str, payload_size: int,
-                        count: int, slice_ue: str | None = None):
+    def measure_latency(self, target: str, log_name: str, payload_size: int, count: int):
         """Process: time `count` appends back to back; the first sample is
         discarded (connection start-up / cold cache), stats cover the rest."""
         if count < 2:
@@ -292,8 +289,7 @@ class TransportClient:
         for i in range(count):
             payload = bytes([i % 256]) * payload_size
             t0 = self.sim.now_us
-            yield from self.remote_append(target, log_name, payload,
-                                          slice_ue=slice_ue)
+            yield from self.remote_append(target, log_name, payload)
             samples_ms.append((self.sim.now_us - t0) / 1000.0)
         kept = samples_ms[1:]
         arr = np.asarray(kept)

@@ -10,8 +10,8 @@ def decoded_records(monkeypatch) -> list[int]:
     decoded: list[int] = []
     real_decode = logstore._decode_slots
 
-    def counting_decode(raw, element_size):
-        for index, rec in real_decode(raw, element_size):
+    def counting_decode(raw, element_size, seqs):
+        for index, rec in real_decode(raw, element_size, seqs):
             decoded.append(rec[0] if rec is not None else 0)
             yield index, rec
 

@@ -452,6 +452,94 @@ def test_resume_sweep_index_serves_first_firings(tmp_path, monkeypatch):
     assert [dg2.output_value("add", i) for i in range(20)] == [100 + i for i in range(20)]
 
 
+def _reopen_with_port_operands(tmp_path, graph, ops, port, operands, window=256):
+    """Write operands straight to one port log of the graph's first node (no
+    handler sees them), then reopen the fabric and compile the graph again."""
+    sim, fabric = build_fabric(tmp_path)
+    dg = compile_graph(graph, fabric, ops, window=window)
+    store = fabric["left"].registry.get(dg.port_log(graph.nodes[0].node_id, port))
+    for i, payload in enumerate(operands):
+        store.append(payload, bytes([i + 1]) * 16)
+    fabric["left"].close()
+    fabric["right"].close()
+    sim2, fabric2 = _restart(tmp_path, seed=8)
+    return sim2, fabric2, compile_graph(graph, fabric2, ops, window=window)
+
+
+def test_mistagged_operand_in_a_recovered_port_log_fails_one_firing(tmp_path):
+    operands = [pack_operand(0, FLOAT64, 1.5), pack_operand(1, INT64, 4),
+                pack_operand(2, INT64, 6)]
+    sim, fabric, dg = _reopen_with_port_operands(tmp_path, id_graph(), ID_OPS, "v",
+                                                 operands)
+    sim.run()
+    left = fabric["left"]
+    assert [(f.seq, f.error.split(":")[0]) for f in left.engine.failures] \
+        == [(1, "TypeMismatch")]
+    assert [dg.output_value("id", i) for i in range(3)] == [None, 4, 6]
+    # skipped, not indexed: a well-typed value for its iteration is no conflict
+    run_to_completion(sim, dg.inject(left, "id", "v", 0, 5))
+    sim.run()
+    assert dg.output_value("id", 0) == 5
+    assert len(left.engine.failures) == 1
+
+
+def test_conflicting_operands_in_a_recovered_port_log_are_still_rejected(tmp_path):
+    operands = [pack_operand(0, INT64, 2), pack_operand(0, INT64, 3)]
+    sim, fabric, dg = _reopen_with_port_operands(tmp_path, add_graph(), ADD_OPS, "x",
+                                                 operands)
+    with pytest.raises(CorruptGraphState):
+        dg.resume()
+    fabric["left"].close()
+    fabric["right"].close()
+    sim2, fabric2 = _restart(tmp_path, seed=9)
+    dg2 = compile_graph(add_graph(), fabric2, ADD_OPS)
+    run_to_completion(sim2, dg2.inject(fabric2["left"], "add", "y", 0, 1))
+    sim2.run()
+    assert dg2.output_count("add") == 0
+    failures = fabric2["left"].engine.failures
+    assert failures and all("DoubleAssignment" in f.error for f in failures)
+
+
+def test_port_index_skips_operands_evicted_before_its_first_use(tmp_path):
+    operands = [pack_operand(i, INT64, 10 + i) for i in range(4)]
+    sim, fabric, dg = _reopen_with_port_operands(tmp_path, id_graph(), ID_OPS, "v",
+                                                 operands, window=4)
+    port_log = dg.port_log("id", "v")
+    store = fabric["left"].registry.get(port_log)
+    for i in (4, 5):  # evicts seqs 1 and 2 before anything reads the log
+        store.append(pack_operand(i, INT64, 10 + i), bytes([i + 1]) * 16)
+    dg.sweep_conflicts()
+    index = dg._port_indexes[port_log]
+    assert index.first == {2: 3, 3: 4, 4: 5, 5: 6}
+    assert index.later == {}
+
+
+def test_first_firing_after_reopen_scans_only_entries_appended_since(tmp_path,
+                                                                     monkeypatch):
+    operands = [pack_operand(i, INT64, i) for i in range(20)]
+    sim, fabric, dg = _reopen_with_port_operands(tmp_path, add_graph(), ADD_OPS, "x",
+                                                 operands)
+    port_log = dg.port_log("add", "x")
+    # appended after the reopen, before the index is first used
+    fabric["left"].registry.get(port_log).append(pack_operand(20, INT64, 20), bytes([21]) * 16)
+    scanned = []
+    real_scan = LogStore.scan
+
+    def counting_scan(self, lo, hi):
+        result = real_scan(self, lo, hi)
+        if self.name == port_log:
+            scanned.extend(e.seq for e in result.entries)
+        return result
+
+    monkeypatch.setattr(LogStore, "scan", counting_scan)
+    for i in range(21):
+        run_to_completion(sim, dg.inject(fabric["left"], "add", "y", i, 100))
+    sim.run()
+    monkeypatch.undo()
+    assert scanned == [21]
+    assert [dg.output_value("add", i) for i in range(21)] == [100 + i for i in range(21)]
+
+
 # -- resume ---------------------------------------------------------------------
 
 def _restart(tmp_path, seed):

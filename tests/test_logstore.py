@@ -363,6 +363,120 @@ def test_recover_replays_a_journal_with_a_repeated_id_entry_by_entry(tmp_path):
     r.close()
 
 
+def write_log(path, element, capacity, appends):
+    s = LogStore.create(path, "h", element, capacity)
+    for i in range(1, appends + 1):
+        s.append(bytes([i % 256]) * (i % (element + 1)), mid(i))
+    s.close()
+
+
+def rewrite_header(path, next_seq):
+    """Replace the header's counters as a crash between a record write and
+    its header write would leave them; the header CRC stays valid."""
+    element, capacity, _, _ = logstore._read_log(path)
+    with open(path, "r+b") as f:
+        f.write(logstore._pack_header(element, capacity, next_seq,
+                                      max(1, next_seq - capacity)))
+
+
+@pytest.mark.parametrize("appends", [1, 5, 8, 13, 16])
+@pytest.mark.parametrize("offset", [-1, +1])
+def test_recover_matches_reference_when_header_and_records_disagree(tmp_path, appends,
+                                                                    offset):
+    # the header proposes a layout one seq behind (a record written, its
+    # header not) or one ahead of the records; the records decide
+    path = tmp_path / "lag.log"
+    write_log(path, 4, 8, appends)
+    rewrite_header(path, appends + 1 + offset)
+    assert expect_recovery_as_reference(path, logstore.DEFAULT_DEDUP_LIMIT)
+    r = LogStore.recover(path)
+    assert (r.earliest_seq, r.next_seq) == (max(1, appends - 7), appends + 1)
+    assert [e.seq for e in r.scan(1, appends).entries] == list(range(r.earliest_seq,
+                                                                     appends + 1))
+    r.close()
+
+
+def test_recover_wrapped_log_at_every_rotation(tmp_path, monkeypatch):
+    decoded_records, verdicts = [], []  # seqs decoded; whether a run passed whole
+    real_decode = logstore._decode_slots
+
+    def recording_decode(raw, element_size, seqs):
+        result = real_decode(raw, element_size, seqs)
+        verdicts.append(isinstance(result, enumerate))
+        pairs = list(result)
+        decoded_records.extend(rec[0] if rec is not None else 0 for _, rec in pairs)
+        return iter(pairs)
+
+    monkeypatch.setattr(logstore, "_decode_slots", recording_decode)
+    for capacity in range(1, 11):
+        for appends in range(capacity, 2 * capacity + 1):
+            path = tmp_path / f"w{capacity}_{appends}.log"
+            write_log(path, 3, capacity, appends)
+            decoded_records.clear()
+            assert expect_recovery_as_reference(path, logstore.DEFAULT_DEDUP_LIMIT)
+            # each slot decoded once, and the records come back in seq order
+            assert sorted(decoded_records) == list(range(appends - capacity + 1, appends + 1))
+            r = LogStore.recover(path)
+            first = appends - capacity + 1
+            assert [(e.seq, e.message_id) for e in r.scan(first, appends).entries] \
+                == [(seq, mid(seq)) for seq in range(first, appends + 1)]
+            assert r.take_recovered() == (first, [bytes([seq % 256]) * (seq % 4)
+                                                  for seq in range(first, appends + 1)])
+            assert r.take_recovered() is None  # handed over once
+            r.close()
+    assert verdicts and all(verdicts)  # the header's layout held at every rotation
+
+
+def test_decode_slots_agrees_with_a_slot_by_slot_reference():
+    # whether a run matches the seqs it should hold or differs from them
+    # anyhow, each non-blank slot decodes as the one-slot reference says
+    element, stride = 4, RECORD_OVERHEAD + 4
+
+    def slot(seq, payload_len=1):
+        body = logstore._RECORD_PREFIX.pack(seq, mid(seq), 0, payload_len) + bytes(element)
+        return bytearray(body + zlib.crc32(body).to_bytes(4, "little"))
+
+    for seed in range(300):
+        rng = random.Random(seed)
+        first = rng.randint(1, 9)
+        seqs = list(range(first, first + rng.randint(0, 6)))
+        slots = [slot(seq) for seq in seqs] + [bytearray(stride)] * rng.randint(0, 2)
+        fault = rng.choice(["none", "seq_zero", "payload_len", "flip", "other_seq", "blank"])
+        if slots and fault != "none":
+            at = rng.randrange(len(slots))
+            slots[at] = {"seq_zero": slot(0), "payload_len": slot(first, element + 1),
+                         "flip": slot(first + at), "other_seq": slot(first + at + 1),
+                         "blank": bytearray(stride)}[fault]
+            if fault == "flip":
+                slots[at][rng.randrange(stride)] ^= 0x10
+        raw = bytes(b"".join(slots))[:rng.choice([None, -1, -stride + 3])]
+        expected = [(i, oracles._reference_record(raw[off:off + stride], element))
+                    for i, off in enumerate(range(0, len(raw), stride))
+                    if any(raw[off:off + stride])]
+        got = [(i, rec and rec[:2]) for i, rec in logstore._decode_slots(raw, element, seqs)]
+        assert got == expected, (seed, fault)
+
+
+def test_recovered_records_are_dropped_at_close(tmp_path):
+    path = tmp_path / "drop.log"
+    write_log(path, 4, 8, 3)
+    r = LogStore.recover(path)
+    r.close()
+    assert r.take_recovered() is None
+
+
+@pytest.mark.parametrize("slot, recovers", [(3, True), (4, False), (7, False)])
+def test_recover_with_a_nonzero_byte_past_the_last_used_slot(tmp_path, slot, recovers):
+    # slot 3 is where the next append lands, so a stray byte there reads as a
+    # torn write; anywhere later it is corruption
+    path = tmp_path / "stray.log"
+    write_log(path, 4, 8, 3)
+    with open(path, "r+b") as f:
+        f.seek(HEADER_SIZE + slot * (RECORD_OVERHEAD + 4) + 20)
+        f.write(b"\x01")
+    assert expect_recovery_as_reference(path, logstore.DEFAULT_DEDUP_LIMIT) == recovers
+
+
 @pytest.mark.parametrize("fault", ["payload_len_too_long", "seq_zero"])
 def test_record_failing_a_check_besides_its_crc_is_skipped_and_torn(tmp_path, fault):
     path = tmp_path / "f.log"
