@@ -367,6 +367,7 @@ class DeployedGraph:
 
     def _firing_handler(self, node: GraphNode):
         fabric_name = self.graph.placement[node.node_id]
+        registry = self.placed(node.node_id).registry
         out_log = self.out_log(node.node_id)
         opdef = self.ops[node.op]
 
@@ -375,7 +376,7 @@ class DeployedGraph:
             values = []
             for port, vt in node.inputs:
                 payloads = self._port_index(
-                    ctx._registry, self.port_log(node.node_id, port), vt
+                    registry, self.port_log(node.node_id, port), vt
                 ).payloads(iteration)
                 if len(payloads) > 1:
                     raise DoubleAssignment(

@@ -18,7 +18,6 @@ entry, a whole run of slots at once wherever the header's layout holds.
 
 from __future__ import annotations
 
-import io
 import os
 import re
 import struct
@@ -116,8 +115,6 @@ class LogStore:
         if capacity < 1:
             raise InvalidLogConfig(f"capacity must be >= 1, got {capacity}")
         path = Path(path)
-        if path.exists():
-            raise NameCollision(f"log file already exists: {path}")
         try:
             fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644)
         except FileExistsError as exc:
@@ -326,20 +323,15 @@ class LogStore:
         while len(self._dedup) > self._dedup_limit:
             self._dedup.popitem(last=False)
         if persist:
-            body = _DEDUP_ENTRY.pack(message_id, seq)
-            os.write(self._dedup_fd, body + _CRC.pack(zlib.crc32(body)))
+            os.write(self._dedup_fd, _pack_dedup_entry(message_id, seq))
             self._dedup_journal_entries += 1
             if self._dedup_journal_entries > max(4 * self._dedup_limit, 1024):
                 self._compact_dedup()
 
     def _compact_dedup(self) -> None:
         tmp = self._dedup_path().with_suffix(".dedup.tmp")
-        buf = io.BytesIO()
-        for mid, seq in self._dedup.items():
-            body = _DEDUP_ENTRY.pack(mid, seq)
-            buf.write(body + _CRC.pack(zlib.crc32(body)))
         with open(tmp, "wb") as f:
-            f.write(buf.getvalue())
+            f.write(b"".join(_pack_dedup_entry(mid, seq) for mid, seq in self._dedup.items()))
         os.replace(tmp, self._dedup_path())
         os.close(self._dedup_fd)
         self._dedup_fd = os.open(self._dedup_path(), os.O_RDWR)
@@ -378,6 +370,11 @@ def _pack_header(element_size: int, capacity: int, next_seq: int, earliest_seq: 
     body = _HEADER.pack(MAGIC, VERSION, element_size, capacity, 0, next_seq, earliest_seq)
     packed = body + _HEADER_CRC.pack(zlib.crc32(body))
     return packed.ljust(HEADER_SIZE, b"\x00")
+
+
+def _pack_dedup_entry(message_id: bytes, seq: int) -> bytes:
+    body = _DEDUP_ENTRY.pack(message_id, seq)
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def _read_log(path: Path) -> tuple[int, int, int, bytes]:

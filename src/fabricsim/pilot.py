@@ -8,16 +8,15 @@ in the queue ahead of demand so queueing delay overlaps idle time instead of
 adding to response time; the reactive strategy submits on demand.
 
 The embedded simulation task is a cost-model stub: a 64-core run completes
-in normal(420.39, 36.29) seconds, other core counts follow a configurable
-table, and spanning more than one node slows the end-to-end task down.
+in normal(420.39, 36.29) seconds, other core counts follow a fixed table,
+and spanning more than one node slows the end-to-end task down.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +34,8 @@ DEFAULT_THRESHOLD_BYTES = 1024
 # at the measured 64-core point
 _SERIAL_S = 180.0
 _PARALLEL_S = (REFERENCE_MEAN_S - _SERIAL_S) * REFERENCE_CORES
-
-
-def default_runtime_table() -> dict[int, float]:
-    return {c: _SERIAL_S + _PARALLEL_S / c for c in (1, 2, 4, 8, 16, 32, 64)}
+# mean runtime by core count; the reference point itself uses mean_runtime_s
+RUNTIME_TABLE = {c: _SERIAL_S + _PARALLEL_S / c for c in (1, 2, 4, 8, 16, 32, 64)}
 
 
 # -- allocation decision logic ----------------------------------------------
@@ -164,15 +161,13 @@ class CfdCostModel:
 
     mean_runtime_s: float = REFERENCE_MEAN_S
     runtime_sd_s: float = REFERENCE_SD_S
-    reference_cores: int = REFERENCE_CORES
-    runtime_table: dict[int, float] = field(default_factory=default_runtime_table)
     multi_node_penalty: float = 1.15
 
     def mean_for(self, cores: int, nodes: int = 1) -> float:
-        if cores == self.reference_cores:
+        if cores == REFERENCE_CORES:
             mean = self.mean_runtime_s
-        elif cores in self.runtime_table:
-            mean = self.runtime_table[cores]
+        elif cores in RUNTIME_TABLE:
+            mean = RUNTIME_TABLE[cores]
         else:
             raise ConfigError(f"no runtime table entry for {cores} cores")
         if nodes > 1:
@@ -201,8 +196,8 @@ class Facility:
         self.system = system
         self.label = label
         self.stream_label = stream_label if stream_label is not None else label
-        self.pilots: list[PilotSpec] = []
-        self._rng = sim.rng(f"facility:{self.stream_label}")
+        self.pilots: list[PilotSpec] = []  # expired pilots are dropped by the queries
+        self._submitted = 0
         self._activation = Trigger(sim)
         self.on_event = None  # optional hook(dict) for audit logging
 
@@ -212,7 +207,8 @@ class Facility:
 
     def submit_pilot(self, nodes: int, runtime_s: float,
                      delay_key: str | int | None = None) -> PilotSpec:
-        pilot = PilotSpec(len(self.pilots) + 1, nodes, runtime_s, self.sim.now_us)
+        self._submitted += 1
+        pilot = PilotSpec(self._submitted, nodes, runtime_s, self.sim.now_us)
         self.pilots.append(pilot)
         if delay_key is None:
             delay_key = pilot.pilot_id
@@ -231,9 +227,11 @@ class Facility:
 
     def active_pilots(self) -> list[PilotSpec]:
         now = self.sim.now_us
+        self.pilots = [p for p in self.pilots if p.state_at(now) != "expired"]
         return [p for p in self.pilots if p.state_at(now) == "active"]
 
     def available_nodes(self, include_queued: bool = False) -> int:
+        self.pilots = [p for p in self.pilots if p.state_at(self.sim.now_us) != "expired"]
         return available_nodes(self.pilots, self.sim.now_us, include_queued)
 
     def wait_activation(self, timeout_us: int | None = None):
@@ -242,7 +240,7 @@ class Facility:
         return result
 
     def execute_task(self, task: TaskSpec, pilot: PilotSpec, model: CfdCostModel,
-                     rng: np.random.Generator | None = None):
+                     rng: np.random.Generator):
         """Process: run the stub on an active pilot; completes after the
         sampled runtime."""
         if pilot.state_at(self.sim.now_us) != "active":
@@ -253,7 +251,6 @@ class Facility:
             raise InsufficientResources(
                 f"task needs {task.cores} cores, pilot has "
                 f"{pilot.nodes * self.system.cores_per_node}")
-        rng = rng if rng is not None else self._rng
         runtime_s = model.sample_runtime_s(task.cores, rng, nodes=pilot.nodes)
         start = self.sim.now_us
         self._record("task-start", pilot=pilot.pilot_id, cores=task.cores)
@@ -297,13 +294,8 @@ class PilotController:
         """Process: apply the decision logic, wait for capacity, execute."""
         n_req = self.nodes_for_task(task)
         if decide_submit(n_req, self.facility.available_nodes()):
-            nodes, runtime = pilot_parameters(n_req, task.estimated_runtime_s,
-                                              self.facility.system)
-            # placeholder pilots outlive a single task so follow-up work can
-            # reuse them without requeueing
-            self.facility.submit_pilot(nodes, max(runtime, task.estimated_runtime_s),
-                                       delay_key=task.telemetry_timestamp_us)
-        pilot = yield from self._acquire(task)
+            self._submit(task, n_req, task.telemetry_timestamp_us)
+        pilot = yield from self._acquire(task, n_req)
         rng = self.facility.sim.rng(
             f"task:{self.facility.stream_label}:{task.telemetry_timestamp_us}")
         result = yield from self.facility.execute_task(task, pilot,
@@ -311,27 +303,23 @@ class PilotController:
         self.results.append(result)
         return result
 
-    def _acquire(self, task: TaskSpec):
+    def _submit(self, task: TaskSpec, n_req: int, delay_key: str | int) -> None:
+        nodes, runtime = pilot_parameters(n_req, task.estimated_runtime_s,
+                                          self.facility.system)
+        self.facility.submit_pilot(nodes, runtime, delay_key=delay_key)
+
+    def _acquire(self, task: TaskSpec, n_req: int):
         """Process: wait until an active pilot can host the task.
 
         Periodically re-evaluates the decision logic so a pilot that expired
         while we waited gets replaced instead of wedging the backlog."""
         per_node = self.facility.system.cores_per_node
-        n_req = self.nodes_for_task(task)
         resubmits = 0
         while True:
             for pilot in self.facility.active_pilots():
                 if pilot.nodes * per_node >= task.cores:
                     return pilot
             if self.facility.available_nodes(include_queued=True) < n_req:
-                nodes, runtime = pilot_parameters(n_req, task.estimated_runtime_s,
-                                                  self.facility.system)
                 resubmits += 1
-                self.facility.submit_pilot(
-                    nodes, max(runtime, task.estimated_runtime_s),
-                    delay_key=f"{task.telemetry_timestamp_us}:retry{resubmits}")
+                self._submit(task, n_req, f"{task.telemetry_timestamp_us}:retry{resubmits}")
             yield from self.facility.wait_activation(timeout_us=s_to_us(300))
-
-
-def audit_payload(event: dict) -> bytes:
-    return json.dumps(event, sort_keys=True).encode("utf-8")

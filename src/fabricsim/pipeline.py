@@ -15,6 +15,7 @@ the duty cycle once the simulation completes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +53,6 @@ from .pilot import (
     QueueDelayModel,
     SystemSpec,
     TaskSpec,
-    audit_payload,
 )
 from .simcore import Simulator, s_to_us, sleep
 from .weather import RECORD_SIZE, REPORT_CADENCE_S, TelemetryRecord, WeatherModel
@@ -102,7 +102,6 @@ class CupsPipeline:
                  params: CupsParams, weather: WeatherModel, system: SystemSpec,
                  cost_model: CfdCostModel):
         self.sim = sim
-        self.network = network
         self.params = params
         self.weather = weather
         self.metrics = CupsMetrics()
@@ -123,13 +122,15 @@ class CupsPipeline:
             self.facility, cost_model, threshold_bytes=params.threshold_bytes,
             task_cores=params.task_cores, strategy=params.strategy)
 
-        self.detector = self._deploy_detector()
-        self.cfd = self._deploy_cfd()
+        self.graph = self._deploy()
         self._wire_alert_filter()
 
     # -- deployment ------------------------------------------------------
 
-    def _deploy_detector(self) -> DeployedGraph:
+    def _deploy(self) -> DeployedGraph:
+        """Detector and CFD stub as one graph without edges: the alert filter
+        and the forwarder carry alerts from the one to the other."""
+        params = self.params
         pair_bytes = 2 * WINDOW_LEN * RECORD_SIZE
 
         def detect_op(pair: bytes):
@@ -138,22 +139,11 @@ class CupsPipeline:
             previous = Window(tuple(records[:WINDOW_LEN]))
             current = Window(tuple(records[WINDOW_LEN:]))
             chosen = None
-            for channel in self.params.channels:
-                alert = detect_change(current, previous, self.params.alpha, channel)
+            for channel in params.channels:
+                alert = detect_change(current, previous, params.alpha, channel)
                 if chosen is None or (alert.vote and not chosen.vote):
                     chosen = alert
             return chosen.pack()
-
-        graph = DataflowGraph(
-            graph_id="cups",
-            nodes=[GraphNode("detect", (("pair", BYTES(pair_bytes)),),
-                             BYTES(ALERT_SIZE), "detect_change")],
-            edges=[],
-            placement={"detect": self.params.ucsb})
-        return compile_graph(graph, self.nodes, {"detect_change": OpDef(detect_op)})
-
-    def _deploy_cfd(self) -> DeployedGraph:
-        params = self.params
 
         def cfd_op(alert_bytes: bytes):
             alert = ChangeAlert.unpack(alert_bytes)
@@ -168,12 +158,15 @@ class CupsPipeline:
 
         graph = DataflowGraph(
             graph_id="cups",
-            nodes=[GraphNode("cfd", (("alert", BYTES(ALERT_SIZE)),),
+            nodes=[GraphNode("detect", (("pair", BYTES(pair_bytes)),),
+                             BYTES(ALERT_SIZE), "detect_change"),
+                   GraphNode("cfd", (("alert", BYTES(ALERT_SIZE)),),
                              BYTES(TASK_RESULT_SIZE), "run_simulation")],
             edges=[],
-            placement={"cfd": self.params.nd})
+            placement={"detect": params.ucsb, "cfd": params.nd})
         return compile_graph(graph, self.nodes,
-                             {"run_simulation": OpDef(cfd_op, activity=True)})
+                             {"detect_change": OpDef(detect_op),
+                              "run_simulation": OpDef(cfd_op, activity=True)})
 
     def _wire_alert_filter(self) -> None:
         """Fires once per detector output: records the evaluation (and the
@@ -199,10 +192,10 @@ class CupsPipeline:
             return [AppendEffect(ucsb, "alerts", alert.pack())]
 
         self.ucsb.engine.register_handler("alert.filter", filter_votes)
-        self.ucsb.engine.bind(self.detector.out_log("detect"), "alert.filter")
+        self.ucsb.engine.bind(self.graph.out_log("detect"), "alert.filter")
 
     def _audit(self, event: dict) -> None:
-        self.nd.append_local("pilot_events", audit_payload(event)[:256])
+        self.nd.append_local("pilot_events", json.dumps(event, sort_keys=True).encode()[:256])
 
     # -- processes ----------------------------------------------------------
 
@@ -233,8 +226,8 @@ class CupsPipeline:
                 self.metrics.skipped_evaluations += 1
                 continue
             pair = b"".join(r.pack() for r in records)
-            yield from self.detector.inject(self.ucsb, "detect", "pair",
-                                            iteration=m, value=pair)
+            yield from self.graph.inject(self.ucsb, "detect", "pair",
+                                         iteration=m, value=pair)
 
     def _telemetry_window(self, m: int) -> list[TelemetryRecord]:
         """The records of duty cycles m-1 and m. The one station appends each
@@ -261,9 +254,9 @@ class CupsPipeline:
             result = store.scan(forwarded + 1, store.next_seq - 1)
             for entry in result.entries:
                 iteration = entry.seq - 1
-                yield from self.cfd.inject(self.ucsb, "cfd", "alert",
-                                           iteration=iteration,
-                                           value=entry.payload)
+                yield from self.graph.inject(self.ucsb, "cfd", "alert",
+                                             iteration=iteration,
+                                             value=entry.payload)
                 forwarded = entry.seq
 
     # -- run -------------------------------------------------------------------

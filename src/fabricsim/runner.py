@@ -40,19 +40,12 @@ def run_scenario(config: dict, out_dir: str | Path,
     kind = config["kind"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if kind == "latency_table":
-        return _run_latency_table(config, out_dir, seed)
-    if kind == "slicing_sweep":
-        return _run_slicing_sweep(config, seed)
-    if kind == "cups":
-        return _run_cups(config, out_dir, seed)
-    if kind == "queue_sweep":
-        return _run_queue_sweep(config, seed)
-    raise ConfigError(f"unknown scenario kind {kind!r}")
-
-
-def _base_report(config: dict, seed: int) -> dict:
-    return {"scenario": config["name"], "kind": config["kind"], "seed": seed}
+    if kind not in _RUNNERS:
+        raise ConfigError(f"unknown scenario kind {kind!r}")
+    results, invariants, series = _RUNNERS[kind](config, out_dir, seed)
+    report = {"scenario": config["name"], "kind": kind, "seed": seed,
+              **results, "invariants": invariants}
+    return report, series, all(invariants.values())
 
 
 # -- latency table ------------------------------------------------------------
@@ -95,21 +88,18 @@ def _run_latency_table(config: dict, out_dir: Path, seed: int):
             abs(recomputed["mean"] - stats.mean_ms) <= 1e-9 * max(1.0, stats.mean_ms)
             and abs(recomputed["sd"] - stats.sd_ms) <= 1e-9 * max(1.0, stats.sd_ms))
 
-    report = _base_report(config, seed)
-    report["latency_table"] = rows
-    report["invariants"] = invariants
     series = {
         "latency_table": (["label", "mean_ms", "sd_ms", "n"], rows),
         "latency_samples": (["label", "sample", "latency_ms"], raw_rows),
     }
     for n in nodes.values():
         n.close()
-    return report, series, all(invariants.values())
+    return {"latency_table": rows}, invariants, series
 
 
 # -- slicing sweep -------------------------------------------------------------
 
-def _run_slicing_sweep(config: dict, seed: int):
+def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
     spec = config["slicing"]
     sim = Simulator(seed=seed)
     ue_low, ue_high = spec["ue_low"], spec["ue_high"]
@@ -159,14 +149,11 @@ def _run_slicing_sweep(config: dict, seed: int):
         bound = base * max(efficiency.values())
         invariants[f"conservation[{cfg_idx}]"] = nominal_sum <= bound + 1e-9
 
-    report = _base_report(config, seed)
-    report["slicing_curve"] = rows
-    report["invariants"] = invariants
     series = {
         "slicing_curve": (["config", "ue", "fraction", "mean_mbps", "sd_mbps", "n"], rows),
         "slicing_samples": (["config", "ue", "fraction", "sample", "mbps"], raw_rows),
     }
-    return report, series, all(invariants.values())
+    return {"slicing_curve": rows}, invariants, series
 
 
 # -- cups end-to-end ---------------------------------------------------------------
@@ -192,21 +179,18 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     metrics = pipeline.run()
     invariants = pipeline.check_invariants()
 
-    report = _base_report(config, seed)
-    report["telemetry"] = summarize(metrics.telemetry_latency_ms)
-    report["evaluations"] = len(metrics.evaluations)
-    report["alerts"] = metrics.alerts
-    report["tasks"] = metrics.tasks
+    results = {"telemetry": summarize(metrics.telemetry_latency_ms),
+               "evaluations": len(metrics.evaluations),
+               "alerts": metrics.alerts, "tasks": metrics.tasks}
     sustained_tasks = spec.get("sustained_check_tasks", 0)
     if sustained_tasks:
         gaps = sustained_rate_s(seed, tasks=sustained_tasks,
                                 cores=params.task_cores,
                                 cost_model=cost_model)
-        report["sustained"] = summarize(gaps)
+        results["sustained"] = summarize(gaps)
         sustained_rows = [{"gap_index": i, "gap_s": g} for i, g in enumerate(gaps)]
     else:
         sustained_rows = []
-    report["invariants"] = invariants
 
     eval_fields = (["timestamp_us", "channel", "vote"]
                    + [f"p_{t}" for t in ("welch_t", "mann_whitney_u", "ks_2samp")]
@@ -223,12 +207,12 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     }
     for node in pipeline.nodes.values():
         node.close()
-    return report, series, all(invariants.values())
+    return results, invariants, series
 
 
 # -- queue sweep ----------------------------------------------------------------------
 
-def _run_queue_sweep(config: dict, seed: int):
+def _run_queue_sweep(config: dict, out_dir: Path, seed: int):
     spec = config["queue_sweep"]
     strategies = spec.get("strategies", ["reactive", "proactive"])
     rows = []
@@ -254,16 +238,13 @@ def _run_queue_sweep(config: dict, seed: int):
             invariants[f"proactive_not_worse[{d_idx}]"] = (
                 means["proactive"] <= means["reactive"] + 1e-9)
 
-    report = _base_report(config, seed)
-    report["queue_sweep"] = summaries
-    report["invariants"] = invariants
     series = {
         "queue_sweep_summary": (["delay_index", "delay_kind", "strategy",
                                  "mean_latency_s", "sd_latency_s", "n"], summaries),
         "queue_sweep_samples": (["delay_index", "delay_kind", "strategy",
                                  "alert", "latency_s"], rows),
     }
-    return report, series, all(invariants.values())
+    return {"queue_sweep": summaries}, invariants, series
 
 
 def _queue_sweep_run(spec: dict, delay_spec: dict, strategy: str,
@@ -301,3 +282,8 @@ def _queue_sweep_run(spec: dict, delay_spec: dict, strategy: str,
     sim.spawn(spawner())
     sim.run()
     return latencies
+
+
+# kind -> runner returning (results, invariants, csv_series) for the report frame
+_RUNNERS = {"latency_table": _run_latency_table, "slicing_sweep": _run_slicing_sweep,
+            "cups": _run_cups, "queue_sweep": _run_queue_sweep}

@@ -157,7 +157,7 @@ class RequestHandler:
     server state (the dedup index), so retries of an already-applied append
     return the original sequence number; no per-client session state exists."""
 
-    def __init__(self, registry: LogRegistry, clock_us: Callable[[], int] = lambda: 0):
+    def __init__(self, registry: LogRegistry, clock_us: Callable[[], int]):
         self.registry = registry
         self.clock_us = clock_us
         self.on_append: Callable[[str, int], None] | None = None

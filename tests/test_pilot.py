@@ -3,6 +3,7 @@ import pytest
 
 from fabricsim.errors import ConfigError, InsufficientResources
 from fabricsim.pilot import (
+    RUNTIME_TABLE,
     CfdCostModel,
     Facility,
     PilotController,
@@ -132,6 +133,45 @@ def test_pilot_expires_after_runtime():
     assert pilot.state_at(s_to_us(101)) == "expired"
 
 
+def test_facility_queries_skip_expired_pilots(monkeypatch):
+    # time only moves forward, so a query need not look at a pilot again once
+    # it has expired: its cost follows the live pilots, not every pilot ever
+    # submitted
+    sim = Simulator(seed=1)
+    facility = Facility(sim, SystemSpec(queue_delay=QueueDelayModel("constant", 0.0)))
+    for _ in range(100):
+        facility.submit_pilot(1, 10.0)
+        sim.run(until_us=sim.now_us + s_to_us(20))
+        assert facility.available_nodes(include_queued=True) == 0
+    calls = []
+    state_at = PilotSpec.state_at
+    monkeypatch.setattr(PilotSpec, "state_at",
+                        lambda pilot, now_us: calls.append(pilot) or state_at(pilot, now_us))
+    live = facility.submit_pilot(1, 10.0)
+    sim.run()
+    assert facility.active_pilots() == [live]
+    assert facility.available_nodes() == 1
+    assert live.pilot_id == 101
+    assert len(calls) <= 4
+
+
+def test_pilot_runtime_capped_on_first_submit_and_resubmit():
+    sim = Simulator(seed=1)
+    system = SystemSpec(total_nodes=1, cores_per_node=32, max_runtime_s=3600.0,
+                        queue_delay=QueueDelayModel("constant", 0.0))
+    facility = Facility(sim, system)
+    submits = []
+    submit_pilot = facility.submit_pilot
+    facility.submit_pilot = lambda nodes, runtime_s, delay_key=None: (
+        submits.append((delay_key, runtime_s)) or submit_pilot(nodes, runtime_s, delay_key))
+    # 64 cores need two 32-core nodes but a pilot gets at most the one node
+    # the facility has, so _acquire resubmits right after the first submit
+    task = TaskSpec(0, 1024, 7200.0, 64, telemetry_timestamp_us=5)
+    sim.spawn(PilotController(facility, CfdCostModel()).handle_task(task))
+    sim.run(until_us=s_to_us(60))
+    assert submits[:2] == [(5, 3600.0), ("5:retry1", 3600.0)]
+
+
 def test_execute_task_on_queued_pilot_rejected():
     sim = Simulator(seed=1)
     system = SystemSpec(queue_delay=QueueDelayModel("constant", 3600.0))
@@ -139,7 +179,7 @@ def test_execute_task_on_queued_pilot_rejected():
     pilot = facility.submit_pilot(1, 3600.0)
     task = TaskSpec(0, 1024, 420.0, 64)
     with pytest.raises(InsufficientResources):
-        next(facility.execute_task(task, pilot, CfdCostModel()))
+        next(facility.execute_task(task, pilot, CfdCostModel(), sim.rng("task")))
 
 
 def test_execute_task_needs_enough_cores():
@@ -150,7 +190,7 @@ def test_execute_task_needs_enough_cores():
     sim.run()
     task = TaskSpec(0, 1024, 420.0, cores=128)
     with pytest.raises(InsufficientResources):
-        next(facility.execute_task(task, pilot, CfdCostModel()))
+        next(facility.execute_task(task, pilot, CfdCostModel(), sim.rng("task")))
 
 
 def test_execute_task_completes_after_sampled_runtime():
@@ -162,7 +202,8 @@ def test_execute_task_completes_after_sampled_runtime():
 
     def driver():
         task = TaskSpec(0, 1024, 420.0, 64)
-        result = yield from facility.execute_task(task, pilot, CfdCostModel())
+        result = yield from facility.execute_task(task, pilot, CfdCostModel(),
+                                                  sim.rng("task"))
         return result
 
     proc = sim.spawn(driver())
@@ -192,7 +233,7 @@ def test_multi_node_total_time_slower_than_single_node():
 
 def test_runtime_table_monotone_decreasing_in_cores():
     model = CfdCostModel()
-    cores = sorted(model.runtime_table)
+    cores = sorted(RUNTIME_TABLE)
     means = [model.mean_for(c) for c in cores]
     assert all(a > b for a, b in zip(means, means[1:]))
     assert model.mean_for(64) == pytest.approx(420.39)

@@ -85,6 +85,29 @@ def test_table1_report_deterministic(tmp_path):
             (tmp_path / "b" / f"{name}.csv").read_bytes()
 
 
+# sha256 over the relative path, size and bytes of every file a bundled
+# scenario writes at its bundled seed, state logs and .dedup journals included
+BUNDLED_OUTPUT_SHA256 = {
+    "table1": "736a64f6afd9d6d25ac780529927f1524ff955c224ac19ef1fa6481ee45612d0",
+    "slicing": "93a9cb9c03fa6590a59bf80aca3bbbbb17dfd66663cd5631ec9c488c0aeb30f9",
+    "e2e_cups": "f79fecee72d3d8b20d3e6d5de2a3a9072f88062f1bcb282472673fe8af9da50e",
+    "queue_sweep": "6567ca6cb150c6bdff1d837e01aa1e737d901682735557005f93e4b0d729fe76",
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_output_directory_pinned(tmp_path, name):
+    report, series, ok = run_scenario(load_scenario(name), tmp_path)
+    assert ok
+    write_report(tmp_path, report, series)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(tmp_path).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    assert digest.hexdigest() == BUNDLED_OUTPUT_SHA256[name]
+
+
 def test_different_seed_changes_report(tmp_path):
     config = load_scenario("table1")
     report1, _, _ = run_scenario(config, tmp_path / "a", seed=1)
