@@ -143,7 +143,7 @@ class HandlerEngine:
 
     # -- dispatch -------------------------------------------------------------
 
-    def notify_append(self, log_name: str, seq: int | None = None) -> None:
+    def notify_append(self, log_name: str) -> None:
         for binding in self._by_log.get(log_name, ()):
             self._ensure_pump(binding)
 
@@ -200,16 +200,11 @@ class HandlerEngine:
             self.failures.append(InvocationFailure(binding.binding_id, entry.seq,
                                                    f"{type(exc).__name__}: {exc}"))
             effects = []
-        yield from self.apply_effects(binding.handler_id, binding.log_name,
-                                      entry.seq, effects)
-        return effects
-
-    def apply_effects(self, handler_id: str, source_log: str, trigger_seq: int,
-                      effects: list[AppendEffect]):
         for index, effect in enumerate(effects):
             mid = effect.message_id
             if mid is None:
-                mid = effect_message_id(handler_id, source_log, trigger_seq, index)
+                mid = effect_message_id(binding.handler_id, binding.log_name,
+                                        entry.seq, index)
             payload = effect.payload
             if effect.activity is not None:
                 payload = yield from effect.activity()
@@ -218,6 +213,7 @@ class HandlerEngine:
             else:
                 yield from self.node.client.remote_append(
                     effect.target_node, effect.log_name, payload, mid)
+        return effects
 
     def _maybe_crash(self, invocation_index: int, phase: str) -> None:
         if self._crash_at == (invocation_index, phase):

@@ -41,7 +41,7 @@ class FabricNode:
         before = store.next_seq
         seq = store.append(payload, message_id, self.sim.now_us)
         if store.next_seq != before:
-            self.engine.notify_append(log_name, seq)
+            self.engine.notify_append(log_name)
         return seq
 
     def close(self) -> None:

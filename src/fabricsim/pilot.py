@@ -67,6 +67,15 @@ def pilot_parameters(n_req: int, estimated_runtime_s: float,
     return nodes, runtime
 
 
+def check_task_fits(cores: int, system: SystemSpec, cost_model: CfdCostModel) -> None:
+    """Build-time check: a task no pilot can host would wait for capacity
+    forever, and a core count with no runtime would fail only once it runs."""
+    if cores > system.total_nodes * system.cores_per_node:
+        raise ConfigError(f"task needs {cores} cores but the facility has "
+                          f"{system.total_nodes} x {system.cores_per_node}")
+    cost_model.mean_for(cores)  # ConfigError when the runtime table has no entry
+
+
 # -- facility model ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -198,7 +207,7 @@ class Facility:
         self.stream_label = stream_label if stream_label is not None else label
         self.pilots: list[PilotSpec] = []  # expired pilots are dropped by the queries
         self._submitted = 0
-        self._activation = Trigger(sim)
+        self.activation = Trigger(sim)  # fires, and is replaced, per activation
         self.on_event = None  # optional hook(dict) for audit logging
 
     def _record(self, kind: str, **fields) -> None:
@@ -222,7 +231,7 @@ class Facility:
     def _activate(self, pilot: PilotSpec) -> None:
         pilot.activate_time_us = self.sim.now_us
         self._record("pilot-active", pilot=pilot.pilot_id)
-        trigger, self._activation = self._activation, Trigger(self.sim)
+        trigger, self.activation = self.activation, Trigger(self.sim)
         trigger.fire(pilot)
 
     def active_pilots(self) -> list[PilotSpec]:
@@ -233,11 +242,6 @@ class Facility:
     def available_nodes(self, include_queued: bool = False) -> int:
         self.pilots = [p for p in self.pilots if p.state_at(self.sim.now_us) != "expired"]
         return available_nodes(self.pilots, self.sim.now_us, include_queued)
-
-    def wait_activation(self, timeout_us: int | None = None):
-        """Process: block until any pilot activates (or the timeout passes)."""
-        result = yield wait(self._activation, timeout_us=timeout_us)
-        return result
 
     def execute_task(self, task: TaskSpec, pilot: PilotSpec, model: CfdCostModel,
                      rng: np.random.Generator):
@@ -265,9 +269,7 @@ class PilotController:
     """Decision loop binding alerts to task executions."""
 
     def __init__(self, facility: Facility, cost_model: CfdCostModel,
-                 threshold_bytes: int = DEFAULT_THRESHOLD_BYTES,
-                 task_cores: int = REFERENCE_CORES,
-                 strategy: str = "reactive"):
+                 threshold_bytes: int, task_cores: int, strategy: str):
         if strategy not in ("reactive", "proactive"):
             raise ConfigError(f"unknown pilot strategy {strategy!r}")
         self.facility = facility
@@ -322,4 +324,4 @@ class PilotController:
             if self.facility.available_nodes(include_queued=True) < n_req:
                 resubmits += 1
                 self._submit(task, n_req, f"{task.telemetry_timestamp_us}:retry{resubmits}")
-            yield from self.facility.wait_activation(timeout_us=s_to_us(300))
+            yield wait(self.facility.activation, timeout_us=s_to_us(300))

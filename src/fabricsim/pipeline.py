@@ -16,7 +16,7 @@ the duty cycle once the simulation completes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .dataflow import (
@@ -53,12 +53,15 @@ from .pilot import (
     QueueDelayModel,
     SystemSpec,
     TaskSpec,
+    check_task_fits,
 )
-from .simcore import Simulator, s_to_us, sleep
+from .simcore import Simulator, run_to_completion, s_to_us, sleep
 from .weather import RECORD_SIZE, REPORT_CADENCE_S, TelemetryRecord, WeatherModel
 
 TELEMETRY_ELEMENT = 1024  # matches the measured 1 KB message workload
 TELEMETRY_CAPACITY = 4096  # ~341 h at the 5-minute cadence; windows need the last 12
+PAIR_BYTES = 2 * WINDOW_LEN * RECORD_SIZE  # the previous and the current window
+UNL, UCSB, ND = "unl-edge", "ucsb-repo", "nd-hpc"  # edge, repository and HPC nodes
 
 
 @dataclass
@@ -74,9 +77,6 @@ class CupsParams:
     task_cores: int = REFERENCE_CORES
     estimated_runtime_s: float = REFERENCE_MEAN_S
     strategy: str = "proactive"
-    unl: str = "unl-edge"
-    ucsb: str = "ucsb-repo"
-    nd: str = "nd-hpc"
 
     def __post_init__(self):
         if self.duration_s < 2 * self.duty_cycle_s:
@@ -101,22 +101,23 @@ class CupsPipeline:
     def __init__(self, sim: Simulator, network: Network, state_dir: str | Path,
                  params: CupsParams, weather: WeatherModel, system: SystemSpec,
                  cost_model: CfdCostModel):
+        check_task_fits(params.task_cores, system, cost_model)
         self.sim = sim
         self.params = params
         self.weather = weather
         self.metrics = CupsMetrics()
 
         state_dir = Path(state_dir)
-        self.unl = FabricNode(sim, network, params.unl, state_dir / params.unl)
-        self.ucsb = FabricNode(sim, network, params.ucsb, state_dir / params.ucsb)
-        self.nd = FabricNode(sim, network, params.nd, state_dir / params.nd)
+        self.unl = FabricNode(sim, network, UNL, state_dir / UNL)
+        self.ucsb = FabricNode(sim, network, UCSB, state_dir / UCSB)
+        self.nd = FabricNode(sim, network, ND, state_dir / ND)
         self.nodes = {n.name: n for n in (self.unl, self.ucsb, self.nd)}
 
         self.ucsb.create_log("telemetry", TELEMETRY_ELEMENT, TELEMETRY_CAPACITY)
         self.ucsb.create_log("alerts", ALERT_SIZE, DEFAULT_WINDOW)
         self.nd.create_log("pilot_events", 256, 1024)
 
-        self.facility = Facility(sim, system, label=params.nd)
+        self.facility = Facility(sim, system, label=ND)
         self.facility.on_event = self._audit
         self.controller = PilotController(
             self.facility, cost_model, threshold_bytes=params.threshold_bytes,
@@ -131,7 +132,6 @@ class CupsPipeline:
         """Detector and CFD stub as one graph without edges: the alert filter
         and the forwarder carry alerts from the one to the other."""
         params = self.params
-        pair_bytes = 2 * WINDOW_LEN * RECORD_SIZE
 
         def detect_op(pair: bytes):
             records = [TelemetryRecord.unpack(pair[i * RECORD_SIZE:(i + 1) * RECORD_SIZE])
@@ -148,7 +148,7 @@ class CupsPipeline:
         def cfd_op(alert_bytes: bytes):
             alert = ChangeAlert.unpack(alert_bytes)
             task = TaskSpec(
-                data_size_bytes=2 * WINDOW_LEN * RECORD_SIZE,
+                data_size_bytes=PAIR_BYTES,
                 threshold_bytes=params.threshold_bytes,
                 estimated_runtime_s=params.estimated_runtime_s,
                 cores=params.task_cores,
@@ -158,12 +158,12 @@ class CupsPipeline:
 
         graph = DataflowGraph(
             graph_id="cups",
-            nodes=[GraphNode("detect", (("pair", BYTES(pair_bytes)),),
+            nodes=[GraphNode("detect", (("pair", BYTES(PAIR_BYTES)),),
                              BYTES(ALERT_SIZE), "detect_change"),
                    GraphNode("cfd", (("alert", BYTES(ALERT_SIZE)),),
                              BYTES(TASK_RESULT_SIZE), "run_simulation")],
             edges=[],
-            placement={"detect": params.ucsb, "cfd": params.nd})
+            placement={"detect": UCSB, "cfd": ND})
         return compile_graph(graph, self.nodes,
                              {"detect_change": OpDef(detect_op),
                               "run_simulation": OpDef(cfd_op, activity=True)})
@@ -172,7 +172,6 @@ class CupsPipeline:
         """Fires once per detector output: records the evaluation (and the
         alert, on a vote) as it arrives, so the report never depends on how
         long the output logs retain entries."""
-        ucsb = self.params.ucsb
         vt = BYTES(ALERT_SIZE)
 
         def filter_votes(entry, ctx):
@@ -189,7 +188,7 @@ class CupsPipeline:
             if not alert.vote:
                 return []
             self.metrics.alerts.append(row)
-            return [AppendEffect(ucsb, "alerts", alert.pack())]
+            return [AppendEffect(UCSB, "alerts", alert.pack())]
 
         self.ucsb.engine.register_handler("alert.filter", filter_votes)
         self.ucsb.engine.bind(self.graph.out_log("detect"), "alert.filter")
@@ -210,7 +209,7 @@ class CupsPipeline:
             record = self.weather.record_at(i * self.params.cadence_s, rng)
             t0 = self.sim.now_us
             yield from self.unl.client.remote_append(
-                self.params.ucsb, "telemetry", record.pack())
+                UCSB, "telemetry", record.pack())
             self.metrics.telemetry_latency_ms.append((self.sim.now_us - t0) / 1000.0)
 
     def evaluator(self):
@@ -263,27 +262,16 @@ class CupsPipeline:
 
     def run(self) -> CupsMetrics:
         self.controller.start()
-        procs = [self.sim.spawn(self.station(), name="station"),
-                 self.sim.spawn(self.evaluator(), name="evaluator"),
-                 self.sim.spawn(self.forwarder(), name="forwarder")]
-        # generous tail so queued pilots and in-flight tasks finish
+        self.sim.spawn(self.station(), name="station")
+        self.sim.spawn(self.evaluator(), name="evaluator")
+        self.sim.spawn(self.forwarder(), name="forwarder")
+        # generous tail so queued pilots and in-flight tasks finish; a task
+        # still running past it leaves every_alert_completed false
         self.sim.run(until_us=s_to_us(self.params.duration_s + 48 * 3600))
-        self.sim.run()
-        for proc in procs:
-            if proc.error is not None:
-                raise proc.error
         for result in self.controller.results:
             validity_s = (self.params.duty_cycle_s
                           - (result.complete_us - result.telemetry_timestamp_us) / 1e6)
-            self.metrics.tasks.append({
-                "pilot_id": result.pilot_id,
-                "cores": result.cores,
-                "start_us": result.start_us,
-                "complete_us": result.complete_us,
-                "runtime_s": result.runtime_s,
-                "telemetry_timestamp_us": result.telemetry_timestamp_us,
-                "validity_s": validity_s,
-            })
+            self.metrics.tasks.append({**asdict(result), "validity_s": validity_s})
         self.metrics.handler_failures = sum(len(n.engine.failures)
                                             for n in self.nodes.values())
         return self.metrics
@@ -303,26 +291,24 @@ class CupsPipeline:
         }
 
 
-def sustained_rate_s(seed: int, tasks: int = 8, cores: int = REFERENCE_CORES,
-                     cost_model: CfdCostModel | None = None) -> list[float]:
+def sustained_rate_s(seed: int, tasks: int, cores: int,
+                     cost_model: CfdCostModel) -> list[float]:
     """Gaps between completions of back-to-back runs on one dedicated pilot."""
     sim = Simulator(seed=seed)
     system = SystemSpec(total_nodes=1, cores_per_node=cores,
                         queue_delay=QueueDelayModel("constant", 0.0))
     facility = Facility(sim, system, label="dedicated")
-    model = cost_model or CfdCostModel()
-    pilot = facility.submit_pilot(1, model.mean_runtime_s * (tasks + 2))
+    pilot = facility.submit_pilot(1, cost_model.mean_runtime_s * (tasks + 2))
 
     completions: list[int] = []
 
     def runner():
         rng = sim.rng("sustained")
         for i in range(tasks):
-            task = TaskSpec(0, 1, model.mean_runtime_s, cores,
+            task = TaskSpec(0, 1, cost_model.mean_runtime_s, cores,
                             telemetry_timestamp_us=i)
-            result = yield from facility.execute_task(task, pilot, model, rng)
+            result = yield from facility.execute_task(task, pilot, cost_model, rng)
             completions.append(result.complete_us)
 
-    sim.spawn(runner())
-    sim.run()
+    run_to_completion(sim, runner())
     return [(b - a) / 1e6 for a, b in zip(completions, completions[1:])]

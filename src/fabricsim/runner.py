@@ -7,8 +7,10 @@ the scenario completed and every invariant held.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
+from .detect import TEST_NAMES
 from .errors import ConfigError
 from .metrics import summarize
 from .netsim import DEFAULT_SLICE_SD_MBPS, Network, SliceConfig
@@ -19,9 +21,11 @@ from .pilot import (
     REFERENCE_MEAN_S,
     Facility,
     PilotController,
+    TaskResult,
     TaskSpec,
+    check_task_fits,
 )
-from .pipeline import CupsParams, CupsPipeline, sustained_rate_s
+from .pipeline import PAIR_BYTES, CupsParams, CupsPipeline, sustained_rate_s
 from .scenario import (
     build_cost_model,
     build_links,
@@ -29,7 +33,7 @@ from .scenario import (
     build_system,
     build_weather,
 )
-from .simcore import Simulator, s_to_us, sleep
+from .simcore import Simulator, run_to_completion, s_to_us, sleep
 from .transport import SizeCache
 
 
@@ -70,12 +74,8 @@ def _run_latency_table(config: dict, out_dir: Path, seed: int):
         element_size = m.get("element_size", m["payload_bytes"])
         server_node.create_log(log_name, element_size, m["count"] + 8)
         client_node.client.cache = SizeCache() if m.get("use_cache") else None
-        proc = sim.spawn(client_node.client.measure_latency(
+        stats = run_to_completion(sim, client_node.client.measure_latency(
             m["server"], log_name, m["payload_bytes"], m["count"]))
-        sim.run()
-        if proc.error is not None:
-            raise proc.error
-        stats = proc.result
         rows.append({"label": m["label"], "mean_ms": stats.mean_ms,
                      "sd_ms": stats.sd_ms, "n": stats.n})
         for j, sample in enumerate(stats.samples_ms):
@@ -124,9 +124,6 @@ def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
         p_high = sim.spawn(network.run_throughput_trial(
             ue_high["name"], link_id, high_slice, spec["duration_s"], spec["samples"]))
         sim.run()
-        for proc in (p_low, p_high):
-            if proc.error is not None:
-                raise proc.error
         for ue, slc, proc in ((ue_low, low_slice, p_low), (ue_high, high_slice, p_high)):
             samples = [r.achieved_mbps for r in proc.result]
             stats = summarize(samples)
@@ -193,10 +190,9 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
         sustained_rows = []
 
     eval_fields = (["timestamp_us", "channel", "vote"]
-                   + [f"p_{t}" for t in ("welch_t", "mann_whitney_u", "ks_2samp")]
-                   + [f"reject_{t}" for t in ("welch_t", "mann_whitney_u", "ks_2samp")])
-    task_fields = ["pilot_id", "cores", "start_us", "complete_us", "runtime_s",
-                   "telemetry_timestamp_us", "validity_s"]
+                   + [f"p_{t}" for t in TEST_NAMES]
+                   + [f"reject_{t}" for t in TEST_NAMES])
+    task_fields = [f.name for f in fields(TaskResult)] + ["validity_s"]
     series = {
         "evaluations": (eval_fields, metrics.evaluations),
         "task_timeline": (task_fields, metrics.tasks),
@@ -259,13 +255,14 @@ def _queue_sweep_run(spec: dict, delay_spec: dict, strategy: str,
     cost_model = build_cost_model(None)
     threshold_bytes = spec.get("threshold_bytes", DEFAULT_THRESHOLD_BYTES)
     cores = spec.get("cores", REFERENCE_CORES)
+    check_task_fits(cores, facility.system, cost_model)
     controller = PilotController(facility, cost_model, threshold_bytes=threshold_bytes,
                                  task_cores=cores, strategy=strategy)
     controller.start()
     latencies: list[float] = []
 
     def alert_driver(index: int):
-        task = TaskSpec(spec.get("data_size_bytes", 672), threshold_bytes,
+        task = TaskSpec(spec.get("data_size_bytes", PAIR_BYTES), threshold_bytes,
                         spec.get("estimated_runtime_s", REFERENCE_MEAN_S), cores,
                         telemetry_timestamp_us=index)
         issued = sim.now_us
@@ -279,8 +276,7 @@ def _queue_sweep_run(spec: dict, delay_spec: dict, strategy: str,
                 yield sleep(interval_us)
             sim.spawn(alert_driver(i), name=f"alert-{i}")
 
-    sim.spawn(spawner())
-    sim.run()
+    run_to_completion(sim, spawner())
     return latencies
 
 

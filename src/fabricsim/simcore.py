@@ -261,8 +261,6 @@ def run_to_completion(sim: Simulator, gen: Generator, until_us: int | None = Non
     """Spawn `gen`, drain the simulator, and return the process result."""
     proc = sim.spawn(gen)
     sim.run(until_us=until_us)
-    if proc.error is not None:
-        raise proc.error
     if not proc.finished:
         raise RuntimeError(f"process {proc.name} did not finish by the time bound")
     return proc.result

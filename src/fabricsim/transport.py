@@ -160,7 +160,7 @@ class RequestHandler:
     def __init__(self, registry: LogRegistry, clock_us: Callable[[], int]):
         self.registry = registry
         self.clock_us = clock_us
-        self.on_append: Callable[[str, int], None] | None = None
+        self.on_append: Callable[[str], None] | None = None
 
     def handle(self, msg) -> framing.Message | None:
         if isinstance(msg, SizeRequest):
@@ -186,7 +186,7 @@ class RequestHandler:
         except StorageFailure:
             return AppendReply(msg.request_id, STATUS_STORAGE_FAILURE, 0)
         if self.on_append is not None and log.next_seq != before:
-            self.on_append(msg.log_name, seq)
+            self.on_append(msg.log_name)
         return AppendReply(msg.request_id, STATUS_OK, seq)
 
 
@@ -284,7 +284,6 @@ class TransportClient:
         discarded (connection start-up / cold cache), stats cover the rest."""
         if count < 2:
             raise TransportError("need at least two samples")
-        self.network.hop_plan(self.node, target)
         samples_ms = []
         for i in range(count):
             payload = bytes([i % 256]) * payload_size

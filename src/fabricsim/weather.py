@@ -81,6 +81,8 @@ class WeatherModel:
         unknown = set(self.channels) - set(CHANNELS)
         if unknown:
             raise ConfigError(f"unknown telemetry channels: {sorted(unknown)}")
+        if len(self.station_id.encode("utf-8")) > 16:  # the record's 16s field
+            raise ConfigError(f"station_id {self.station_id!r} is longer than 16 UTF-8 bytes")
 
     def record_at(self, t_s: float, rng: np.random.Generator) -> TelemetryRecord:
         sample = {}

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,3 +264,13 @@ def test_detect_change_never_calls_scipy_stats(monkeypatch):
     for _ in range(10):
         cur, prev = window_pair(np.round(rng.normal(3, 1, 6)), rng.normal(3, 1, 6))
         detect_change(cur, prev)
+
+
+def test_program_modules_do_not_import_scipy_stats():
+    # scipy.stats costs about 45 MB of resident memory; the kernels above
+    # need scipy.special only
+    probe = ("import sys, fabricsim.cli, fabricsim.runner, fabricsim.sockfab; "
+             "print('scipy.stats' in sys.modules, 'fabricsim.detect' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == ["False", "True"]

@@ -13,6 +13,7 @@ from fabricsim.pilot import (
     TaskResult,
     TaskSpec,
     available_nodes,
+    check_task_fits,
     decide_submit,
     pilot_parameters,
     required_nodes,
@@ -167,7 +168,9 @@ def test_pilot_runtime_capped_on_first_submit_and_resubmit():
     # 64 cores need two 32-core nodes but a pilot gets at most the one node
     # the facility has, so _acquire resubmits right after the first submit
     task = TaskSpec(0, 1024, 7200.0, 64, telemetry_timestamp_us=5)
-    sim.spawn(PilotController(facility, CfdCostModel()).handle_task(task))
+    controller = PilotController(facility, CfdCostModel(), threshold_bytes=1024,
+                                 task_cores=64, strategy="reactive")
+    sim.spawn(controller.handle_task(task))
     sim.run(until_us=s_to_us(60))
     assert submits[:2] == [(5, 3600.0), ("5:retry1", 3600.0)]
 
@@ -244,6 +247,15 @@ def test_unknown_core_count_rejected():
         CfdCostModel().mean_for(48)
 
 
+def test_check_task_fits_rejects_tasks_no_pilot_can_run():
+    system = SystemSpec(total_nodes=2, cores_per_node=32)
+    check_task_fits(64, system, CfdCostModel())  # two full nodes
+    with pytest.raises(ConfigError, match="65 cores .* 2 x 32"):
+        check_task_fits(65, system, CfdCostModel())
+    with pytest.raises(ConfigError, match="no runtime table entry for 48 cores"):
+        check_task_fits(48, system, CfdCostModel())
+
+
 def test_task_result_pack_round_trip():
     result = TaskResult(3, 64, 1_000_000, 421_390_000, 420.39, 9_000_000_000)
     assert TaskResult.unpack(result.pack()) == result
@@ -256,7 +268,8 @@ def _run_controller(strategy, delay_model, alerts=4, interval_s=1800.0, seed=17)
     system = SystemSpec(total_nodes=4, cores_per_node=64, queue_delay=delay_model)
     # shared stream label: strategies face identical queue/runtime draws
     facility = Facility(sim, system, label=f"f-{strategy}", stream_label="f")
-    controller = PilotController(facility, CfdCostModel(), strategy=strategy)
+    controller = PilotController(facility, CfdCostModel(), threshold_bytes=1024,
+                                 task_cores=64, strategy=strategy)
     controller.start()
     latencies = []
 

@@ -10,7 +10,7 @@ from fabricsim.pilot import CfdCostModel, QueueDelayModel, SystemSpec
 from fabricsim.pipeline import CupsParams, CupsPipeline, sustained_rate_s
 from fabricsim.runner import run_scenario
 from fabricsim.scenario import load_scenario
-from fabricsim.simcore import Simulator
+from fabricsim.simcore import Simulator, s_to_us, sleep
 from fabricsim.weather import ChannelModel, WeatherModel
 
 
@@ -112,8 +112,20 @@ def test_proactive_strategy_beats_reactive_on_validity(tmp_path):
     assert proactive.tasks[0]["validity_s"] > reactive.tasks[0]["validity_s"]
 
 
+def test_run_drains_at_most_48_hours_past_the_duration(tmp_path):
+    pipe = build_pipeline(tmp_path, seed=5, duration_s=3600, shift=None)
+
+    def past_the_bound():
+        yield sleep(s_to_us(3600 + 49 * 3600))
+        raise RuntimeError("the drain ran past its bound")
+
+    pipe.sim.spawn(past_the_bound())
+    pipe.run()
+    assert pipe.sim.now_us == s_to_us(3600 + 48 * 3600)
+
+
 def test_sustained_rate_about_seven_minutes():
-    gaps = sustained_rate_s(seed=16, tasks=8)
+    gaps = sustained_rate_s(seed=16, tasks=8, cores=64, cost_model=CfdCostModel())
     mean_gap = float(np.mean(gaps))
     assert 420.39 * 0.9 <= mean_gap <= 420.39 * 1.1
 

@@ -177,6 +177,42 @@ def test_cli_config_error_found_while_building_exits_two(tmp_path, capsys):
     assert err.startswith("config error: ") and "bogus" in err
 
 
+def _cli_run_within_5_s(tmp_path, config):
+    """`fabric run` on `config` in a child process that is stopped after 5 s,
+    so a run that never ends fails the test instead of hanging it."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    result = subprocess.run(
+        [sys.executable, "-m", "fabricsim.cli", "run", "--scenario", str(path),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True, timeout=5)
+    return result.returncode, result.stderr
+
+
+def test_cli_cups_task_larger_than_the_facility_exits_two(tmp_path):
+    config = load_scenario("e2e_cups")
+    config["cups"]["system"].update(total_nodes=1, cores_per_node=32)
+    code, err = _cli_run_within_5_s(tmp_path, config)
+    assert code == 2
+    assert err.startswith("config error: ") and "64 cores" in err and "1 x 32" in err
+
+
+def test_cli_queue_sweep_task_larger_than_the_facility_exits_two(tmp_path):
+    config = load_scenario("queue_sweep")
+    config["queue_sweep"]["cores"] = 128
+    config["queue_sweep"]["system"]["total_nodes"] = 1
+    code, err = _cli_run_within_5_s(tmp_path, config)
+    assert code == 2
+    assert err.startswith("config error: ") and "128 cores" in err and "1 x 64" in err
+
+
+def test_cli_station_id_longer_than_16_bytes_exits_two(tmp_path):
+    config = load_scenario("e2e_cups")
+    config["cups"]["weather"]["station_id"] = "cups-station-12\u00e9"
+    code, err = _cli_run_within_5_s(tmp_path, config)
+    assert code == 2
+    assert err.startswith("config error: ") and "station_id" in err
+
+
 def test_cli_sweep_records_a_seed_that_raises(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     config = load_scenario("e2e_cups")

@@ -17,6 +17,13 @@ def test_record_pack_round_trip():
     assert len(rec.pack()) == RECORD_SIZE <= 1024
 
 
+def test_station_id_must_fit_the_record_field():
+    assert WeatherModel(station_id="cups-station-123").station_id == "cups-station-123"
+    for too_long in ("cups-station-1234", "cups-station-12\u00e9"):  # 17 UTF-8 bytes
+        with pytest.raises(ConfigError, match="station_id"):
+            WeatherModel(station_id=too_long)
+
+
 def test_stationary_hour_yields_twelve_records():
     model = WeatherModel(channels={"wind_speed": ChannelModel(2.0, 0.3)})
     records = generate_telemetry(model, seed=1, duration_s=3600)
