@@ -268,14 +268,11 @@ class Facility:
 class PilotController:
     """Decision loop binding alerts to task executions."""
 
-    def __init__(self, facility: Facility, cost_model: CfdCostModel,
-                 threshold_bytes: int, task_cores: int, strategy: str):
+    def __init__(self, facility: Facility, cost_model: CfdCostModel, strategy: str):
         if strategy not in ("reactive", "proactive"):
             raise ConfigError(f"unknown pilot strategy {strategy!r}")
         self.facility = facility
         self.cost_model = cost_model
-        self.threshold_bytes = threshold_bytes
-        self.task_cores = task_cores
         self.strategy = strategy
         self.results: list[TaskResult] = []
 

@@ -119,9 +119,7 @@ class CupsPipeline:
 
         self.facility = Facility(sim, system, label=ND)
         self.facility.on_event = self._audit
-        self.controller = PilotController(
-            self.facility, cost_model, threshold_bytes=params.threshold_bytes,
-            task_cores=params.task_cores, strategy=params.strategy)
+        self.controller = PilotController(self.facility, cost_model, params.strategy)
 
         self.graph = self._deploy()
         self._wire_alert_filter()

@@ -256,8 +256,7 @@ def _queue_sweep_run(spec: dict, delay_spec: dict, strategy: str,
     threshold_bytes = spec.get("threshold_bytes", DEFAULT_THRESHOLD_BYTES)
     cores = spec.get("cores", REFERENCE_CORES)
     check_task_fits(cores, facility.system, cost_model)
-    controller = PilotController(facility, cost_model, threshold_bytes=threshold_bytes,
-                                 task_cores=cores, strategy=strategy)
+    controller = PilotController(facility, cost_model, strategy)
     controller.start()
     latencies: list[float] = []
 

@@ -3,8 +3,8 @@
 Simulated time is integer microseconds. Events with equal timestamps fire in
 insertion order, so a run is fully determined by the topology and the seed.
 Long-running activities are written as generators that yield `sleep(...)`,
-a `Trigger`, or another `Process`; the engine resumes them when the awaited
-thing happens.
+a `Trigger`, another `Process`, or an object whose `park(process)` method
+takes the process over; the engine resumes them when the awaited thing happens.
 
 A heap entry is the event itself, `[t, tie, fn, args]`; cancelling a
 pending event sets its `fn` slot to None, and `run` skips it.
@@ -112,8 +112,7 @@ class _WaitSlot:
         self.process._sim._resume(self.process, value)
 
     def expire(self) -> None:
-        if self.claimed:
-            return
+        self.timeout_event = None  # that entry holds `expire`; keeping it is a cycle
         self.claimed = True
         self.process._sim._resume(self.process, TIMEOUT)
 
@@ -232,6 +231,8 @@ class Simulator:
 
         if isinstance(yielded, _Sleep):
             self.schedule(yielded.delay_us, self._step, proc, None, False)
+        elif (park := getattr(yielded, "park", None)) is not None:
+            park(proc)
         elif isinstance(yielded, Trigger):
             self._wait_on(proc, yielded, None)
         elif isinstance(yielded, _WaitFor):

@@ -9,9 +9,9 @@ retries reuse the message id, the server's dedup index makes the append land
 exactly once no matter how many attempts were needed.
 
 The client-side rules live in one sans-I/O core (`SizeQuery`, `AppendCall`)
-that does no I/O and reads no clock; `TransportClient` (simulated, with retry
-and timeouts) and `sockfab.SocketClient` (blocking TCP) only move its frames.
-Each node's endpoint (`wire_node`) decodes every frame exactly once.
+that does no I/O and reads no clock; `TransportClient` (simulated: callbacks
+retry and time out each exchange) and `sockfab.SocketClient` (blocking TCP)
+only move its frames. Each node's endpoint decodes every frame exactly once.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from . import framing
 from .errors import (
     DeliveryAbandoned,
+    FabricError,
     FrameError,
     PayloadTooLarge,
     SizeMismatch,
@@ -45,7 +46,7 @@ from .framing import (
 )
 from .logstore import LogRegistry
 from .netsim import Network
-from .simcore import TIMEOUT, Simulator, Trigger, ms_to_us, wait
+from .simcore import Process, Simulator, ms_to_us
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class RetryPolicy:
     max_attempts: int | None = None
 
     def timeout_us(self, attempt: int) -> int:
-        return ms_to_us(min(self.base_ms * (2 ** attempt), self.cap_ms))
+        # 2 ** 1024 overflows a float; from attempt 1023 on the cap applies anyway
+        return ms_to_us(min(self.base_ms * (2 ** min(attempt, 1023)), self.cap_ms))
 
 
 # Opt-in per-client cache of (node, log) -> element size; `SizeCache()` is empty.
@@ -218,7 +220,7 @@ class TransportClient:
         self.policy = policy
         self.cache = cache
         self._request_ids = itertools.count(1)
-        self._pending: dict[int, Trigger] = {}
+        self._pending: dict[int, _Exchange] = {}
         self._rng: np.random.Generator = sim.rng(f"client:{node}")
         self._ids, self._ids_pos = b"", 0
 
@@ -230,43 +232,15 @@ class TransportClient:
         return self._ids[self._ids_pos - 16:self._ids_pos]
 
     def on_reply(self, reply) -> None:
-        """Wake the exchange waiting on this decoded reply, if any still is."""
-        trigger = self._pending.get(reply.request_id)
-        if trigger is not None:
-            trigger.fire(reply)
+        """Hand this decoded reply to its exchange, if one still waits."""
+        exchange = self._pending.get(reply.request_id)
+        if exchange is not None:
+            exchange.deliver(reply)
         elif self.sim.trace is not None:
             self.sim.record("late-reply", node=self.node, request_id=reply.request_id)
 
-    # -- core request/reply with retry ------------------------------------
-
-    def _roundtrip(self, target: str, build_request):
-        """Send until a reply lands; replies to any earlier attempt count."""
-        self.network.hop_plan(self.node, target)  # raises RouteUnreachable early
-        attempt = 0
-        issued: list[int] = []
-        trigger = Trigger(self.sim)
-        try:
-            while True:
-                if (self.policy.max_attempts is not None
-                        and attempt >= self.policy.max_attempts):
-                    raise DeliveryAbandoned(
-                        f"no reply from {target} after {attempt} attempts")
-                request_id = next(self._request_ids)
-                issued.append(request_id)
-                self._pending[request_id] = trigger
-                self.network.send(self.node, target,
-                                  framing.encode(build_request(request_id)))
-                reply = yield wait(trigger, timeout_us=self.policy.timeout_us(attempt))
-                if reply is not TIMEOUT:
-                    return reply
-                attempt += 1
-        finally:
-            for rid in issued:
-                self._pending.pop(rid, None)
-
     def fetch_element_size(self, target: str, log_name: str):
-        query = SizeQuery(target, log_name)
-        return query.result((yield from self._roundtrip(target, query.request)))
+        return (yield _Exchange(self, SizeQuery(target, log_name)))
 
     def remote_append(self, target: str, log_name: str, payload: bytes,
                       message_id: bytes | None = None):
@@ -276,8 +250,7 @@ class TransportClient:
         call = AppendCall(self.cache, target, log_name, payload, message_id)
         if call.element_size is None:
             call.learn_size((yield from self.fetch_element_size(target, log_name)))
-        reply = yield from self._roundtrip(target, call.request)
-        return call.result(reply)
+        return (yield _Exchange(self, call))
 
     def measure_latency(self, target: str, log_name: str, payload_size: int, count: int):
         """Process: time `count` appends back to back; the first sample is
@@ -294,6 +267,72 @@ class TransportClient:
         arr = np.asarray(kept)
         return LatencyStats(float(arr.mean()), float(arr.std(ddof=1)),
                             len(kept), tuple(kept))
+
+
+class _Exchange:
+    """One request/reply exchange of `core` (a `SizeQuery` or `AppendCall`),
+    driven by scheduled callbacks. A reply to any attempt schedules a zero-delay
+    resume of the parked process, and a timeout a zero-delay resend with backoff,
+    so a reply that lands in between still lets that resend go out first."""
+
+    __slots__ = ("client", "core", "request_ids", "proc", "reply", "timeout")
+
+    def __init__(self, client: TransportClient, core):
+        client.network.hop_plan(client.node, core.target)  # raises RouteUnreachable early
+        self.client, self.core = client, core
+        self.request_ids: list[int] = []  # attempt n sent request_ids[n]
+        self.proc = self.reply = self.timeout = None  # timeout: the last armed heap entry
+        self._send()
+
+    def _send(self) -> None:
+        client, attempt = self.client, len(self.request_ids)
+        if client.policy.max_attempts is not None and attempt >= client.policy.max_attempts:
+            raise DeliveryAbandoned(f"no reply from {self.core.target} after {attempt} attempts")
+        request_id = next(client._request_ids)
+        self.request_ids.append(request_id)
+        client._pending[request_id] = self
+        client.network.send(client.node, self.core.target,
+                            framing.encode(self.core.request(request_id)))
+
+    def park(self, proc: Process) -> None:
+        """Called when the process yields the exchange, and after each resend."""
+        self.proc, sim = proc, self.client.sim
+        if self.reply is not None:
+            sim.schedule(0, self._resume)
+        else:
+            self.timeout = sim.schedule(
+                self.client.policy.timeout_us(len(self.request_ids) - 1), self._expire)
+
+    def deliver(self, reply) -> None:
+        if self.reply is None:
+            self.reply = reply
+            if self.timeout is not None:  # parked, and no resend queued
+                self.timeout[2] = None  # cancels the timeout
+                self.client.sim.schedule(0, self._resume)
+
+    def _expire(self) -> None:
+        self.timeout = None
+        self.client.sim.schedule(0, self._resend)
+
+    def _resend(self) -> None:
+        if self.proc.gen.gi_frame is None:  # the process was closed while parked
+            return
+        try:
+            self._send()
+        except DeliveryAbandoned as exc:
+            self._resume(exc)
+        else:
+            self.park(self.proc)
+
+    def _resume(self, error: DeliveryAbandoned | None = None) -> None:
+        """Retire the request ids and hand the process the reply's outcome."""
+        for request_id in self.request_ids:
+            self.client._pending.pop(request_id, None)
+        try:
+            result = self.core.result(self.reply) if error is None else error
+        except FabricError as exc:  # a failed reply raises where the process waits
+            result = error = exc
+        self.client.sim._step(self.proc, result, error is not None)
 
 
 def wire_node(network: Network, node: str, client: TransportClient | None = None,

@@ -168,8 +168,7 @@ def test_pilot_runtime_capped_on_first_submit_and_resubmit():
     # 64 cores need two 32-core nodes but a pilot gets at most the one node
     # the facility has, so _acquire resubmits right after the first submit
     task = TaskSpec(0, 1024, 7200.0, 64, telemetry_timestamp_us=5)
-    controller = PilotController(facility, CfdCostModel(), threshold_bytes=1024,
-                                 task_cores=64, strategy="reactive")
+    controller = PilotController(facility, CfdCostModel(), strategy="reactive")
     sim.spawn(controller.handle_task(task))
     sim.run(until_us=s_to_us(60))
     assert submits[:2] == [(5, 3600.0), ("5:retry1", 3600.0)]
@@ -268,8 +267,7 @@ def _run_controller(strategy, delay_model, alerts=4, interval_s=1800.0, seed=17)
     system = SystemSpec(total_nodes=4, cores_per_node=64, queue_delay=delay_model)
     # shared stream label: strategies face identical queue/runtime draws
     facility = Facility(sim, system, label=f"f-{strategy}", stream_label="f")
-    controller = PilotController(facility, CfdCostModel(), threshold_bytes=1024,
-                                 task_cores=64, strategy=strategy)
+    controller = PilotController(facility, CfdCostModel(), strategy=strategy)
     controller.start()
     latencies = []
 

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import inspect
 import json
 from collections import Counter
 
@@ -25,7 +27,15 @@ from fabricsim.framing import (
 )
 from fabricsim.logstore import LogRegistry
 from fabricsim.netsim import LinkSpec, Network
-from fabricsim.simcore import Simulator, run_to_completion
+from fabricsim.simcore import (
+    TIMEOUT,
+    Process,
+    Simulator,
+    Trigger,
+    _WaitSlot,
+    run_to_completion,
+    wait,
+)
 from fabricsim.transport import (
     AppendCall,
     RetryPolicy,
@@ -33,16 +43,17 @@ from fabricsim.transport import (
     SizeQuery,
     TransportClient,
     TransportServer,
+    _Exchange,
     wire_node,
 )
 
 
 def build(tmp_path, seed=1, latency_ms=50.0, sd_ms=0.0, loss=0.0, dup=0.0,
-          policy=RetryPolicy(), cache=None, trace=False):
+          policy=RetryPolicy(), cache=None, trace=False, partitions=()):
     sim = Simulator(seed=seed, trace=trace)
     link = LinkSpec("wire", "client", "server", latency_ms, sd_ms,
                     loss_prob=loss, duplicate_prob=dup,
-                    base_capacity_mbps=10_000.0)
+                    base_capacity_mbps=10_000.0, partitions_us=partitions)
     net = Network(sim, [link])
     registry = LogRegistry(tmp_path / "server")
     server = TransportServer(sim, net, "server", registry)
@@ -70,6 +81,44 @@ def test_uncached_append_elapsed_is_two_round_trips(tmp_path):
     seq, elapsed_ms = timed(sim, client.remote_append("server", "data", b"x" * 1024))
     assert seq == 1
     assert elapsed_ms == pytest.approx(200.0, abs=1.0)
+
+
+def test_reply_on_the_timeouts_microsecond_still_lets_the_resend_go_out(
+        tmp_path, monkeypatch):
+    # 50 ms each way with no jitter: the append reply lands on the exact
+    # microsecond of the 100 ms timeout, which fires first, so the resend
+    # goes out and the process then resumes with the reply it already has
+    encodes = Counter()
+    real_encode = framing.encode
+
+    def counting_encode(msg):
+        encodes[type(msg).__name__] += 1
+        return real_encode(msg)
+
+    monkeypatch.setattr(framing, "encode", counting_encode)
+    sim, net, registry, server, client = build(
+        tmp_path, cache=SizeCache({("server", "data"): 64}))
+    registry.create("data", 64, 8)
+    seq, elapsed_ms = timed(sim, client.remote_append("server", "data", b"tie"))
+    assert seq == 1
+    assert elapsed_ms == 100.0
+    assert encodes["AppendRequest"] == 2
+    assert registry.get("data").next_seq == 2
+
+
+def test_closed_parked_append_sends_nothing_more(tmp_path):
+    # every attempt before 1 s is dropped; a resend after the heal would hop
+    sim, net, registry, server, client = build(
+        tmp_path, latency_ms=10.0, trace=True, partitions=((0, 1_000_000),))
+    registry.create("data", 64, 8)
+    proc = sim.spawn(client.remote_append("server", "data", b"closed"))
+    sim.run(until_us=500_000)
+    kinds = Counter(kind for _, kind, _ in sim.trace)
+    assert kinds["drop"] > 0 and kinds["hop"] == 0
+    proc.gen.close()
+    sim.run()
+    assert Counter(kind for _, kind, _ in sim.trace) == kinds
+    assert registry.get("data").next_seq == 1
 
 
 def test_fault_free_path_sends_exactly_two_requests(tmp_path):
@@ -343,6 +392,27 @@ def test_appends_issued_during_partition_converge_after_heal(tmp_path):
     assert registry.get("parked").read(1).payload == b"patience"
 
 
+def test_retry_timeouts_double_up_to_the_cap_at_any_attempt():
+    policy = RetryPolicy()
+    assert [policy.timeout_us(a) for a in range(7)] == [
+        100_000, 200_000, 400_000, 800_000, 1_600_000, 3_200_000, 5_000_000]
+    assert policy.timeout_us(1023) == policy.timeout_us(1024) == 5_000_000
+    assert policy.timeout_us(10**6) == 5_000_000
+
+
+def test_append_parked_through_a_two_hour_partition_lands_after_heal(tmp_path):
+    # more than 1,024 capped 5 s timeouts pass before the link heals
+    heal_us = 2 * 3600 * 1_000_000
+    sim, net, registry, server, client = build(
+        tmp_path, latency_ms=10.0, partitions=((0, heal_us),))
+    registry.create("data", 64, 8)
+    proc = sim.spawn(client.remote_append("server", "data", b"patience"))
+    sim.run()
+    assert proc.error is None
+    assert proc.result == 1
+    assert heal_us < sim.now_us < heal_us + 5_100_000 * 2
+
+
 def test_exactly_once_under_loss_duplication_reordering(tmp_path):
     sim, net, registry, server, client = build(
         tmp_path, seed=101, latency_ms=10.0, sd_ms=4.0, loss=0.2, dup=0.1)
@@ -365,6 +435,39 @@ def test_exactly_once_under_loss_duplication_reordering(tmp_path):
     assert len(by_payload) == n
     for i, seq in returned.items():
         assert by_payload[i] == seq
+
+
+def test_finished_exchanges_and_expired_waits_leave_no_cyclic_garbage(tmp_path):
+    # with the collector off, every wire-path object must be freed by
+    # reference counting alone
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sim, net, registry, seqs = _lossy_appends(tmp_path, 200, seed=5, trace=False)
+        registry.close_all()
+        del sim, net, registry
+        waits = Simulator()
+
+        def waiter():
+            return (yield wait(Trigger(waits), timeout_us=1_000))
+
+        assert run_to_completion(waits, waiter()) is TIMEOUT
+        del waits, waiter
+        gc.collect()
+        leaked = Counter(type(obj).__name__ for obj in gc.garbage
+                         if isinstance(obj, (_WaitSlot, Process, _Exchange)))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert seqs and not leaked
+
+
+def test_client_exchanges_stay_generator_functions():
+    # callers, and the benchmark's probes, wrap both with `yield from`
+    assert inspect.isgeneratorfunction(TransportClient.remote_append)
+    assert inspect.isgeneratorfunction(TransportClient.fetch_element_size)
 
 
 # -- measure_latency ------------------------------------------------------------------
