@@ -125,7 +125,7 @@ class HandlerEngine:
     def _cursor_store(self, binding: HandlerBinding):
         registry = self.node.registry
         if not registry.exists(binding.cursor_log):
-            return registry.create(binding.cursor_log, 8, CURSOR_CAPACITY)
+            return registry.create(binding.cursor_log, 8, CURSOR_CAPACITY, CURSOR_CAPACITY)
         return registry.get(binding.cursor_log)
 
     def _restore_cursor(self, binding: HandlerBinding) -> int:

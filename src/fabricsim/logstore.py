@@ -8,12 +8,22 @@ and discarded on recovery, anywhere else it is corruption.
 
 A bounded message-id dedup index (LRU) is persisted in a sidecar journal so
 retried appends return the original sequence number instead of writing twice.
+Its bound (window) is the header's u32 after capacity, 0 meaning
+DEFAULT_DEDUP_LIMIT; past four windows of entries the journal is compacted.
+
+A reopen makes one crc32 per record and per journal entry. Records where
+the header's counters put them are checked as columns (seq equals that
+layout, the largest payload_len fits, the rest is zero); a journal of
+distinct ids ending in the records' (message_id, seq) columns becomes the
+index as it stands. Anything else is classified slot by slot and replayed
+entry by entry.
 
 Durability: `append` hands the record, the header and the journal entry to
 the operating system before it returns, so a log survives a process crash.
 Nothing is fsynced unless `flush()` is called, so a power cut may lose the
-most recent appends. Each reopen CRC-checks every record and every journal
-entry, a whole run of slots at once wherever the header's layout holds.
+most recent appends. `resize` and compaction rename a written `.tmp` file
+over the old one: atomic under a process crash only, since neither the file
+nor its directory is fsynced. A reopen removes a leftover `.tmp` file.
 """
 
 from __future__ import annotations
@@ -24,12 +34,15 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem, itemgetter
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     CorruptHeader,
@@ -45,8 +58,7 @@ from .errors import (
 MAGIC = b"XGFLOG01"
 VERSION = 1
 HEADER_SIZE = 64
-_HEADER = struct.Struct("<8sIIIIQQ")   # magic, version, element_size, capacity, reserved, next_seq, earliest_seq
-_HEADER_CRC = struct.Struct("<I")
+_HEADER = struct.Struct("<8sIIIIQQ")   # magic, version, element_size, capacity, dedup window, next_seq, earliest_seq
 _RECORD_PREFIX = struct.Struct("<Q16sQI")  # seq, message_id, created_at_us, payload_len
 _CRC = struct.Struct("<I")
 RECORD_OVERHEAD = _RECORD_PREFIX.size + _CRC.size  # 40 bytes
@@ -56,7 +68,7 @@ DEFAULT_DEDUP_LIMIT = 65_536
 _DEDUP_ENTRY = struct.Struct("<16sQ")  # message_id, seq (crc32 appended)
 _DEDUP_PAIRS = struct.Struct("<16sQ4x")  # message_id, seq
 _DEDUP_STRIDE = _DEDUP_PAIRS.size
-_DEDUP_SLOT = struct.Struct(f"{_DEDUP_STRIDE}s")  # one whole entry, crc32 included
+_DEDUP_COLUMNS = np.dtype([("message_id", "V16"), ("seq", "<u8"), ("crc", "<u4")])
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]{1,128}")
 
@@ -88,7 +100,7 @@ class LogStore:
 
     def __init__(self, path: Path, name: str, element_size: int, capacity: int,
                  next_seq: int, earliest_seq: int, dedup_limit: int):
-        self.path = Path(path)
+        self.path = path
         self.name = name
         self.element_size = element_size
         self.capacity = capacity
@@ -99,21 +111,25 @@ class LogStore:
         self._dedup: OrderedDict[bytes, int] = OrderedDict()
         self._dedup_journal_entries = 0
         self._fd = os.open(self.path, os.O_RDWR)
-        self._dedup_fd = os.open(self._dedup_path(), os.O_RDWR | os.O_CREAT, 0o644)
+        self._dedup_file = f"{path}.dedup"
+        self._dedup_fd = os.open(self._dedup_file, os.O_RDWR | os.O_CREAT, 0o644)
         self._closed = False
         self.torn_discarded = False
-        self._recovered: tuple[int, list[int], list[bytes]] | None = None
+        self._recovered: tuple[int, np.ndarray] | None = None
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def create(cls, path: str | os.PathLike, name: str, element_size: int,
                capacity: int, dedup_limit: int = DEFAULT_DEDUP_LIMIT) -> "LogStore":
+        """Create a log whose header keeps its dedup window for every reopen."""
         _check_name(name)
         if element_size < 1:
             raise InvalidLogConfig(f"element_size must be >= 1, got {element_size}")
         if capacity < 1:
             raise InvalidLogConfig(f"capacity must be >= 1, got {capacity}")
+        if not 1 <= dedup_limit < 2**32:
+            raise InvalidLogConfig(f"dedup_limit must be a u32 >= 1, got {dedup_limit}")
         path = Path(path)
         try:
             fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644)
@@ -122,28 +138,28 @@ class LogStore:
         except OSError as exc:
             raise StorageFailure(str(exc)) from exc
         try:
-            os.write(fd, _pack_header(element_size, capacity, 1, 1))
+            os.write(fd, _pack_header(element_size, capacity, 1, 1, dedup_limit))
         finally:
             os.close(fd)
         return cls(path, name, element_size, capacity, 1, 1, dedup_limit)
 
     @classmethod
-    def recover(cls, path: str | os.PathLike, name: str | None = None,
-                dedup_limit: int = DEFAULT_DEDUP_LIMIT) -> "LogStore":
-        """Reopen a persisted log, discarding a torn final record if present."""
+    def recover(cls, path: str | os.PathLike, name: str | None = None) -> "LogStore":
+        """Reopen a persisted log, discarding a torn final record if present
+        and any `.tmp` file that a crash mid-`resize` or mid-compaction left."""
         path = Path(path)
-        if not path.exists():
-            raise UnknownLog(f"no log file at {path}")
-        name = name or path.stem
-        element_size, capacity, hdr_next, area = _read_log(path)
+        element_size, capacity, hdr_next, dedup_limit, area = _read_log(path)
+        for target in (path, f"{path}.dedup"):  # what _replace_file may leave
+            with suppress(FileNotFoundError):
+                os.unlink(f"{target}.tmp")
         next_seq, earliest_seq, torn, live = _scan_live_range(path, area, element_size,
                                                               capacity, hdr_next)
-        store = cls(path, name, element_size, capacity, next_seq, earliest_seq, dedup_limit)
+        store = cls(path, name or path.stem, element_size, capacity, next_seq,
+                    earliest_seq, dedup_limit)
         store.torn_discarded = torn
-        store._load_dedup(list(zip(map(itemgetter(1), live), map(itemgetter(0), live))))
-        if live:
-            store._recovered = (earliest_seq, list(map(itemgetter(3), live)),
-                                list(map(itemgetter(4), live)))
+        store._load_dedup(live)
+        if len(live):
+            store._recovered = (earliest_seq, live)
         return store
 
     # -- public surface ---------------------------------------------------
@@ -231,18 +247,14 @@ class LogStore:
                     raise InvalidLogConfig(
                         f"live entry seq {entry.seq} has {len(entry.payload)} bytes; "
                         f"cannot shrink element size to {new_element_size}")
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
             old_size = self.element_size
             self.element_size = new_element_size
+            records = {self._slot_offset(entry.seq): self._record(*entry) for entry in live}
+            image = bytearray(self._header())
+            for offset in sorted(records):  # slot order, never-written slots zero
+                image += bytes(offset - len(image)) + records[offset]
             try:
-                with open(tmp, "wb") as f:
-                    f.write(_pack_header(new_element_size, self.capacity,
-                                         self._next_seq, self._earliest_seq))
-                    for entry in live:
-                        f.seek(self._slot_offset(entry.seq))
-                        f.write(self._record(entry.seq, entry.payload, entry.message_id,
-                                             entry.created_at_us))
-                os.replace(tmp, self.path)
+                _replace_file(self.path, image)
                 os.close(self._fd)
                 self._fd = os.open(self.path, os.O_RDWR)
             except OSError as exc:
@@ -254,8 +266,9 @@ class LogStore:
         the reopen validated; None afterwards, after close or if none."""
         if self._recovered is None:
             return None
-        (first_seq, lengths, padded), self._recovered = self._recovered, None
-        return first_seq, list(map(getitem, padded, map(slice, lengths)))
+        (first_seq, live), self._recovered = self._recovered, None
+        return first_seq, list(map(getitem, live["payload"].tolist(),
+                                   map(slice, live["payload_len"].tolist())))
 
     def flush(self) -> None:
         try:
@@ -299,21 +312,20 @@ class LogStore:
             slot = (seq - 1) % self.capacity
             run = min(hi - seq + 1, self.capacity - slot)
             raw = os.pread(self._fd, run * stride, HEADER_SIZE + slot * stride)
-            for i, rec in _decode_slots(raw, element_size, range(seq, seq + run)):
+            for i, rec in _decode_slots(raw, element_size):
                 if rec is not None and rec[0] == seq + i:
                     entries.append(LogEntry(rec[0], rec[4][:rec[3]], rec[1], rec[2]))
             seq += run
         return entries
 
+    def _header(self) -> bytes:
+        return _pack_header(self.element_size, self.capacity, self._next_seq,
+                            self._earliest_seq, self._dedup_limit)
+
     def _persist_header(self) -> None:
-        os.pwrite(self._fd,
-                  _pack_header(self.element_size, self.capacity,
-                               self._next_seq, self._earliest_seq), 0)
+        os.pwrite(self._fd, self._header(), 0)
 
     # -- dedup index --------------------------------------------------------
-
-    def _dedup_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".dedup")
 
     def _dedup_remember(self, message_id: bytes, seq: int, persist: bool) -> None:
         if message_id in self._dedup:
@@ -325,50 +337,54 @@ class LogStore:
         if persist:
             os.write(self._dedup_fd, _pack_dedup_entry(message_id, seq))
             self._dedup_journal_entries += 1
-            if self._dedup_journal_entries > max(4 * self._dedup_limit, 1024):
+            if self._dedup_journal_entries > 4 * self._dedup_limit:
                 self._compact_dedup()
 
     def _compact_dedup(self) -> None:
-        tmp = self._dedup_path().with_suffix(".dedup.tmp")
-        with open(tmp, "wb") as f:
-            f.write(b"".join(_pack_dedup_entry(mid, seq) for mid, seq in self._dedup.items()))
-        os.replace(tmp, self._dedup_path())
+        _replace_file(self._dedup_file,
+                      b"".join(_pack_dedup_entry(mid, seq) for mid, seq in self._dedup.items()))
         os.close(self._dedup_fd)
-        self._dedup_fd = os.open(self._dedup_path(), os.O_RDWR)
+        self._dedup_fd = os.open(self._dedup_file, os.O_RDWR)
         os.lseek(self._dedup_fd, 0, os.SEEK_END)
         self._dedup_journal_entries = len(self._dedup)
 
-    def _load_dedup(self, live: list[tuple[bytes, int]]) -> None:
+    def _load_dedup(self, live: np.ndarray) -> None:
         """Rebuild the index from the journal, then from the live records'
-        (message_id, seq) pairs, which are ground truth for the ids they
+        (message_id, seq) columns, which are ground truth for the ids they
         still hold; cut any torn journal tail. Each entry's CRC is checked
         by one crc32 call over the whole entry (see _CRC_RESIDUE)."""
         raw = os.pread(self._dedup_fd, os.fstat(self._dedup_fd).st_size, 0)
-        view = memoryview(raw)[:len(raw) - len(raw) % _DEDUP_STRIDE]
-        residues = list(map(zlib.crc32, map(itemgetter(0), _DEDUP_SLOT.iter_unpack(view))))
+        journal = np.frombuffer(raw, _DEDUP_COLUMNS, len(raw) // _DEDUP_STRIDE)
+        residues = list(map(zlib.crc32, journal.view(f"V{_DEDUP_STRIDE}")))
         count = residues.count(_CRC_RESIDUE)
         if count != len(residues):  # torn tail; ignore it and the rest
             count = next(i for i, r in enumerate(residues) if r != _CRC_RESIDUE)
-        pairs = list(_DEDUP_PAIRS.iter_unpack(view[:count * _DEDUP_STRIDE]))
+        pairs = list(_DEDUP_PAIRS.iter_unpack(raw[:count * _DEDUP_STRIDE]))
         index = OrderedDict(pairs)
-        if (len(index) == count <= self._dedup_limit and len(live) <= count
-                and pairs[count - len(live):] == live):
-            # replaying distinct ids within the limit, then re-touching the
-            # journal's own last entries in order, yields exactly this order
-            self._dedup = index
+        tail = journal[count - len(live):count]
+        if (len(index) == count >= len(live) and (tail["seq"] == live["seq"]).all()
+                and (tail["message_id"] == live["message_id"]).all()):
+            # distinct ids replay to their newest dedup_limit, and re-touching
+            # the journal's own last entries in order moves none of them
+            self._dedup = (index if count <= self._dedup_limit
+                           else OrderedDict(pairs[count - self._dedup_limit:]))
         else:
-            for mid, seq in pairs + live:
+            for mid, seq in pairs + list(zip(live["message_id"].tolist(),
+                                             live["seq"].tolist())):
                 self._dedup_remember(mid, seq, persist=False)
         self._dedup_journal_entries = count
         os.lseek(self._dedup_fd, count * _DEDUP_STRIDE, os.SEEK_SET)
-        os.ftruncate(self._dedup_fd, count * _DEDUP_STRIDE)
+        if count * _DEDUP_STRIDE != len(raw):
+            os.ftruncate(self._dedup_fd, count * _DEDUP_STRIDE)
 
 
 # -- header / record codecs ------------------------------------------------
 
-def _pack_header(element_size: int, capacity: int, next_seq: int, earliest_seq: int) -> bytes:
-    body = _HEADER.pack(MAGIC, VERSION, element_size, capacity, 0, next_seq, earliest_seq)
-    packed = body + _HEADER_CRC.pack(zlib.crc32(body))
+def _pack_header(element_size: int, capacity: int, next_seq: int, earliest_seq: int,
+                 dedup_limit: int) -> bytes:
+    window = 0 if dedup_limit == DEFAULT_DEDUP_LIMIT else dedup_limit
+    body = _HEADER.pack(MAGIC, VERSION, element_size, capacity, window, next_seq, earliest_seq)
+    packed = body + _CRC.pack(zlib.crc32(body))
     return packed.ljust(HEADER_SIZE, b"\x00")
 
 
@@ -377,19 +393,34 @@ def _pack_dedup_entry(message_id: bytes, seq: int) -> bytes:
     return body + _CRC.pack(zlib.crc32(body))
 
 
-def _read_log(path: Path) -> tuple[int, int, int, bytes]:
-    """(element_size, capacity, next_seq, slot area) of a log whose header checks out."""
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write data to a `.tmp` sibling, then rename it over path."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
+def _read_log(path: Path) -> tuple[int, int, int, int, bytes]:
+    """(element_size, capacity, next_seq, dedup_limit, slot area) of a log
+    whose header checks out."""
     try:
-        raw = path.read_bytes()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            raw = os.read(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+    except FileNotFoundError as exc:
+        raise UnknownLog(f"no log file at {path}") from exc
     except OSError as exc:
         raise StorageFailure(str(exc)) from exc
     if len(raw) < HEADER_SIZE:
         raise CorruptHeader(f"{path}: short header ({len(raw)} bytes)")
     body = raw[:_HEADER.size]
-    (crc,) = _HEADER_CRC.unpack_from(raw, _HEADER.size)
+    (crc,) = _CRC.unpack_from(raw, _HEADER.size)
     if crc != zlib.crc32(body):
         raise CorruptHeader(f"{path}: header checksum mismatch")
-    magic, version, element_size, capacity, _, next_seq, _ = _HEADER.unpack(body)
+    magic, version, element_size, capacity, window, next_seq, _ = _HEADER.unpack(body)
     if magic != MAGIC:
         raise CorruptHeader(f"{path}: bad magic {magic!r}")
     if version != VERSION:
@@ -397,41 +428,43 @@ def _read_log(path: Path) -> tuple[int, int, int, bytes]:
     if element_size < 1 or capacity < 1:
         raise CorruptHeader(f"{path}: nonsensical header geometry")
     stride = RECORD_OVERHEAD + element_size
-    return element_size, capacity, next_seq, raw[HEADER_SIZE:HEADER_SIZE + capacity * stride]
+    return (element_size, capacity, next_seq, window or DEFAULT_DEDUP_LIMIT,
+            raw[HEADER_SIZE:HEADER_SIZE + capacity * stride])
 
 
 @lru_cache(maxsize=64)
-def _record_structs(element_size: int) -> tuple[struct.Struct, struct.Struct]:
+def _record_structs(element_size: int) -> tuple[struct.Struct, struct.Struct, np.dtype]:
     """The record decoder for one element size, (seq, message_id,
-    created_at_us, payload_len, padded payload), and the whole-slot one."""
+    created_at_us, payload_len, padded payload), the whole-slot one, and
+    the same five fields as the columns of a slot array."""
     stride = RECORD_OVERHEAD + element_size
-    return struct.Struct(f"<Q16sQI{element_size}s4x"), struct.Struct(f"{stride}s")
+    columns = np.dtype({"names": ["seq", "message_id", "created_at_us", "payload_len", "payload"],
+                        "formats": ["<u8", "V16", "<u8", "<u4", f"V{element_size}"],
+                        "offsets": [0, 8, 24, 32, 36], "itemsize": stride})
+    return struct.Struct(f"<Q16sQI{element_size}s4x"), struct.Struct(f"{stride}s"), columns
 
 
-def _decode_slots(raw: bytes, element_size: int, seqs: Sequence[int]
-                  ) -> Iterator[tuple[int, tuple | None]]:
-    """Iterate (index, record) over each non-blank slot of a run of slots
-    whose leading slots should hold `seqs`, in order, and the rest nothing.
+def _decode_slots(raw: bytes, element_size: int, layout: np.ndarray | None = None
+                  ) -> np.ndarray | Iterator[tuple[int, tuple | None]]:
+    """Iterate (index, record) over each non-blank slot of a run of slots.
 
     record is the unpacked (seq, message_id, created_at_us, payload_len,
     padded payload) tuple, or None when the slot is not all zero yet has
-    seq 0, or has a payload_len over the element size or a bad CRC; a short
-    final slot counts as one that fails these checks. The whole run is
-    checked first, with one crc32 per slot (it is _CRC_RESIDUE exactly when
-    the stored CRC is right); only a run that differs is classified slot by
-    slot."""
-    record, slot = _record_structs(element_size)
+    seq 0, or has a payload_len over the element size or a bad CRC (one
+    crc32 over the slot is _CRC_RESIDUE exactly when its CRC is right); a
+    short final slot fails these checks. Given the layout, the seqs its
+    leading slots should hold (the rest blank), a whole run that passes the
+    same checks as columns of a zero-copy view is returned as that view."""
+    record, slot, columns = _record_structs(element_size)
     stride = record.size
-    used = len(seqs) * stride
-    if len(raw) >= used:
-        view = memoryview(raw)[:used]
-        records = list(record.iter_unpack(view))
-        if (list(map(itemgetter(0), records)) == list(seqs)
-                and max(map(itemgetter(3), records), default=0) <= element_size
-                and raw.count(0, used) == len(raw) - used
-                and list(map(zlib.crc32, map(itemgetter(0), slot.iter_unpack(view)))
-                         ).count(_CRC_RESIDUE) == len(records)):
-            return enumerate(records)
+    if layout is not None and len(raw) >= len(layout) * stride:
+        view = np.frombuffer(raw, columns, len(layout))
+        if (np.array_equal(view["seq"], layout)
+                and view["payload_len"].max(initial=0) <= element_size
+                and raw.count(0, view.nbytes) == len(raw) - view.nbytes
+                and list(map(zlib.crc32, view.view(f"V{stride}"))
+                         ).count(_CRC_RESIDUE) == len(view)):
+            return view
 
     def per_slot():
         whole = len(raw) - len(raw) % stride
@@ -451,22 +484,26 @@ def _decode_slots(raw: bytes, element_size: int, seqs: Sequence[int]
 
 
 def _scan_live_range(path: Path, area: bytes, element_size: int, capacity: int,
-                     header_next: int) -> tuple[int, int, bool, list[tuple]]:
+                     header_next: int) -> tuple[int, int, bool, np.ndarray]:
     """Reconstruct (next_seq, earliest_seq, torn_discarded, live) from the
-    records, where live holds every retained record in seq order.
+    records, where live holds every retained record's columns in seq order.
 
     The header's counters may be stale after a crash; records are the truth,
     and the header only proposes the layout they are checked against first.
     Exactly one invalid non-blank slot is tolerated, and only if it is where
     the next append would have landed (a torn final write).
     """
+    earliest = max(header_next - capacity, 1)
+    seqs = np.arange(earliest, max(header_next, earliest), dtype=np.uint64)
+    slots = (np.arange(len(seqs)) + (earliest - 1) % capacity) % capacity
+    layout = np.empty_like(seqs)  # the seq each slot holds if the header is right
+    layout[slots] = seqs
+    decoded = _decode_slots(area, element_size, layout)
+    if isinstance(decoded, np.ndarray):
+        return max(header_next, 1), earliest, False, decoded.take(slots)
     live: list[tuple] = []   # valid records
     bad_slots: list[int] = []
-    # slots before the one the header's next append lands in hold the newest
-    wrap = (header_next - 1) % capacity
-    layout = [*range(header_next - wrap, header_next),
-              *range(max(header_next - capacity, 1), header_next - wrap)]
-    for slot, rec in _decode_slots(area, element_size, layout):
+    for slot, rec in decoded:
         if rec is None or (rec[0] - 1) % capacity != slot:
             bad_slots.append(slot)
         else:
@@ -477,7 +514,7 @@ def _scan_live_range(path: Path, area: bytes, element_size: int, capacity: int,
         if bad_slots and bad_slots[0] != 0:
             raise CorruptHeader(f"{path}: corrupt record in slot {bad_slots[0]}")
         nxt = max(header_next, 1)
-        return nxt, nxt, bool(bad_slots), []
+        return nxt, nxt, bool(bad_slots), np.array(live, _record_structs(element_size)[2])
     live.sort(key=itemgetter(0))
     earliest, max_seq = live[0][0], live[-1][0]
     next_seq = max_seq + 1
@@ -488,7 +525,7 @@ def _scan_live_range(path: Path, area: bytes, element_size: int, capacity: int,
                                 f"(slots {bad_slots})")
     if max_seq - earliest + 1 != len(live):
         raise CorruptHeader(f"{path}: live sequence range has gaps")
-    return next_seq, earliest, bool(bad_slots), live
+    return next_seq, earliest, bool(bad_slots), np.array(live, _record_structs(element_size)[2])
 
 
 class LogRegistry:
@@ -503,10 +540,11 @@ class LogRegistry:
         _check_name(name)
         return self.root / f"{name}.log"
 
-    def create(self, name: str, element_size: int, capacity: int) -> LogStore:
+    def create(self, name: str, element_size: int, capacity: int,
+               dedup_limit: int = DEFAULT_DEDUP_LIMIT) -> LogStore:
         if name in self._open:
             raise NameCollision(f"log {name!r} already open on this node")
-        store = LogStore.create(self.path_for(name), name, element_size, capacity)
+        store = LogStore.create(self.path_for(name), name, element_size, capacity, dedup_limit)
         self._open[name] = store
         return store
 
@@ -524,7 +562,7 @@ class LogRegistry:
         return store
 
     def names(self) -> list[str]:
-        on_disk = {p.stem for p in self.root.glob("*.log")}
+        on_disk = {f[:-4] for f in os.listdir(self.root) if f.endswith(".log")}
         return sorted(on_disk | set(self._open))
 
     def close_all(self) -> None:

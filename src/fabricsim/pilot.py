@@ -290,7 +290,8 @@ class PilotController:
         return max(by_data, by_cores)
 
     def handle_task(self, task: TaskSpec):
-        """Process: apply the decision logic, wait for capacity, execute."""
+        """Process: check the task fits (ConfigError), decide, wait for capacity, execute."""
+        check_task_fits(task.cores, self.facility.system, self.cost_model)
         n_req = self.nodes_for_task(task)
         if decide_submit(n_req, self.facility.available_nodes()):
             self._submit(task, n_req, task.telemetry_timestamp_us)

@@ -115,9 +115,10 @@ def _reference_record(raw, element_size):
     return seq, message_id
 
 
-def reference_recover(log, journal, dedup_limit):
+def reference_recover(log, journal):
     """Reopen a log from its file and dedup-journal bytes, one slot and one
-    journal entry at a time.
+    journal entry at a time; the dedup window is the header's (0 means the
+    default of 65,536 ids).
 
     Returns None where recovery must raise CorruptHeader, else a dict of
     next_seq, earliest_seq, torn_discarded, dedup (the (id, seq) pairs in
@@ -128,7 +129,8 @@ def reference_recover(log, journal, dedup_limit):
         return None
     body = log[:_LOG_HEADER.size]
     (crc,) = struct.unpack_from("<I", log, _LOG_HEADER.size)
-    magic, version, element_size, capacity, _, header_next, _ = _LOG_HEADER.unpack(body)
+    magic, version, element_size, capacity, window, header_next, _ = _LOG_HEADER.unpack(body)
+    dedup_limit = window or 65_536
     if (crc != zlib.crc32(body) or magic != _LOG_MAGIC or version != 1
             or element_size < 1 or capacity < 1):
         return None

@@ -3,7 +3,8 @@ import struct
 import pytest
 
 from fabricsim.errors import SimulatedCrash, UnknownHandler
-from fabricsim.events import AppendEffect, effect_message_id
+from fabricsim.events import CURSOR_CAPACITY, AppendEffect, effect_message_id
+from fabricsim.logstore import LogStore
 from fabricsim.netsim import LinkSpec, Network
 from fabricsim.node import FabricNode
 from fabricsim.simcore import Simulator
@@ -218,6 +219,51 @@ def test_refire_after_crash_converges_to_fault_free_state(tmp_path):
             assert crashed
             assert got_a == baseline_a, (invocation, phase)
             assert got_b == baseline_b, (invocation, phase)
+
+
+def test_crash_replay_chain_keeps_cursor_journals_within_their_window(tmp_path,
+                                                                       monkeypatch):
+    # work gate: 400 values, a crash after every 30th invocation's effects;
+    # at every reopen each cursor journal holds at most four windows of
+    # entries, and no cursor commit is ever a dedup hit
+    cursor_hits = []
+    real_append = LogStore.append
+
+    def append(self, payload, message_id, created_at_us=0):
+        before = self.next_seq
+        seq = real_append(self, payload, message_id, created_at_us)
+        if self.name.startswith("__cursor__") and self.next_seq == before:
+            cursor_hits.append(self.name)
+        return seq
+
+    monkeypatch.setattr(LogStore, "append", append)
+    values = [struct.pack("<q", v) for v in range(400)]
+    reopens = 0
+    for epoch in range(100):
+        sim = Simulator(seed=epoch)
+        node = FabricNode(sim, Network(sim, []), "n", tmp_path / "n")
+        if epoch == 0:
+            node.create_log("src", 8, 512)
+            node.create_log("out", 8, 512)
+            for v in values:
+                node.append_local("src", v)
+        node.engine.register_handler(
+            "copy", lambda entry, ctx: [AppendEffect("n", "out", entry.payload)])
+        node.engine.bind("src", "copy")
+        cursors = [node.registry.get(name) for name in node.registry.names()
+                   if name.startswith("__cursor__")]
+        assert cursors and all(c._dedup_journal_entries <= 4 * CURSOR_CAPACITY
+                               for c in cursors)
+        node.engine.set_crash_plan(30, "after_effects")
+        try:
+            sim.run()
+            break
+        except SimulatedCrash:
+            node.close()
+            reopens += 1
+    assert reopens >= 10 and cursor_hits == []
+    assert [e.payload for e in _entries(node, "out")] == values
+    node.close()
 
 
 def test_progress_no_deadlock_across_randomized_schedules(tmp_path):

@@ -1,7 +1,10 @@
+import collections
+import os
 import random
 import threading
 import zlib
 
+import numpy as np
 import pytest
 
 from fabricsim.errors import (
@@ -214,6 +217,36 @@ def test_scan_matches_per_seq_read_across_the_wrap_point(tmp_path):
 
 # -- recover ---------------------------------------------------------------------
 
+@pytest.fixture
+def recovery_paths(monkeypatch) -> collections.Counter:
+    """How often recovery checked its records as whole "columns" or slot by
+    "slots", and rebuilt its dedup index from the "journal" as it stands or
+    by an entry-by-entry "replay"."""
+    paths: collections.Counter = collections.Counter()
+    real_decode = logstore._decode_slots
+    real_load, real_remember = LogStore._load_dedup, LogStore._dedup_remember
+
+    def decode(raw, element_size, layout=None):
+        result = real_decode(raw, element_size, layout)
+        if layout is not None:  # recovery, not a read or scan
+            paths["columns" if isinstance(result, np.ndarray) else "slots"] += 1
+        return result
+
+    def remember(self, message_id, seq, persist):
+        paths["replayed entries"] += not persist
+        real_remember(self, message_id, seq, persist)
+
+    def load_dedup(self, live):
+        before = paths["replayed entries"]
+        real_load(self, live)
+        paths["replay" if paths["replayed entries"] > before else "journal"] += 1
+
+    monkeypatch.setattr(logstore, "_decode_slots", decode)
+    monkeypatch.setattr(LogStore, "_dedup_remember", remember)
+    monkeypatch.setattr(LogStore, "_load_dedup", load_dedup)
+    return paths
+
+
 def test_recover_round_trips_100_entries(tmp_path):
     path = tmp_path / "dur.log"
     s = LogStore.create(path, "dur", 32, 256)
@@ -283,7 +316,7 @@ def test_recover_parses_each_live_record_once(tmp_path, decoded_records):
     r.close()
 
 
-def test_recover_matches_reference_on_random_histories(tmp_path):
+def test_recover_matches_reference_on_random_histories(tmp_path, recovery_paths):
     # appends with repeated ids, an LRU small enough to evict, journal
     # compactions, reopens (some after a cut journal) and wraparound; then
     # the log and the journal are cut (or a byte flipped) at random and
@@ -305,7 +338,7 @@ def test_recover_matches_reference_on_random_histories(tmp_path):
                 if op < 0.08:
                     data = journal.read_bytes()
                     journal.write_bytes(data[:rng.randint(0, len(data))])
-                s = LogStore.recover(path, dedup_limit=limit)
+                s = LogStore.recover(path)
             else:
                 s.append(rng.randbytes(rng.randint(0, element)), mid(rng.randint(1, id_pool)))
         s.close()
@@ -318,23 +351,25 @@ def test_recover_matches_reference_on_random_histories(tmp_path):
                 at = rng.randrange(len(data))
                 data = data[:at] + bytes([data[at] ^ 0x5A]) + data[at + 1:]
             target.write_bytes(data)
-        if expect_recovery_as_reference(path, limit):
+        if expect_recovery_as_reference(path):
             outcomes["recovered"] += 1
         else:
             outcomes["corrupt"] += 1
     assert min(outcomes.values()) >= 10, outcomes
+    assert min(recovery_paths[p] for p in ("columns", "slots", "journal", "replay")) >= 10, \
+        recovery_paths
 
 
-def expect_recovery_as_reference(path, limit) -> bool:
+def expect_recovery_as_reference(path) -> bool:
     """Recover path and check the outcome against the reference; True if it
     recovered, False if both raised CorruptHeader."""
     journal = path.with_suffix(".log.dedup")
-    expected = oracles.reference_recover(path.read_bytes(), journal.read_bytes(), limit)
+    expected = oracles.reference_recover(path.read_bytes(), journal.read_bytes())
     if expected is None:
         with pytest.raises(CorruptHeader):
-            LogStore.recover(path, dedup_limit=limit)
+            LogStore.recover(path)
         return False
-    r = LogStore.recover(path, dedup_limit=limit)
+    r = LogStore.recover(path)
     got = {"next_seq": r.next_seq, "earliest_seq": r.earliest_seq,
            "torn_discarded": r.torn_discarded, "dedup": list(r._dedup.items()),
            "journal_entries": r._dedup_journal_entries,
@@ -344,7 +379,13 @@ def expect_recovery_as_reference(path, limit) -> bool:
     return True
 
 
-def test_recover_replays_a_journal_with_a_repeated_id_entry_by_entry(tmp_path):
+def journal_entry(message_id, seq):
+    body = message_id + seq.to_bytes(8, "little")
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def test_recover_replays_a_journal_with_a_repeated_id_entry_by_entry(tmp_path,
+                                                                      recovery_paths):
     # a journal naming one id twice replays as an LRU would: the first seq
     # stays, even though the live record (seq 2) is the journal's last entry
     path = tmp_path / "dup.log"
@@ -352,12 +393,9 @@ def test_recover_replays_a_journal_with_a_repeated_id_entry_by_entry(tmp_path):
     s.append(b"a", mid(1))
     s.append(b"b", mid(2))
     s.close()
-    entries = b""
-    for seq in (1, 2):
-        body = mid(2) + seq.to_bytes(8, "little")
-        entries += body + zlib.crc32(body).to_bytes(4, "little")
-    path.with_suffix(".log.dedup").write_bytes(entries)
-    assert expect_recovery_as_reference(path, 64)
+    path.with_suffix(".log.dedup").write_bytes(journal_entry(mid(2), 1) + journal_entry(mid(2), 2))
+    assert expect_recovery_as_reference(path)
+    assert (recovery_paths["columns"], recovery_paths["replay"]) == (1, 1)
     r = LogStore.recover(path)
     assert (r.next_seq, list(r._dedup.items())) == (3, [(mid(2), 1)])
     r.close()
@@ -373,22 +411,23 @@ def write_log(path, element, capacity, appends):
 def rewrite_header(path, next_seq):
     """Replace the header's counters as a crash between a record write and
     its header write would leave them; the header CRC stays valid."""
-    element, capacity, _, _ = logstore._read_log(path)
+    element, capacity, _, limit, _ = logstore._read_log(path)
     with open(path, "r+b") as f:
         f.write(logstore._pack_header(element, capacity, next_seq,
-                                      max(1, next_seq - capacity)))
+                                      max(1, next_seq - capacity), limit))
 
 
 @pytest.mark.parametrize("appends", [1, 5, 8, 13, 16])
 @pytest.mark.parametrize("offset", [-1, +1])
 def test_recover_matches_reference_when_header_and_records_disagree(tmp_path, appends,
-                                                                    offset):
+                                                                    offset, recovery_paths):
     # the header proposes a layout one seq behind (a record written, its
     # header not) or one ahead of the records; the records decide
     path = tmp_path / "lag.log"
     write_log(path, 4, 8, appends)
     rewrite_header(path, appends + 1 + offset)
-    assert expect_recovery_as_reference(path, logstore.DEFAULT_DEDUP_LIMIT)
+    assert expect_recovery_as_reference(path)
+    assert (recovery_paths["columns"], recovery_paths["slots"]) == (0, 1)
     r = LogStore.recover(path)
     assert (r.earliest_seq, r.next_seq) == (max(1, appends - 7), appends + 1)
     assert [e.seq for e in r.scan(1, appends).entries] == list(range(r.earliest_seq,
@@ -396,13 +435,108 @@ def test_recover_matches_reference_when_header_and_records_disagree(tmp_path, ap
     r.close()
 
 
-def test_recover_wrapped_log_at_every_rotation(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fault, records_path, journal_path", [
+    ("header_behind", "slots", "journal"),
+    ("header_ahead", "slots", "journal"),
+    ("torn_tail", "slots", "journal"),
+    ("flipped_byte", "slots", None),             # beyond the torn slot: corrupt
+    ("repeated_journal_id", "columns", "replay"),
+    ("torn_journal_tail", "columns", "replay"),
+    ("journal_seqs_disagree", "columns", "replay"),  # distinct ids, not the records'
+    ("journal_ids_disagree", "columns", "replay"),
+    ("journal_past_window", "columns", "journal"),  # distinct ids: newest window
+    ("reappended_past_window", "columns", "replay"),
+])
+def test_recover_fallbacks_match_reference(tmp_path, recovery_paths, fault, records_path,
+                                          journal_path):
+    # 13 appends wrap an 8-slot log whose dedup window is 4 ids, so its
+    # 13-entry journal is longer than the window; each fault moves recovery
+    # off the column check or the journal's own order, or neither
+    path, stride = tmp_path / "f.log", RECORD_OVERHEAD + 4
+    journal = path.with_suffix(".log.dedup")
+    s = LogStore.create(path, "f", 4, 8, dedup_limit=4)
+    for i in range(1, 14):
+        s.append(bytes([i]), mid(i))
+    if fault == "reappended_past_window":
+        s.append(b"re", mid(1))  # evicted from the window, so written again
+    s.close()
+    if fault in ("header_behind", "header_ahead", "torn_tail"):
+        rewrite_header(path, 15 if fault == "header_ahead" else 13)
+    newest = HEADER_SIZE + (13 - 1) % 8 * stride
+    data = bytearray(path.read_bytes())
+    if fault == "torn_tail":  # seq 13 half written: neither header nor journal name it
+        data[newest + 20:newest + stride] = bytes(stride - 20)
+        journal.write_bytes(journal.read_bytes()[:-28])
+    elif fault == "flipped_byte":
+        data[newest - 2 * stride + 30] ^= 0x10
+    elif fault == "repeated_journal_id":
+        journal.write_bytes(journal_entry(mid(13), 1) + journal.read_bytes())
+    elif fault == "torn_journal_tail":
+        journal.write_bytes(journal.read_bytes()[:-5])
+    elif fault == "journal_seqs_disagree":
+        journal.write_bytes(b"".join(journal_entry(mid(i), i + 100) for i in range(1, 14)))
+    elif fault == "journal_ids_disagree":
+        journal.write_bytes(b"".join(journal_entry(mid(i + 100), i) for i in range(1, 14)))
+    path.write_bytes(data)
+    assert expect_recovery_as_reference(path) == (fault != "flipped_byte")
+    assert recovery_paths[records_path] == 1, recovery_paths
+    if journal_path is not None:
+        assert recovery_paths[journal_path] == 1, recovery_paths
+
+
+@pytest.mark.parametrize("step", ["before_write", "after_write", "after_replace"])
+@pytest.mark.parametrize("operation", ["resize", "compaction"])
+def test_crash_mid_resize_or_compaction_recovers_as_reference(tmp_path, monkeypatch,
+                                                              operation, step):
+    # both write a .tmp sibling and rename it over the file; a process crash
+    # at each step leaves the old file or the new one, and the reopen removes
+    # any leftover .tmp file
+    path = tmp_path / "c.log"
+    s = LogStore.create(path, "c", 8, 8, dedup_limit=4)
+    for i in range(1, 21):  # wrapped, and the journal compacted once already
+        s.append(bytes([i]) * (i % 8), mid(i))
+    real_open, real_replace = open, os.replace
+
+    class Crash(Exception):
+        pass
+
+    def crashing_open(file, mode="r"):
+        f = real_open(file, mode)
+        if step == "before_write":
+            f.close()
+            raise Crash
+        return f
+
+    def crashing_replace(src, dst):
+        if step == "after_replace":
+            real_replace(src, dst)
+        raise Crash
+
+    monkeypatch.setattr(logstore, "open", crashing_open, raising=False)
+    monkeypatch.setattr(os, "replace", crashing_replace)
+    with pytest.raises(Crash):
+        s.resize(16) if operation == "resize" else s._compact_dedup()
+    monkeypatch.undo()
+    os.close(s._fd)  # the process is gone: nothing else reaches its files
+    os.close(s._dedup_fd)
+    leftover = {"resize": "c.log.tmp", "compaction": "c.log.dedup.tmp"}[operation]
+    assert [p.name for p in tmp_path.glob("*.tmp")] == \
+        ([] if step == "after_replace" else [leftover])
+    assert expect_recovery_as_reference(path)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_recover_wrapped_log_at_every_rotation(tmp_path, monkeypatch, recovery_paths):
     decoded_records, verdicts = [], []  # seqs decoded; whether a run passed whole
     real_decode = logstore._decode_slots
 
-    def recording_decode(raw, element_size, seqs):
-        result = real_decode(raw, element_size, seqs)
-        verdicts.append(isinstance(result, enumerate))
+    def recording_decode(raw, element_size, layout=None):
+        result = real_decode(raw, element_size, layout)
+        if layout is not None:  # recovery's whole-run check, not a read or scan
+            verdicts.append(isinstance(result, np.ndarray))
+        if isinstance(result, np.ndarray):
+            decoded_records.extend(result["seq"].tolist())
+            return result
         pairs = list(result)
         decoded_records.extend(rec[0] if rec is not None else 0 for _, rec in pairs)
         return iter(pairs)
@@ -413,7 +547,7 @@ def test_recover_wrapped_log_at_every_rotation(tmp_path, monkeypatch):
             path = tmp_path / f"w{capacity}_{appends}.log"
             write_log(path, 3, capacity, appends)
             decoded_records.clear()
-            assert expect_recovery_as_reference(path, logstore.DEFAULT_DEDUP_LIMIT)
+            assert expect_recovery_as_reference(path)
             # each slot decoded once, and the records come back in seq order
             assert sorted(decoded_records) == list(range(appends - capacity + 1, appends + 1))
             r = LogStore.recover(path)
@@ -425,12 +559,15 @@ def test_recover_wrapped_log_at_every_rotation(tmp_path, monkeypatch):
             assert r.take_recovered() is None  # handed over once
             r.close()
     assert verdicts and all(verdicts)  # the header's layout held at every rotation
+    assert recovery_paths["slots"] == recovery_paths["replay"] == 0
 
 
 def test_decode_slots_agrees_with_a_slot_by_slot_reference():
     # whether a run matches the seqs it should hold or differs from them
-    # anyhow, each non-blank slot decodes as the one-slot reference says
+    # anyhow, each non-blank slot decodes as the one-slot reference says,
+    # slot by slot or, given the layout, as a run that passes whole
     element, stride = 4, RECORD_OVERHEAD + 4
+    passed_whole = 0
 
     def slot(seq, payload_len=1):
         body = logstore._RECORD_PREFIX.pack(seq, mid(seq), 0, payload_len) + bytes(element)
@@ -453,8 +590,14 @@ def test_decode_slots_agrees_with_a_slot_by_slot_reference():
         expected = [(i, oracles._reference_record(raw[off:off + stride], element))
                     for i, off in enumerate(range(0, len(raw), stride))
                     if any(raw[off:off + stride])]
-        got = [(i, rec and rec[:2]) for i, rec in logstore._decode_slots(raw, element, seqs)]
+        got = [(i, rec and rec[:2]) for i, rec in logstore._decode_slots(raw, element)]
         assert got == expected, (seed, fault)
+        result = logstore._decode_slots(raw, element, np.array(seqs, dtype=np.uint64))
+        if isinstance(result, np.ndarray):
+            passed_whole += 1
+            result = enumerate(zip(result["seq"].tolist(), result["message_id"].tolist()))
+        assert [(i, rec and rec[:2]) for i, rec in result] == expected, (seed, fault)
+    assert 30 <= passed_whole <= 270, passed_whole
 
 
 def test_recovered_records_are_dropped_at_close(tmp_path):
@@ -474,7 +617,7 @@ def test_recover_with_a_nonzero_byte_past_the_last_used_slot(tmp_path, slot, rec
     with open(path, "r+b") as f:
         f.seek(HEADER_SIZE + slot * (RECORD_OVERHEAD + 4) + 20)
         f.write(b"\x01")
-    assert expect_recovery_as_reference(path, logstore.DEFAULT_DEDUP_LIMIT) == recovers
+    assert expect_recovery_as_reference(path) == recovers
 
 
 @pytest.mark.parametrize("fault", ["payload_len_too_long", "seq_zero"])
@@ -498,7 +641,7 @@ def test_record_failing_a_check_besides_its_crc_is_skipped_and_torn(tmp_path, fa
         s.read(5)
     assert [e.seq for e in s.scan(1, 5).entries] == [1, 2, 3, 4]
     s.close()
-    assert expect_recovery_as_reference(path, logstore.DEFAULT_DEDUP_LIMIT)
+    assert expect_recovery_as_reference(path)
     r = LogStore.recover(path)
     assert (r.next_seq, r.torn_discarded) == (5, True)
     r.close()
@@ -527,7 +670,7 @@ def test_closed_store_refuses_io(tmp_path):
     b.close()
 
 
-def test_truncation_at_every_byte_of_last_record(tmp_path):
+def test_truncation_at_every_byte_of_last_record(tmp_path, recovery_paths):
     # fault-injection harness: persist 100 entries, then truncate the file at
     # every byte offset inside the final record; recovery must always come
     # back with 99 entries and next_seq == 100
@@ -547,6 +690,7 @@ def test_truncation_at_every_byte_of_last_record(tmp_path):
         with open(victim, "r+b") as f:
             f.truncate(last_record_start + cut)
         r = LogStore.recover(victim)
+        assert recovery_paths["slots"] == cut + 1  # a torn tail is classified slot by slot
         assert r.next_seq == 100, f"cut at byte {cut}"
         assert r.earliest_seq == 1
         assert len(r.scan(1, 99).entries) == 99

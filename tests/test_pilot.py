@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -158,20 +160,37 @@ def test_facility_queries_skip_expired_pilots(monkeypatch):
 
 def test_pilot_runtime_capped_on_first_submit_and_resubmit():
     sim = Simulator(seed=1)
-    system = SystemSpec(total_nodes=1, cores_per_node=32, max_runtime_s=3600.0,
+    system = SystemSpec(total_nodes=1, cores_per_node=64, max_runtime_s=3600.0,
                         queue_delay=QueueDelayModel("constant", 0.0))
     facility = Facility(sim, system)
     submits = []
     submit_pilot = facility.submit_pilot
     facility.submit_pilot = lambda nodes, runtime_s, delay_key=None: (
         submits.append((delay_key, runtime_s)) or submit_pilot(nodes, runtime_s, delay_key))
-    # 64 cores need two 32-core nodes but a pilot gets at most the one node
-    # the facility has, so _acquire resubmits right after the first submit
-    task = TaskSpec(0, 1024, 7200.0, 64, telemetry_timestamp_us=5)
+    # 2,048 bytes at 1,024 per node ask for two nodes but a pilot gets at most
+    # the one node the facility has, so _acquire resubmits right after the
+    # first submit (the one node's 64 cores can still host the task)
+    task = TaskSpec(2048, 1024, 7200.0, 64, telemetry_timestamp_us=5)
     controller = PilotController(facility, CfdCostModel(), strategy="reactive")
     sim.spawn(controller.handle_task(task))
     sim.run(until_us=s_to_us(60))
     assert submits[:2] == [(5, 3600.0), ("5:retry1", 3600.0)]
+
+
+def test_handle_task_no_pilot_can_host_raises_before_any_submit():
+    # driven directly, without a pipeline's build-time check: 64 cores on a
+    # 1 x 32-core facility would otherwise resubmit a pilot every 300 s forever
+    sim = Simulator(seed=1)
+    system = SystemSpec(total_nodes=1, cores_per_node=32,
+                        queue_delay=QueueDelayModel("constant", 0.0))
+    facility = Facility(sim, system)
+    controller = PilotController(facility, CfdCostModel(), strategy="reactive")
+    sim.spawn(controller.handle_task(TaskSpec(0, 1024, 420.0, 64)))
+    started = time.process_time()
+    with pytest.raises(ConfigError, match="64 cores .* 1 x 32"):
+        sim.run()
+    assert time.process_time() - started < 1.0
+    assert facility.pilots == [] and sim.now_us == 0
 
 
 def test_execute_task_on_queued_pilot_rejected():

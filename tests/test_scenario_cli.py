@@ -90,7 +90,7 @@ def test_table1_report_deterministic(tmp_path):
 BUNDLED_OUTPUT_SHA256 = {
     "table1": "736a64f6afd9d6d25ac780529927f1524ff955c224ac19ef1fa6481ee45612d0",
     "slicing": "93a9cb9c03fa6590a59bf80aca3bbbbb17dfd66663cd5631ec9c488c0aeb30f9",
-    "e2e_cups": "f79fecee72d3d8b20d3e6d5de2a3a9072f88062f1bcb282472673fe8af9da50e",
+    "e2e_cups": "28d33d0e05775b169fba756889e827ea69bcf31d454f6a739be63c80c08c540d",
     "queue_sweep": "6567ca6cb150c6bdff1d837e01aa1e737d901682735557005f93e4b0d729fe76",
 }
 
