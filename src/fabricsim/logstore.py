@@ -549,7 +549,9 @@ class LogRegistry:
         return store
 
     def exists(self, name: str) -> bool:
-        return name in self._open or self.path_for(name).exists()
+        """False also for a name no log can have, as a wire request may carry."""
+        return name in self._open or (
+            _NAME_RE.fullmatch(name) is not None and self.path_for(name).exists())
 
     def get(self, name: str) -> LogStore:
         store = self._open.get(name)

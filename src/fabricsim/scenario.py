@@ -12,7 +12,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, NetError
 from .netsim import LinkSpec
 from .pilot import CfdCostModel, QueueDelayModel, SystemSpec
 from .simcore import s_to_us
@@ -254,13 +254,16 @@ def load_scenario(ref: str | Path) -> dict:
 
 def build_links(raw: dict) -> list[LinkSpec]:
     links = []
-    for spec in raw["topology"]["links"]:
+    for i, spec in enumerate(raw["topology"]["links"]):
         fields = dict(spec)
         fields["link_id"] = fields.pop("id")
         if "partitions_s" in fields:
             fields["partitions_us"] = tuple((s_to_us(a), s_to_us(b))
                                             for a, b in fields.pop("partitions_s"))
-        links.append(LinkSpec(**fields))
+        try:
+            links.append(LinkSpec(**fields))
+        except NetError as exc:
+            raise ConfigError(f"bad value for topology.links[{i}]: {exc}") from exc
     return links
 
 

@@ -2,9 +2,10 @@
 
 Simulated time is integer microseconds. Events with equal timestamps fire in
 insertion order, so a run is fully determined by the topology and the seed.
-Long-running activities are written as generators that yield `sleep(...)`,
-a `Trigger`, another `Process`, or an object whose `park(process)` method
-takes the process over; the engine resumes them when the awaited thing happens.
+Long-running activities are written as generators. Whatever one yields
+parks it: the engine calls the yielded object's `park(process)`, and that
+object schedules the resume. `sleep(...)`, a `Trigger`, `wait(trigger,
+timeout_us)` and the transport's exchanges are the yieldables.
 
 A heap entry is the event itself, `[t, tie, fn, args]`; cancelling a
 pending event sets its `fn` slot to None, and `run` skips it.
@@ -52,6 +53,9 @@ class _Sleep:
             raise ValueError("negative sleep")
         self.delay_us = int(delay_us)
 
+    def park(self, proc: "Process") -> None:
+        proc._sim.schedule(self.delay_us, proc._sim._step, proc, None, False)
+
 
 def sleep(delay_us: int) -> _Sleep:
     return _Sleep(delay_us)
@@ -66,7 +70,7 @@ class Trigger:
         self._sim = sim
         self.fired = False
         self.value: Any = None
-        self._waiters: list[_WaitSlot] = []
+        self._waiters: list[_WaitFor] = []
 
     def fire(self, value: Any = None) -> None:
         if self.fired:
@@ -74,65 +78,65 @@ class Trigger:
         self.fired = True
         self.value = value
         waiters, self._waiters = self._waiters, []
-        for slot in waiters:
-            slot.resolve(value)
+        for waiter in waiters:
+            waiter.resolve(value)
+
+    def park(self, proc: "Process") -> None:
+        _WaitFor(self, None).park(proc)
 
 
 class _WaitFor:
-    __slots__ = ("trigger", "timeout_us")
+    """A parked wait on `trigger`: the trigger firing and the timeout race,
+    and the first one resumes the process."""
+
+    __slots__ = ("trigger", "timeout_us", "proc", "timeout")
 
     def __init__(self, trigger: Trigger, timeout_us: int | None):
         self.trigger = trigger
         self.timeout_us = timeout_us
+        self.proc: Process | None = None  # None again once resumed
+        self.timeout: list | None = None  # the pending timeout's heap entry
+
+    def park(self, proc: "Process") -> None:
+        # drop the trigger: an expired wait left in its waiter list is a cycle
+        trigger, self.trigger, sim = self.trigger, None, proc._sim
+        if trigger.fired:
+            sim.schedule(0, sim._step, proc, trigger.value, False)
+            return
+        self.proc = proc
+        trigger._waiters.append(self)
+        if self.timeout_us is not None:
+            self.timeout = sim.schedule(self.timeout_us, self.expire)
+
+    def resolve(self, value: Any) -> None:
+        proc, self.proc = self.proc, None
+        if proc is None:  # the timeout won
+            return
+        if self.timeout is not None:
+            self.timeout[2] = None  # cancels the timeout
+        proc._sim.schedule(0, proc._sim._step, proc, value, False)
+
+    def expire(self) -> None:
+        proc, self.proc, self.timeout = self.proc, None, None
+        proc._sim.schedule(0, proc._sim._step, proc, TIMEOUT, False)
 
 
 def wait(trigger: Trigger, timeout_us: int | None = None) -> _WaitFor:
     return _WaitFor(trigger, timeout_us)
 
 
-class _WaitSlot:
-    """Arbitrates between a trigger firing and its timeout; first wins."""
-
-    __slots__ = ("process", "claimed", "timeout_event")
-
-    def __init__(self, process: "Process"):
-        self.process = process
-        self.claimed = False
-        self.timeout_event: list | None = None
-
-    def claim(self) -> None:
-        self.claimed = True
-        if self.timeout_event is not None:
-            self.timeout_event[2] = None
-
-    def resolve(self, value: Any) -> None:
-        if self.claimed:
-            return
-        self.claim()
-        self.process._sim._resume(self.process, value)
-
-    def expire(self) -> None:
-        self.timeout_event = None  # that entry holds `expire`; keeping it is a cycle
-        self.claimed = True
-        self.process._sim._resume(self.process, TIMEOUT)
-
-
 class Process:
     """A spawned generator activity."""
 
-    __slots__ = ("_sim", "gen", "name", "done", "result", "error")
+    __slots__ = ("_sim", "gen", "name", "result", "error", "finished")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self._sim = sim
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "proc")
-        self.done = Trigger(sim)
         self.result: Any = None
         self.error: BaseException | None = None
-
-    @property
-    def finished(self) -> bool:
-        return self.done.fired
+        self.finished = False
 
 
 class Simulator:
@@ -205,9 +209,6 @@ class Simulator:
 
     # -- process stepping -----------------------------------------------
 
-    def _resume(self, proc: Process, value: Any) -> None:
-        self.schedule(0, self._step, proc, value, False)
-
     def _step(self, proc: Process, value: Any, throwing: bool) -> None:
         try:
             if throwing:
@@ -215,47 +216,15 @@ class Simulator:
             else:
                 yielded = proc.gen.send(value)
         except StopIteration as stop:
-            proc.result = stop.value
-            proc.done.fire(stop.value)
+            proc.result, proc.finished = stop.value, True
             return
-        except BaseException as exc:  # noqa: BLE001 - propagated to joiner or re-raised
+        except BaseException as exc:  # noqa: BLE001 - recorded, then re-raised out of run()
             proc.error = exc
-            if proc.done._waiters:
-                for slot in list(proc.done._waiters):
-                    slot.claim()
-                    self.schedule(0, self._step, slot.process, exc, True)
-                proc.done._waiters.clear()
-                proc.done.fired = True
-                return
             raise
-
-        if isinstance(yielded, _Sleep):
-            self.schedule(yielded.delay_us, self._step, proc, None, False)
-        elif (park := getattr(yielded, "park", None)) is not None:
-            park(proc)
-        elif isinstance(yielded, Trigger):
-            self._wait_on(proc, yielded, None)
-        elif isinstance(yielded, _WaitFor):
-            self._wait_on(proc, yielded.trigger, yielded.timeout_us)
-        elif isinstance(yielded, Process):
-            child = yielded
-            if child.error is not None:
-                self.schedule(0, self._step, proc, child.error, True)
-            elif child.finished:
-                self.schedule(0, self._step, proc, child.result, False)
-            else:
-                self._wait_on(proc, child.done, None)
-        else:
+        park = getattr(yielded, "park", None)
+        if park is None:
             raise TypeError(f"process yielded unsupported value: {yielded!r}")
-
-    def _wait_on(self, proc: Process, trigger: Trigger, timeout_us: int | None) -> None:
-        if trigger.fired:
-            self.schedule(0, self._step, proc, trigger.value, False)
-            return
-        slot = _WaitSlot(proc)
-        trigger._waiters.append(slot)
-        if timeout_us is not None:
-            slot.timeout_event = self.schedule(timeout_us, slot.expire)
+        park(proc)
 
 
 def run_to_completion(sim: Simulator, gen: Generator, until_us: int | None = None) -> Any:

@@ -166,15 +166,26 @@ def test_cli_rejects_bad_config_with_exit_two(tmp_path, capsys):
     assert "typo_key" in err
 
 
-def test_cli_config_error_found_while_building_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("section, key, value, named", [
+    ("pilot", "strategy", "bogus", "bogus"),
+    # values the schema's types accept but `LinkSpec` rejects
+    ("link", "loss_prob", 1.5, "topology.links[0]"),
+    ("link", "duplicate_prob", 1.0, "topology.links[0]"),
+    ("link", "base_capacity_mbps", 0, "topology.links[0]"),
+], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps"])
+def test_cli_config_error_found_while_building_exits_two(
+        tmp_path, capsys, section, key, value, named):
     bad = tmp_path / "bad.json"
     config = load_scenario("e2e_cups")
-    config["cups"]["pilot"] = {"strategy": "bogus"}
+    if section == "pilot":
+        config["cups"]["pilot"] = {key: value}
+    else:
+        config["topology"]["links"][0][key] = value
     bad.write_text(json.dumps(config))
     code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error: ") and "bogus" in err
+    assert err.startswith("config error: ") and named in err
 
 
 def _cli_run_within_5_s(tmp_path, config):

@@ -43,6 +43,22 @@ def test_socket_unknown_log(served):
         client.element_size("ghost")
 
 
+def test_socket_bad_log_name_is_unknown_and_the_session_goes_on(served):
+    registry, client = served
+    cached = SocketClient(client._sock.getpeername(), cache=SizeCache())
+    cached.cache[(cached.peer, "bad/name")] = 256
+    try:
+        with pytest.raises(UnknownLog):
+            client.element_size("no space")
+        with pytest.raises(UnknownLog):
+            cached.remote_append("bad/name", b"x", mid(20))
+        # both connections are still served
+        assert client.remote_append("inbox", b"still here", mid(21)) == 1
+        assert cached.remote_append("inbox", b"and here", mid(22)) == 2
+    finally:
+        cached.close()
+
+
 def test_socket_payload_too_large(served):
     _, client = served
     with pytest.raises(PayloadTooLarge):

@@ -32,7 +32,7 @@ from fabricsim.simcore import (
     Process,
     Simulator,
     Trigger,
-    _WaitSlot,
+    _WaitFor,
     run_to_completion,
     wait,
 )
@@ -178,6 +178,26 @@ def test_unknown_log_error(tmp_path):
     sim, net, registry, server, client = build(tmp_path)
     with pytest.raises(UnknownLog):
         run_to_completion(sim, client.remote_append("server", "ghost", b"x"))
+
+
+def test_log_name_no_log_can_have_is_an_unknown_log(tmp_path):
+    # a size request and an append naming a log `_check_name` rejects are
+    # answered like any missing log, and the next append to a real log lands
+    sim, net, registry, server, client = build(
+        tmp_path, cache=SizeCache({("server", "bad/name"): 64}))
+    registry.create("data", 64, 8)
+
+    def caller():
+        outcomes = []
+        for log_name in ("bad/name", "no space", "data"):
+            try:
+                outcomes.append((yield from client.remote_append("server", log_name, b"x")))
+            except UnknownLog:
+                outcomes.append("unknown")
+        return outcomes
+
+    assert run_to_completion(sim, caller()) == ["unknown", "unknown", 1]
+    assert registry.get("data").read(1).payload == b"x"
 
 
 def test_unreachable_target_raises_immediately(tmp_path):
@@ -448,15 +468,20 @@ def test_finished_exchanges_and_expired_waits_leave_no_cyclic_garbage(tmp_path):
         registry.close_all()
         del sim, net, registry
         waits = Simulator()
+        timed, bare = Trigger(waits), Trigger(waits)
+        waits.schedule(1_500, timed.fire, "timed")
+        waits.schedule(2_000, bare.fire, "bare")
 
         def waiter():
-            return (yield wait(Trigger(waits), timeout_us=1_000))
+            expired = yield wait(Trigger(waits), timeout_us=1_000)
+            beaten = yield wait(timed, timeout_us=1_000)
+            return expired, beaten, (yield bare)
 
-        assert run_to_completion(waits, waiter()) is TIMEOUT
-        del waits, waiter
+        assert run_to_completion(waits, waiter()) == (TIMEOUT, "timed", "bare")
+        del waits, timed, bare, waiter
         gc.collect()
         leaked = Counter(type(obj).__name__ for obj in gc.garbage
-                         if isinstance(obj, (_WaitSlot, Process, _Exchange)))
+                         if isinstance(obj, (_WaitFor, Process, _Exchange)))
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
