@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
 from typing import Callable
 
@@ -220,22 +221,11 @@ def validate(graph: DataflowGraph) -> None:
         if (e.consumer, e.port) in seen_ports:
             raise DataflowError(f"input {e.consumer}.{e.port} wired twice")
         seen_ports.add((e.consumer, e.port))
-    # acyclicity within an iteration (Kahn)
-    indegree = {n: 0 for n in known}
-    for e in graph.edges:
-        indegree[e.consumer] += 1
-    ready = sorted(n for n, d in indegree.items() if d == 0)
-    visited = 0
-    while ready:
-        n = ready.pop()
-        visited += 1
-        for e in graph.edges:
-            if e.producer == n:
-                indegree[e.consumer] -= 1
-                if indegree[e.consumer] == 0:
-                    ready.append(e.consumer)
-    if visited != len(known):
-        raise CycleDetected(f"graph {graph.graph_id!r} has a cycle")
+    try:  # acyclicity within an iteration
+        TopologicalSorter({n: {e.producer for e in graph.edges if e.consumer == n}
+                           for n in known}).prepare()
+    except CycleError:
+        raise CycleDetected(f"graph {graph.graph_id!r} has a cycle") from None
 
 
 def _logical_mid(*parts) -> bytes:
@@ -419,14 +409,8 @@ class DeployedGraph:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def resume(self) -> None:
-        """Fire anything enabled but unfired after a restart; completed
-        iterations are absorbed by dedup and never re-observed."""
-        self.sweep_conflicts()
-        for fabric_node in {self.placed(n.node_id) for n in self.graph.nodes}:
-            fabric_node.engine.resume()
-
     def sweep_conflicts(self) -> None:
+        """Raise CorruptGraphState if a port holds two values for one iteration."""
         for node in self.graph.nodes:
             registry = self.placed(node.node_id).registry
             for port, vt in node.inputs:

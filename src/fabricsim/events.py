@@ -46,18 +46,19 @@ class AppendEffect:
     message_id: bytes | None = None
 
 
-@dataclass(frozen=True)
 class HandlerBinding:
-    log_name: str
-    handler_id: str
+    """One handler bound to one log, with its progress: `cursor` is the last
+    seq committed to `cursor_log`, and `pumping` whether a pump runs for it."""
 
-    @property
-    def binding_id(self) -> str:
-        return f"{self.log_name}__{self.handler_id}"
+    __slots__ = ("log_name", "handler_id", "binding_id", "cursor_log", "cursor", "pumping")
 
-    @property
-    def cursor_log(self) -> str:
-        return f"__cursor__{self.binding_id}"
+    def __init__(self, log_name: str, handler_id: str):
+        self.log_name = log_name
+        self.handler_id = handler_id
+        self.binding_id = f"{log_name}__{handler_id}"
+        self.cursor_log = f"__cursor__{self.binding_id}"
+        self.cursor = 0
+        self.pumping = False
 
 
 @dataclass
@@ -85,10 +86,7 @@ class HandlerEngine:
     def __init__(self, node):
         self.node = node
         self.handlers: dict[str, Callable] = {}
-        self.bindings: list[HandlerBinding] = []
         self._by_log: dict[str, list[HandlerBinding]] = {}
-        self._cursors: dict[str, int] = {}
-        self._pumping: set[str] = set()
         self.failures: list[InvocationFailure] = []
         self._invocations = 0
         self._crash_at: tuple[int, str] | None = None
@@ -103,9 +101,12 @@ class HandlerEngine:
             raise UnknownHandler(f"handler {handler_id!r} not registered on "
                                  f"{self.node.name}")
         binding = HandlerBinding(log_name, handler_id)
-        self.bindings.append(binding)
+        registry = self.node.registry
+        if not registry.exists(binding.cursor_log):
+            registry.create(binding.cursor_log, 8, CURSOR_CAPACITY, CURSOR_CAPACITY)
+        elif (store := registry.get(binding.cursor_log)).next_seq > 1:
+            binding.cursor = struct.unpack("<Q", store.read(store.next_seq - 1).payload)[0]
         self._by_log.setdefault(log_name, []).append(binding)
-        self._cursors[binding.binding_id] = self._restore_cursor(binding)
         self._ensure_pump(binding)
         return binding
 
@@ -120,69 +121,44 @@ class HandlerEngine:
             raise ValueError(f"unknown crash phase {phase!r}")
         self._crash_at = (invocation_index, phase)
 
-    # -- progress cursor ----------------------------------------------------
-
-    def _cursor_store(self, binding: HandlerBinding):
-        registry = self.node.registry
-        if not registry.exists(binding.cursor_log):
-            return registry.create(binding.cursor_log, 8, CURSOR_CAPACITY, CURSOR_CAPACITY)
-        return registry.get(binding.cursor_log)
-
-    def _restore_cursor(self, binding: HandlerBinding) -> int:
-        store = self._cursor_store(binding)
-        if store.next_seq == 1:
-            return 0
-        entry = store.read(store.next_seq - 1)
-        return struct.unpack("<Q", entry.payload)[0]
-
-    def _commit_cursor(self, binding: HandlerBinding, seq: int) -> None:
-        store = self._cursor_store(binding)
-        mid = effect_message_id("__cursor", binding.binding_id, seq, 0)
-        store.append(struct.pack("<Q", seq), mid, self.node.sim.now_us)
-        self._cursors[binding.binding_id] = seq
-
     # -- dispatch -------------------------------------------------------------
 
     def notify_append(self, log_name: str) -> None:
         for binding in self._by_log.get(log_name, ()):
             self._ensure_pump(binding)
 
-    def resume(self) -> None:
-        """After recovery: pick up every binding from its persisted cursor."""
-        for binding in self.bindings:
-            self._ensure_pump(binding)
-
     def _ensure_pump(self, binding: HandlerBinding) -> None:
-        if binding.binding_id in self._pumping:
-            return
-        self._pumping.add(binding.binding_id)
-        self.node.sim.spawn(self._pump(binding), name=f"pump:{binding.binding_id}")
+        if not binding.pumping:
+            binding.pumping = True
+            self.node.sim.spawn(self._pump(binding), name=f"pump:{binding.binding_id}")
 
     def _pump(self, binding: HandlerBinding):
         """Serial, in-order invocation loop for one binding."""
+        registry = self.node.registry
         try:
-            log = self.node.registry.get(binding.log_name)
-            while True:
-                cursor = self._cursors[binding.binding_id]
-                if cursor >= log.next_seq - 1:
-                    return
-                seq = cursor + 1
+            log = registry.get(binding.log_name)
+            while binding.cursor < log.next_seq - 1:
+                seq = binding.cursor + 1
                 if seq < log.earliest_seq:
                     # entry evicted before it could fire; bound logs should be
                     # sized so this cannot happen, but never wedge the binding
                     self.failures.append(InvocationFailure(
                         binding.binding_id, seq, "evicted before firing"))
-                    self._cursors[binding.binding_id] = seq
+                    binding.cursor = seq
                     continue
-                entry = log.read(seq)
                 self._invocations += 1
                 index = self._invocations
-                yield from self.fire(binding, entry)
+                yield from self.fire(binding, log.read(seq))
                 self._maybe_crash(index, "after_effects")
-                self._commit_cursor(binding, entry.seq)
+                # looked up by name: the registry may have reopened the log
+                registry.get(binding.cursor_log).append(
+                    struct.pack("<Q", seq),
+                    effect_message_id("__cursor", binding.binding_id, seq, 0),
+                    self.node.sim.now_us)
+                binding.cursor = seq
                 self._maybe_crash(index, "after_cursor")
         finally:
-            self._pumping.discard(binding.binding_id)
+            binding.pumping = False
 
     def fire(self, binding: HandlerBinding, entry: LogEntry):
         """Invoke the handler for one durable entry and apply its effects.

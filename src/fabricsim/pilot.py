@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientResources
+from .errors import ConfigError, InsufficientResources, check_not_negative
 from .simcore import Simulator, Trigger, s_to_us, sleep, wait
 
 HOURS_24_S = 24 * 3600.0
@@ -86,6 +86,9 @@ class QueueDelayModel:
     value_s: float = 0.0     # constant value, or uniform upper bound
     mu: float = 7.0          # lognormal log-scale parameters
     sigma: float = 1.5
+
+    def __post_init__(self):
+        check_not_negative(self, "value_s", "sigma")
 
     def sample_s(self, rng: np.random.Generator) -> float:
         if self.kind == "constant":
@@ -172,6 +175,9 @@ class CfdCostModel:
     runtime_sd_s: float = REFERENCE_SD_S
     multi_node_penalty: float = 1.15
 
+    def __post_init__(self):
+        check_not_negative(self, "mean_runtime_s", "runtime_sd_s", "multi_node_penalty")
+
     def mean_for(self, cores: int, nodes: int = 1) -> float:
         if cores == REFERENCE_CORES:
             mean = self.mean_runtime_s
@@ -207,7 +213,7 @@ class Facility:
         self.stream_label = stream_label if stream_label is not None else label
         self.pilots: list[PilotSpec] = []  # expired pilots are dropped by the queries
         self._submitted = 0
-        self.activation = Trigger(sim)  # fires, and is replaced, per activation
+        self.activation = Trigger()  # fires, and is replaced, per activation
         self.on_event = None  # optional hook(dict) for audit logging
 
     def _record(self, kind: str, **fields) -> None:
@@ -231,7 +237,7 @@ class Facility:
     def _activate(self, pilot: PilotSpec) -> None:
         pilot.activate_time_us = self.sim.now_us
         self._record("pilot-active", pilot=pilot.pilot_id)
-        trigger, self.activation = self.activation, Trigger(self.sim)
+        trigger, self.activation = self.activation, Trigger()
         trigger.fire(pilot)
 
     def active_pilots(self) -> list[PilotSpec]:

@@ -1,8 +1,8 @@
 """The end-to-end telemetry application.
 
-Data path one: a station at the edge reports weather telemetry every five
-minutes; records travel over the sliced wireless hop and the internet to the
-repository node, landing in a persistent log via remote append.
+Data path one: an edge station reports weather telemetry every five minutes
+by remote append to the repository node's log, over the `unl-ucsb-5g` hop at
+its base rate (no slice is set here; the `slicing` scenario exercises slices).
 
 Data path two: on a thirty-minute duty cycle the repository evaluates the
 most recent six records against the previous six through the dataflow-hosted
@@ -56,7 +56,7 @@ from .pilot import (
     check_task_fits,
 )
 from .simcore import Simulator, run_to_completion, s_to_us, sleep
-from .weather import RECORD_SIZE, REPORT_CADENCE_S, TelemetryRecord, WeatherModel
+from .weather import CHANNELS, RECORD_SIZE, REPORT_CADENCE_S, TelemetryRecord, WeatherModel
 
 TELEMETRY_ELEMENT = 1024  # matches the measured 1 KB message workload
 TELEMETRY_CAPACITY = 4096  # ~341 h at the 5-minute cadence; windows need the last 12
@@ -79,6 +79,12 @@ class CupsParams:
     strategy: str = "proactive"
 
     def __post_init__(self):
+        if not self.cadence_s > 0:
+            raise ConfigError(f"bad value for cadence_s: {self.cadence_s} is not positive")
+        if not 0 < self.alpha < 1:
+            raise ConfigError(f"bad value for alpha: {self.alpha} is not between 0 and 1")
+        if not self.channels or not set(self.channels) <= set(CHANNELS):
+            raise ConfigError(f"bad value for channels: pick one or more of {CHANNELS}")
         if self.duration_s < 2 * self.duty_cycle_s:
             raise ConfigError("scenario too short for a single evaluation")
         if WINDOW_LEN * self.cadence_s != self.duty_cycle_s:

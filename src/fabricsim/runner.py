@@ -109,6 +109,8 @@ def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
                       ue_efficiency=efficiency,
                       slice_sd_mbps=spec.get("noise_sd_mbps", DEFAULT_SLICE_SD_MBPS))
     link_id = spec["link"]
+    if link_id not in network.links:
+        raise ConfigError(f"bad value for slicing.link: no link named {link_id!r}")
     base = network.links[link_id].base_capacity_mbps
     fractions = [float(f) for f in spec["fractions"]]
 
@@ -210,6 +212,9 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
 
 def _run_queue_sweep(config: dict, out_dir: Path, seed: int):
     spec = config["queue_sweep"]
+    for key, low in (("alerts", 1), ("alert_interval_s", 0)):
+        if spec[key] < low:
+            raise ConfigError(f"bad value for queue_sweep.{key}: {spec[key]} is below {low}")
     strategies = spec.get("strategies", ["reactive", "proactive"])
     rows = []
     summaries = []

@@ -64,10 +64,9 @@ def sleep(delay_us: int) -> _Sleep:
 class Trigger:
     """One-shot completion event processes can wait on."""
 
-    __slots__ = ("_sim", "fired", "value", "_waiters")
+    __slots__ = ("fired", "value", "_waiters")
 
-    def __init__(self, sim: "Simulator"):
-        self._sim = sim
+    def __init__(self):
         self.fired = False
         self.value: Any = None
         self._waiters: list[_WaitFor] = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_not_negative
 from .simcore import s_to_us
 
 REPORT_CADENCE_S = 300
@@ -55,6 +55,9 @@ class ChannelModel:
     base_mean: float
     noise_sd: float
     changes: tuple[tuple[float, float], ...] = ()  # (time_s, new_mean)
+
+    def __post_init__(self):
+        check_not_negative(self, "noise_sd")
 
     def mean_at(self, t_s: float) -> float:
         mean = self.base_mean

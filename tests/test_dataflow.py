@@ -27,7 +27,7 @@ from fabricsim.errors import (
     TypeMismatch,
     UnknownPlacement,
 )
-from fabricsim.logstore import LogStore
+from fabricsim.logstore import LogRegistry, LogStore
 from fabricsim.netsim import LinkSpec, Network
 from fabricsim.node import FabricNode
 from fabricsim.simcore import Simulator, run_to_completion, sleep
@@ -412,14 +412,14 @@ def test_resume_sweep_rejects_conflicting_operands(tmp_path):
     left.close()
     fabric["right"].close()
     sim2, fabric2 = _restart(tmp_path, seed=6)
-    compile_graph(add_graph(), fabric2, ADD_OPS).resume()
+    compile_graph(add_graph(), fabric2, ADD_OPS).sweep_conflicts()
 
     fabric2["left"].append_local(port_log, pack_operand(1, INT64, 6))
     fabric2["left"].close()
     fabric2["right"].close()
     sim3, fabric3 = _restart(tmp_path, seed=7)
     with pytest.raises(CorruptGraphState):
-        compile_graph(add_graph(), fabric3, ADD_OPS).resume()
+        compile_graph(add_graph(), fabric3, ADD_OPS).sweep_conflicts()
 
 
 def test_resume_sweep_index_serves_first_firings(tmp_path, monkeypatch):
@@ -433,7 +433,7 @@ def test_resume_sweep_index_serves_first_firings(tmp_path, monkeypatch):
 
     sim2, fabric2 = _restart(tmp_path, seed=5)
     dg2 = compile_graph(add_graph(), fabric2, ADD_OPS)
-    dg2.resume()
+    dg2.sweep_conflicts()
     scanned = []
     real_scan = LogStore.scan
 
@@ -488,7 +488,7 @@ def test_conflicting_operands_in_a_recovered_port_log_are_still_rejected(tmp_pat
     sim, fabric, dg = _reopen_with_port_operands(tmp_path, add_graph(), ADD_OPS, "x",
                                                  operands)
     with pytest.raises(CorruptGraphState):
-        dg.resume()
+        dg.sweep_conflicts()
     fabric["left"].close()
     fabric["right"].close()
     sim2, fabric2 = _restart(tmp_path, seed=9)
@@ -568,10 +568,27 @@ def test_resume_fires_enabled_but_unfired_node(tmp_path):
 
     sim2, fabric2 = _restart(tmp_path, seed=2)
     dg2 = compile_graph(add_graph(), fabric2, ADD_OPS)
-    dg2.resume()
+    dg2.sweep_conflicts()
     sim2.run()
     assert dg2.output_value("add", 0) == 5
     assert dg2.output_count("add") == 1
+
+
+def test_compile_alone_fires_operands_that_landed_while_down(tmp_path):
+    sim, fabric = build_fabric(tmp_path)
+    dg = compile_graph(add_graph(), fabric, ADD_OPS)
+    fabric["left"].close()
+    fabric["right"].close()
+    offline = LogRegistry(tmp_path / "left")  # no engine sees these appends
+    for i, (port, value) in enumerate((("x", 2), ("y", 3))):
+        offline.get(dg.port_log("add", port)).append(pack_operand(0, INT64, value),
+                                                     bytes([i + 1]) * 16)
+    offline.close_all()
+
+    sim2, fabric2 = _restart(tmp_path, seed=2)
+    dg2 = compile_graph(add_graph(), fabric2, ADD_OPS)
+    sim2.run()
+    assert dg2.output_value("add", 0) == 5
 
 
 def test_resume_on_completed_graph_adds_nothing(tmp_path):
@@ -587,7 +604,7 @@ def test_resume_on_completed_graph_adds_nothing(tmp_path):
 
     sim2, fabric2 = _restart(tmp_path, seed=3)
     dg2 = compile_graph(add_graph(), fabric2, ADD_OPS)
-    dg2.resume()
+    dg2.sweep_conflicts()
     sim2.run()
     after = {n: fabric2["left"].registry.get(n).next_seq
              for n in fabric2["left"].registry.names()
@@ -606,6 +623,6 @@ def test_resume_with_missing_input_stays_pending(tmp_path):
 
     sim2, fabric2 = _restart(tmp_path, seed=4)
     dg2 = compile_graph(add_graph(), fabric2, ADD_OPS)
-    dg2.resume()
+    dg2.sweep_conflicts()
     sim2.run()
     assert dg2.output_value("add", 0) is None

@@ -166,21 +166,42 @@ def test_cli_rejects_bad_config_with_exit_two(tmp_path, capsys):
     assert "typo_key" in err
 
 
-@pytest.mark.parametrize("section, key, value, named", [
-    ("pilot", "strategy", "bogus", "bogus"),
+def _set_key(config: dict, path: str, value) -> None:
+    """Set a dotted key path, with list indexes as numbers, in a scenario."""
+    *parents, last = path.split(".")
+    for key in parents:
+        config = config[int(key)] if isinstance(config, list) else config.setdefault(key, {})
+    config[int(last) if isinstance(config, list) else last] = value
+
+
+@pytest.mark.parametrize("scenario, edits, named", [
+    ("e2e_cups", {"cups.pilot.strategy": "bogus"}, "bogus"),
     # values the schema's types accept but `LinkSpec` rejects
-    ("link", "loss_prob", 1.5, "topology.links[0]"),
-    ("link", "duplicate_prob", 1.0, "topology.links[0]"),
-    ("link", "base_capacity_mbps", 0, "topology.links[0]"),
-], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps"])
+    ("e2e_cups", {"topology.links.0.loss_prob": 1.5}, "topology.links[0]"),
+    ("e2e_cups", {"topology.links.0.duplicate_prob": 1.0}, "topology.links[0]"),
+    ("e2e_cups", {"topology.links.0.base_capacity_mbps": 0}, "topology.links[0]"),
+    # values the schema's types accept that used to crash or fail every evaluation
+    ("e2e_cups", {"cups.cadence_s": 0, "cups.duty_cycle_s": 0}, "cadence_s"),
+    ("e2e_cups", {"cups.cadence_s": -300, "cups.duty_cycle_s": -1800}, "cadence_s"),
+    ("e2e_cups", {"cups.alpha": 1.5}, "alpha"),
+    ("e2e_cups", {"cups.channels": ["nope"]}, "channels"),
+    ("e2e_cups", {"cups.channels": []}, "channels"),
+    ("e2e_cups", {"cups.cost_model.runtime_sd_s": -1}, "runtime_sd_s"),
+    ("e2e_cups", {"cups.weather.channels.wind_speed.noise_sd": -1}, "noise_sd"),
+    ("queue_sweep", {"queue_sweep.delays.2.value_s": -5}, "value_s"),
+    ("queue_sweep", {"queue_sweep.alerts": 0}, "queue_sweep.alerts"),
+    ("queue_sweep", {"queue_sweep.alert_interval_s": -5}, "queue_sweep.alert_interval_s"),
+    ("slicing", {"slicing.link": "nope"}, "slicing.link"),
+], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps",
+        "cadence-zero", "cadence-negative", "alpha", "channels-unknown", "channels-empty",
+        "runtime_sd_s", "noise_sd", "uniform-value_s", "alerts", "alert_interval_s",
+        "slicing-link"])
 def test_cli_config_error_found_while_building_exits_two(
-        tmp_path, capsys, section, key, value, named):
+        tmp_path, capsys, scenario, edits, named):
     bad = tmp_path / "bad.json"
-    config = load_scenario("e2e_cups")
-    if section == "pilot":
-        config["cups"]["pilot"] = {key: value}
-    else:
-        config["topology"]["links"][0][key] = value
+    config = load_scenario(scenario)
+    for path, value in edits.items():
+        _set_key(config, path, value)
     bad.write_text(json.dumps(config))
     code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err

@@ -75,7 +75,7 @@ def test_process_sleep_and_result():
 
 def test_trigger_wakes_waiter_with_value():
     sim = Simulator()
-    trigger = Trigger(sim)
+    trigger = Trigger()
 
     def waiter():
         value = yield trigger
@@ -90,7 +90,7 @@ def test_trigger_wakes_waiter_with_value():
 
 def test_wait_timeout_returns_sentinel():
     sim = Simulator()
-    trigger = Trigger(sim)
+    trigger = Trigger()
 
     def waiter():
         value = yield wait(trigger, timeout_us=1_000)
@@ -103,7 +103,7 @@ def test_wait_timeout_returns_sentinel():
 
 def test_trigger_beats_timeout_when_earlier():
     sim = Simulator()
-    trigger = Trigger(sim)
+    trigger = Trigger()
 
     def waiter():
         value = yield wait(trigger, timeout_us=5_000)
@@ -120,7 +120,7 @@ def test_trigger_beats_timeout_when_earlier():
 def _waiter_beaten_by_trigger(sim):
     """One waiter with a 5 ms timeout whose trigger fires at 1 ms: three live
     events (start, fire, resume) and one cancelled timeout."""
-    trigger = Trigger(sim)
+    trigger = Trigger()
 
     def waiter():
         return (yield wait(trigger, timeout_us=5_000))
@@ -206,7 +206,7 @@ def _wait_mix(seed: int) -> tuple[str, Counter]:
     near the firer's progress, so it may already have fired."""
     sim = Simulator(seed=seed, trace=True)
     rng = sim.rng("waits")
-    triggers = [Trigger(sim) for _ in range(60)]
+    triggers = [Trigger() for _ in range(60)]
 
     def firer():
         for i, trigger in enumerate(triggers):

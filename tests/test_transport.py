@@ -468,12 +468,12 @@ def test_finished_exchanges_and_expired_waits_leave_no_cyclic_garbage(tmp_path):
         registry.close_all()
         del sim, net, registry
         waits = Simulator()
-        timed, bare = Trigger(waits), Trigger(waits)
+        timed, bare = Trigger(), Trigger()
         waits.schedule(1_500, timed.fire, "timed")
         waits.schedule(2_000, bare.fire, "bare")
 
         def waiter():
-            expired = yield wait(Trigger(waits), timeout_us=1_000)
+            expired = yield wait(Trigger(), timeout_us=1_000)
             beaten = yield wait(timed, timeout_us=1_000)
             return expired, beaten, (yield bare)
 
