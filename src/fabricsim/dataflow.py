@@ -132,10 +132,6 @@ def unpack_operand(vt: VType, payload: bytes):
     return iteration, decode_value(vt, raw)
 
 
-def operand_iteration(payload: bytes) -> int:
-    return _operand_prefix(payload)[0]
-
-
 def _tagged_iterations(vt: VType, payloads: list[bytes]) -> list[int] | None:
     """Each operand's iteration, its length, tag and value length checked
     over the whole column; None for a variable-width type or any miss."""
@@ -362,7 +358,7 @@ class DeployedGraph:
         opdef = self.ops[node.op]
 
         def handle(entry, ctx):
-            iteration = operand_iteration(entry.payload)
+            iteration = _operand_prefix(entry.payload)[0]
             values = []
             for port, vt in node.inputs:
                 payloads = self._port_index(
@@ -391,19 +387,14 @@ class DeployedGraph:
 
     def _fanout_handler(self, node: GraphNode, consumers: list[Edge]):
         def handle(entry, ctx):
-            iteration = operand_iteration(entry.payload)
-            effects = []
-            for e in consumers:
-                consumer = self.graph.node(e.consumer)
-                vt = consumer.input_type(e.port)
-                _, value = unpack_operand(node.output, entry.payload)
-                payload = pack_operand(iteration, vt, value)
-                mid = _logical_mid("edge", self.graph.graph_id, e.producer,
-                                   e.consumer, e.port, iteration)
-                effects.append(AppendEffect(
-                    self.graph.placement[e.consumer],
-                    self.port_log(e.consumer, e.port), payload, message_id=mid))
-            return effects
+            # `validate` gives every consumer port the producer's output type,
+            # so the bytes are checked once and forwarded as they are
+            iteration, _ = unpack_operand(node.output, entry.payload)
+            return [AppendEffect(
+                self.graph.placement[e.consumer], self.port_log(e.consumer, e.port),
+                entry.payload, message_id=_logical_mid(
+                    "edge", self.graph.graph_id, e.producer, e.consumer, e.port, iteration))
+                for e in consumers]
 
         return handle
 

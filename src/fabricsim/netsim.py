@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidSlice, NetError, RouteUnreachable
+from .errors import InvalidSlice, NetError, RouteUnreachable, check_not_negative
 from .simcore import US_PER_MS, Simulator, s_to_us, sleep
 
 MIN_LATENCY_US = 100  # 0.1 ms floor on sampled latency
@@ -60,6 +60,9 @@ class LinkSpec:
     duplicate_prob: float = 0.0
 
     def __post_init__(self):
+        check_not_negative(self, "latency_mean_ms", "latency_sd_ms")
+        if any(end < start for start, end in self.partitions_us):
+            raise NetError("a partition must not end before it starts")
         if not (0.0 <= self.loss_prob < 1.0):
             raise NetError(f"loss_prob must be in [0,1), got {self.loss_prob}")
         if self.base_capacity_mbps <= 0:

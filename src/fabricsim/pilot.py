@@ -176,7 +176,9 @@ class CfdCostModel:
     multi_node_penalty: float = 1.15
 
     def __post_init__(self):
-        check_not_negative(self, "mean_runtime_s", "runtime_sd_s", "multi_node_penalty")
+        check_not_negative(self, "runtime_sd_s", "multi_node_penalty")
+        if self.mean_runtime_s <= 0:  # sample_runtime_s divides by it
+            raise ConfigError(f"bad value for mean_runtime_s: {self.mean_runtime_s} is not positive")
 
     def mean_for(self, cores: int, nodes: int = 1) -> float:
         if cores == REFERENCE_CORES:
@@ -205,12 +207,10 @@ class Facility:
     so two runs that differ only in scheduling strategy face identical queue
     behaviour for the same demand (common random numbers)."""
 
-    def __init__(self, sim: Simulator, system: SystemSpec, label: str = "hpc",
-                 stream_label: str | None = None):
+    def __init__(self, sim: Simulator, system: SystemSpec, stream_label: str = "hpc"):
         self.sim = sim
         self.system = system
-        self.label = label
-        self.stream_label = stream_label if stream_label is not None else label
+        self.stream_label = stream_label
         self.pilots: list[PilotSpec] = []  # expired pilots are dropped by the queries
         self._submitted = 0
         self.activation = Trigger()  # fires, and is replaced, per activation

@@ -123,7 +123,7 @@ class CupsPipeline:
         self.ucsb.create_log("alerts", ALERT_SIZE, DEFAULT_WINDOW)
         self.nd.create_log("pilot_events", 256, 1024)
 
-        self.facility = Facility(sim, system, label=ND)
+        self.facility = Facility(sim, system, stream_label=ND)
         self.facility.on_event = self._audit
         self.controller = PilotController(self.facility, cost_model, params.strategy)
 
@@ -301,7 +301,7 @@ def sustained_rate_s(seed: int, tasks: int, cores: int,
     sim = Simulator(seed=seed)
     system = SystemSpec(total_nodes=1, cores_per_node=cores,
                         queue_delay=QueueDelayModel("constant", 0.0))
-    facility = Facility(sim, system, label="dedicated")
+    facility = Facility(sim, system, stream_label="dedicated")
     pilot = facility.submit_pilot(1, cost_model.mean_runtime_s * (tasks + 2))
 
     completions: list[int] = []

@@ -11,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .detect import TEST_NAMES
-from .errors import ConfigError
+from .errors import ConfigError, RouteUnreachable
 from .metrics import summarize
 from .netsim import DEFAULT_SLICE_SD_MBPS, Network, SliceConfig
 from .node import FabricNode
@@ -23,7 +23,6 @@ from .pilot import (
     PilotController,
     TaskResult,
     TaskSpec,
-    check_task_fits,
 )
 from .pipeline import PAIR_BYTES, CupsParams, CupsPipeline, sustained_rate_s
 from .scenario import (
@@ -52,6 +51,12 @@ def run_scenario(config: dict, out_dir: str | Path,
     return report, series, all(invariants.values())
 
 
+def _check_at_least(where: str, spec: dict, lows: dict) -> None:
+    for key, low in lows.items():
+        if spec.get(key, low) < low:
+            raise ConfigError(f"bad value for {where}.{key}: {spec[key]} is below {low}")
+
+
 # -- latency table ------------------------------------------------------------
 
 def _run_latency_table(config: dict, out_dir: Path, seed: int):
@@ -65,6 +70,14 @@ def _run_latency_table(config: dict, out_dir: Path, seed: int):
             nodes[name] = FabricNode(sim, network, name, state / name)
         return nodes[name]
 
+    for i, m in enumerate(config["latency"]["measurements"]):
+        where = f"latency.measurements[{i}]"
+        _check_at_least(where, m, {"count": 2, "payload_bytes": 1,
+                                   "element_size": m["payload_bytes"]})
+        try:
+            network.route(m["client"], m["server"])
+        except RouteUnreachable as exc:
+            raise ConfigError(f"bad value for {where}.server: {exc}") from exc
     rows, raw_rows = [], []
     invariants = {}
     for i, m in enumerate(config["latency"]["measurements"]):
@@ -101,6 +114,13 @@ def _run_latency_table(config: dict, out_dir: Path, seed: int):
 
 def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
     spec = config["slicing"]
+    _check_at_least("slicing", spec, {"samples": 1, "duration_s": 1e-6, "noise_sd_mbps": 0})
+    fractions = [float(f) for f in spec["fractions"]]
+    if not (0 < len(fractions) <= 9 and all(0 < f < 1 for f in fractions)):
+        raise ConfigError("bad value for slicing.fractions: need 1 to 9, each in (0, 1)")
+    for ue in ("ue_low", "ue_high"):  # a zero or negative rate has no throughput to sample
+        if spec[ue]["efficiency"] <= 0:
+            raise ConfigError(f"bad value for slicing.{ue}.efficiency: it is not positive")
     sim = Simulator(seed=seed)
     ue_low, ue_high = spec["ue_low"], spec["ue_high"]
     efficiency = {ue_low["name"]: ue_low["efficiency"],
@@ -112,7 +132,6 @@ def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
     if link_id not in network.links:
         raise ConfigError(f"bad value for slicing.link: no link named {link_id!r}")
     base = network.links[link_id].base_capacity_mbps
-    fractions = [float(f) for f in spec["fractions"]]
 
     rows, raw_rows = [], []
     invariants = {}
@@ -159,6 +178,7 @@ def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
 
 def _run_cups(config: dict, out_dir: Path, seed: int):
     spec = config["cups"]
+    _check_at_least("cups", spec, {"sustained_check_tasks": 0})
     sim = Simulator(seed=seed)
     network = Network(sim, build_links(config), routes=build_routes(config))
     # only the keys the scenario sets; CupsParams holds the defaults
@@ -212,9 +232,7 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
 
 def _run_queue_sweep(config: dict, out_dir: Path, seed: int):
     spec = config["queue_sweep"]
-    for key, low in (("alerts", 1), ("alert_interval_s", 0)):
-        if spec[key] < low:
-            raise ConfigError(f"bad value for queue_sweep.{key}: {spec[key]} is below {low}")
+    _check_at_least("queue_sweep", spec, {"alerts": 1, "alert_interval_s": 0})
     strategies = spec.get("strategies", ["reactive", "proactive"])
     rows = []
     summaries = []
@@ -255,12 +273,10 @@ def _queue_sweep_run(spec: dict, delay_spec: dict, strategy: str,
     system_spec["queue_delay"] = delay_spec
     # shared stream label: both strategies face identical queue-delay and
     # task-runtime draws, so the comparison isolates the policy
-    facility = Facility(sim, build_system(system_spec),
-                        label=f"sweep-{strategy}", stream_label="sweep")
+    facility = Facility(sim, build_system(system_spec), stream_label="sweep")
     cost_model = build_cost_model(None)
     threshold_bytes = spec.get("threshold_bytes", DEFAULT_THRESHOLD_BYTES)
     cores = spec.get("cores", REFERENCE_CORES)
-    check_task_fits(cores, facility.system, cost_model)
     controller = PilotController(facility, cost_model, strategy)
     controller.start()
     latencies: list[float] = []

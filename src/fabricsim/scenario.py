@@ -262,14 +262,17 @@ def build_links(raw: dict) -> list[LinkSpec]:
                                             for a, b in fields.pop("partitions_s"))
         try:
             links.append(LinkSpec(**fields))
-        except NetError as exc:
+        except (NetError, ConfigError) as exc:
             raise ConfigError(f"bad value for topology.links[{i}]: {exc}") from exc
     return links
 
 
 def build_routes(raw: dict) -> dict[tuple[str, str], list[str]]:
+    links = {link["id"] for link in raw.get("topology", {}).get("links", ())}
     routes = {}
     for key, link_ids in raw.get("topology", {}).get("routes", {}).items():
+        if unknown := set(link_ids) - links:
+            raise ConfigError(f"bad value for topology.routes[{key!r}]: no link {min(unknown)!r}")
         src, dst = key.split("->", 1)
         routes[(src.strip(), dst.strip())] = list(link_ids)
     return routes

@@ -4,18 +4,21 @@ Both sides only add socket I/O to the shared protocol code in `transport`:
 the server delegates to the shared RequestHandler, so a log served here
 behaves identically to one reached through the simulator (dedup included),
 and the client runs the same sans-I/O core (`SizeQuery`, `AppendCall`) as
-the simulated client, size cache included. Blocking, one thread per
-connection, no retry; meant for interop checks and small deployments, not
-performance.
+the simulated client, size cache included. The server is the standard
+library's threading TCP server: one thread per connection, one request
+applied at a time, and `close()` is final. Blocking, no retry; meant for
+interop checks and small deployments, not performance.
 """
 
 from __future__ import annotations
 
 import itertools
 import socket
+import socketserver
 import struct
 import threading
 import time
+from typing import BinaryIO
 
 from . import framing
 from .errors import FrameError, TransportError
@@ -23,87 +26,64 @@ from .logstore import LogRegistry
 from .transport import AppendCall, RequestHandler, SizeCache, SizeQuery
 
 
-def _wall_clock_us() -> int:
-    return int(time.time() * 1e6)
-
-
-def read_frame(sock: socket.socket) -> bytes | None:
-    header = _read_exact(sock, 4)
-    if header is None:
+def read_frame(stream: BinaryIO) -> bytes | None:
+    """The next frame from a buffered binary stream; None on a clean EOF between frames."""
+    header = stream.read(4)
+    if not header:
         return None
+    if len(header) < 4:
+        raise FrameError("connection closed mid-frame")
     (body_len,) = struct.unpack("<I", header)
     if body_len > framing.MAX_FRAME_BODY:
         raise FrameError(f"frame body {body_len} exceeds limit")
-    body = _read_exact(sock, body_len)
-    if body is None:
+    body = stream.read(body_len)
+    if len(body) < body_len:
         raise FrameError("connection closed mid-frame")
     return header + body
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if buf:
-                raise FrameError("connection closed mid-frame")
-            return None  # clean EOF between frames
-        buf += chunk
-    return buf
+class _Session(socketserver.StreamRequestHandler):
+    def handle(self) -> None:
+        try:
+            while (frame := read_frame(self.rfile)) is not None:
+                msg = framing.decode(frame)
+                with self.server._lock:
+                    if self.server._closed:
+                        return
+                    reply = self.server.handler.handle(msg)
+                if reply is not None:
+                    self.wfile.write(framing.encode(reply))
+        except (FrameError, OSError):
+            return
 
 
-class SocketLogServer:
+class SocketLogServer(socketserver.ThreadingTCPServer):
     """Serves a log registry on a TCP port using the standard frames."""
+
+    daemon_threads = True
+    block_on_close = False  # an idle session ends when its peer goes or writes
+    request_queue_size = socket.SOMAXCONN  # the standard library's 5 drops bursts of connects
 
     def __init__(self, registry: LogRegistry, host: str = "127.0.0.1",
                  port: int = 0):
-        self.handler = RequestHandler(registry, clock_us=_wall_clock_us)
-        self._listener = socket.create_server((host, port))
-        self.address = self._listener.getsockname()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
+        super().__init__((host, port), _Session)
+        self.address = self.server_address
+        self.handler = RequestHandler(registry, clock_us=lambda: int(time.time() * 1e6))
+        self._lock = threading.Lock()  # one request applied at a time, none once closed
+        self._closed = False
+        # a 50 ms poll bounds how long close() waits for the loop to stop
+        self._serving = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
 
     def start(self) -> "SocketLogServer":
-        self._thread.start()
+        self._serving.start()
         return self
 
-    def _serve(self) -> None:
-        self._listener.settimeout(0.1)
-        workers = []
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            worker = threading.Thread(target=self._session, args=(conn,), daemon=True)
-            worker.start()
-            workers.append(worker)
-        for w in workers:
-            w.join(timeout=1.0)
-
-    def _session(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stop.is_set():
-                try:
-                    frame = read_frame(conn)
-                except (FrameError, OSError):
-                    return
-                if frame is None:
-                    return
-                try:
-                    msg = framing.decode(frame)
-                except FrameError:
-                    return
-                reply = self.handler.handle(msg)
-                if reply is not None:
-                    conn.sendall(framing.encode(reply))
-
     def close(self) -> None:
-        self._stop.set()
-        self._listener.close()
-        self._thread.join(timeout=2.0)
+        with self._lock:
+            self._closed = True
+        if self._serving.is_alive():  # shutdown() would block forever if the loop never ran
+            self.shutdown()
+        self.server_close()
 
 
 class SocketClient:
@@ -113,6 +93,7 @@ class SocketClient:
     def __init__(self, address: tuple[str, int], timeout_s: float = 5.0,
                  cache: SizeCache | None = None):
         self._sock = socket.create_connection(address, timeout=timeout_s)
+        self._replies = self._sock.makefile("rb")
         self.peer = f"{address[0]}:{address[1]}"
         self.cache = cache
         self._request_ids = itertools.count(1)
@@ -120,7 +101,7 @@ class SocketClient:
     def _roundtrip(self, build_request):
         request = build_request(next(self._request_ids))
         self._sock.sendall(framing.encode(request))
-        frame = read_frame(self._sock)
+        frame = read_frame(self._replies)
         if frame is None:
             raise TransportError("server closed the connection")
         reply = framing.decode(frame)
@@ -139,4 +120,5 @@ class SocketClient:
         return call.result(self._roundtrip(call.request))
 
     def close(self) -> None:
+        self._replies.close()
         self._sock.close()

@@ -285,7 +285,7 @@ def _run_controller(strategy, delay_model, alerts=4, interval_s=1800.0, seed=17)
     sim = Simulator(seed=seed)
     system = SystemSpec(total_nodes=4, cores_per_node=64, queue_delay=delay_model)
     # shared stream label: strategies face identical queue/runtime draws
-    facility = Facility(sim, system, label=f"f-{strategy}", stream_label="f")
+    facility = Facility(sim, system, stream_label="f")
     controller = PilotController(facility, CfdCostModel(), strategy=strategy)
     controller.start()
     latencies = []

@@ -192,10 +192,38 @@ def _set_key(config: dict, path: str, value) -> None:
     ("queue_sweep", {"queue_sweep.alerts": 0}, "queue_sweep.alerts"),
     ("queue_sweep", {"queue_sweep.alert_interval_s": -5}, "queue_sweep.alert_interval_s"),
     ("slicing", {"slicing.link": "nope"}, "slicing.link"),
+    # values that used to end in a traceback
+    ("e2e_cups", {"cups.cost_model.mean_runtime_s": 0}, "mean_runtime_s"),
+    ("slicing", {"slicing.ue_low.efficiency": 0}, "slicing.ue_low.efficiency"),
+    ("slicing", {"slicing.ue_high.efficiency": -1}, "slicing.ue_high.efficiency"),
+    ("slicing", {"slicing.noise_sd_mbps": -1}, "slicing.noise_sd_mbps"),
+    ("table1", {"topology.routes": {"unl-edge-5g->ucsb-repo": ["nope"]}}, "topology.routes"),
+    # values that used to exit 1 once the run had started
+    ("slicing", {"slicing.samples": 0}, "slicing.samples"),
+    ("slicing", {"slicing.duration_s": 0}, "slicing.duration_s"),
+    ("slicing", {"slicing.fractions": [0.1] * 10}, "slicing.fractions"),
+    ("slicing", {"slicing.fractions": [0.0, 0.5]}, "slicing.fractions"),
+    ("slicing", {"slicing.fractions": [0.5, 1.0]}, "slicing.fractions"),
+    ("table1", {"latency.measurements.1.count": 1}, "latency.measurements[1].count"),
+    ("table1", {"latency.measurements.1.server": "nowhere"}, "latency.measurements[1].server"),
+    ("table1", {"latency.measurements.0.payload_bytes": 0},
+     "latency.measurements[0].payload_bytes"),
+    ("table1", {"latency.measurements.0.element_size": 512},
+     "latency.measurements[0].element_size"),
+    # values that used to be accepted silently
+    ("table1", {"topology.links.0.partitions_s": [[5, 1]]}, "topology.links[0]"),
+    ("table1", {"topology.links.1.latency_sd_ms": -1}, "latency_sd_ms"),
+    ("table1", {"topology.links.1.latency_mean_ms": -1}, "latency_mean_ms"),
+    ("e2e_cups", {"cups.sustained_check_tasks": -1}, "cups.sustained_check_tasks"),
 ], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps",
         "cadence-zero", "cadence-negative", "alpha", "channels-unknown", "channels-empty",
         "runtime_sd_s", "noise_sd", "uniform-value_s", "alerts", "alert_interval_s",
-        "slicing-link"])
+        "slicing-link", "mean_runtime_s-zero", "efficiency-zero", "efficiency-negative",
+        "noise_sd_mbps", "route-unknown-link", "samples-zero", "duration_s-zero",
+        "fractions-ten", "fraction-zero", "fraction-one", "latency-count-one",
+        "latency-server-unreachable", "payload_bytes-zero", "payload-above-element_size",
+        "partition-backwards", "latency_sd_ms", "latency_mean_ms",
+        "sustained_check_tasks"])
 def test_cli_config_error_found_while_building_exits_two(
         tmp_path, capsys, scenario, edits, named):
     bad = tmp_path / "bad.json"

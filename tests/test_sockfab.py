@@ -1,7 +1,10 @@
+import threading
+import time
+
 import pytest
 
-from fabricsim.errors import PayloadTooLarge, SizeMismatch, UnknownLog
-from fabricsim.logstore import LogRegistry
+from fabricsim.errors import PayloadTooLarge, SizeMismatch, TransportError, UnknownLog
+from fabricsim.logstore import LogRegistry, LogStore
 from fabricsim.sockfab import SocketClient, SocketLogServer
 from fabricsim.transport import SizeCache
 
@@ -89,3 +92,65 @@ def test_socket_two_clients_interleave(served):
         assert seqs == {1, 2, 3}
     finally:
         other.close()
+
+
+def test_socket_first_requests_on_a_reopened_registry_recover_each_log_once(
+        tmp_path, monkeypatch):
+    n = 8
+    LogRegistry(tmp_path).create("inbox", 256, 64).close()
+    recovered = []
+    recover = LogStore.recover
+
+    def slow_recover(path, name=None):
+        recovered.append(name)
+        time.sleep(0.01)  # widens the window in which two sessions could both recover
+        return recover(path, name)
+
+    monkeypatch.setattr(LogStore, "recover", slow_recover)
+    registry = LogRegistry(tmp_path)
+    server = SocketLogServer(registry).start()
+    clients = [SocketClient(server.address, cache=SizeCache()) for _ in range(n)]
+    for c in clients:
+        c.cache[(c.peer, "inbox")] = 256  # warm: the first request is the append
+    barrier = threading.Barrier(n)
+    seqs = []
+
+    def append(i: int) -> None:
+        barrier.wait()
+        seqs.append(clients[i].remote_append("inbox", b"v%d" % i, mid(100 + i)))
+
+    threads = [threading.Thread(target=append, args=(i,)) for i in range(n)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        for c in clients:
+            c.close()
+        server.close()
+        registry.close_all()
+    assert recovered == ["inbox"]
+    assert sorted(seqs) == list(range(1, n + 1))
+    monkeypatch.undo()
+    reopened = LogRegistry(tmp_path).get("inbox")
+    assert sorted(reopened.read(seq).payload for seq in range(1, n + 1)) == sorted(
+        b"v%d" % i for i in range(n))
+    assert reopened.next_seq == n + 1
+    reopened.close()
+
+
+def test_socket_request_after_close_is_not_applied(tmp_path):
+    registry = LogRegistry(tmp_path)
+    registry.create("inbox", 256, 64)
+    server = SocketLogServer(registry).start()
+    client = SocketClient(server.address, cache=SizeCache())
+    try:
+        assert client.remote_append("inbox", b"before", mid(30)) == 1  # warms the cache
+        server.close()
+        with pytest.raises(TransportError):
+            client.remote_append("inbox", b"after", mid(31))
+        assert registry.get("inbox").next_seq == 2
+    finally:
+        client.close()
+        registry.close_all()
