@@ -9,6 +9,9 @@ kernel on scipy.special that gives scipy.stats' statistic and p-value bit
 for bit (the tests check this against scipy 1.17.1). Mann-Whitney is exact
 without ties in the twelve values, else tie-corrected normal; KS is exact.
 A NaN in either window gives (nan, nan) from all three tests.
+
+scipy.special (about 24 MB and a quarter second) is imported by the kernels
+that call it, so a process that never detects change never loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidWindow
 from .weather import CHANNELS, TelemetryRecord
@@ -107,6 +109,7 @@ def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     df = (vnx + vny) ** 2 / (vnx ** 2 / (nx - 1) + vny ** 2 / (ny - 1))
     df = 1.0 if np.isnan(df) else df  # scipy's df when the squares overflow
     t = (mx - my) / np.sqrt(vnx + vny)
+    from scipy import special
     return float(t), float(2 * special.stdtr(df, -np.abs(t)))
 
 
@@ -121,6 +124,7 @@ def _mwu_exact_cdf(n1: int, n2: int) -> tuple[float, ...]:
             freq[k] -= freq[k - n2 - i]
         for k in range(i, top + 1):
             freq[k] += freq[k - i]
+    from scipy import special
     return tuple(np.cumsum(np.divide(freq, special.binom(n1 + n2, n1))).tolist())
 
 
@@ -140,6 +144,7 @@ def mann_whitney_u(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         tie_term = sum(t ** 3 - t for t in ties)
         s = math.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
         z = (u - n1 * n2 / 2 - 0.5) / s if s else -math.inf  # s = 0: all tied
+        from scipy import special
         p = 2 * special.ndtr(-z)
     return float(u1), float(min(p, 1.0))
 

@@ -24,7 +24,7 @@ from .pilot import (
     TaskResult,
     TaskSpec,
 )
-from .pipeline import PAIR_BYTES, CupsParams, CupsPipeline, sustained_rate_s
+from .pipeline import ND, PAIR_BYTES, UCSB, UNL, CupsParams, CupsPipeline, sustained_rate_s
 from .scenario import (
     build_cost_model,
     build_links,
@@ -57,6 +57,15 @@ def _check_at_least(where: str, spec: dict, lows: dict) -> None:
             raise ConfigError(f"bad value for {where}.{key}: {spec[key]} is below {low}")
 
 
+def _check_reachable(network: Network, where: str, a: str, b: str) -> None:
+    """Requests go a -> b and replies b -> a; both need a route before the run."""
+    for src, dst in ((a, b), (b, a)):
+        try:
+            network.route(src, dst)
+        except RouteUnreachable as exc:
+            raise ConfigError(f"bad value for {where}: {exc}") from exc
+
+
 # -- latency table ------------------------------------------------------------
 
 def _run_latency_table(config: dict, out_dir: Path, seed: int):
@@ -74,10 +83,7 @@ def _run_latency_table(config: dict, out_dir: Path, seed: int):
         where = f"latency.measurements[{i}]"
         _check_at_least(where, m, {"count": 2, "payload_bytes": 1,
                                    "element_size": m["payload_bytes"]})
-        try:
-            network.route(m["client"], m["server"])
-        except RouteUnreachable as exc:
-            raise ConfigError(f"bad value for {where}.server: {exc}") from exc
+        _check_reachable(network, f"{where}.server", m["client"], m["server"])
     rows, raw_rows = [], []
     invariants = {}
     for i, m in enumerate(config["latency"]["measurements"]):
@@ -181,6 +187,8 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     _check_at_least("cups", spec, {"sustained_check_tasks": 0})
     sim = Simulator(seed=seed)
     network = Network(sim, build_links(config), routes=build_routes(config))
+    for a, b in ((UNL, UCSB), (UCSB, ND)):  # telemetry, then alerts to the CFD task
+        _check_reachable(network, "topology", a, b)
     # only the keys the scenario sets; CupsParams holds the defaults
     overrides = {key: spec[key] for key in ("cadence_s", "duty_cycle_s", "alpha",
                                             "channels", "eval_offset_s",

@@ -255,6 +255,8 @@ def load_scenario(ref: str | Path) -> dict:
 def build_links(raw: dict) -> list[LinkSpec]:
     links = []
     for i, spec in enumerate(raw["topology"]["links"]):
+        if any(link.link_id == spec["id"] for link in links):
+            raise ConfigError(f"bad value for topology.links[{i}]: duplicate link id {spec['id']!r}")
         fields = dict(spec)
         fields["link_id"] = fields.pop("id")
         if "partitions_s" in fields:
@@ -268,13 +270,25 @@ def build_links(raw: dict) -> list[LinkSpec]:
 
 
 def build_routes(raw: dict) -> dict[tuple[str, str], list[str]]:
-    links = {link["id"] for link in raw.get("topology", {}).get("links", ())}
+    """Each route is a non-empty chain of links from its source to its destination."""
+    topology = raw.get("topology", {})
+    ends = {link["id"]: (link["a"], link["b"]) for link in topology.get("links", ())}
     routes = {}
-    for key, link_ids in raw.get("topology", {}).get("routes", {}).items():
-        if unknown := set(link_ids) - links:
-            raise ConfigError(f"bad value for topology.routes[{key!r}]: no link {min(unknown)!r}")
-        src, dst = key.split("->", 1)
-        routes[(src.strip(), dst.strip())] = list(link_ids)
+    for key, link_ids in topology.get("routes", {}).items():
+        where = f"topology.routes[{key!r}]"
+        if unknown := set(link_ids) - ends.keys():
+            raise ConfigError(f"bad value for {where}: no link {min(unknown)!r}")
+        src, dst = (name.strip() for name in key.split("->", 1))
+        if (src, dst) in routes:
+            raise ConfigError(f"bad value for {where}: an earlier key routes {src} -> {dst}")
+        at = src
+        for link_id in link_ids:
+            a, b = ends[link_id]
+            at = b if at == a else a if at == b else None
+        if not link_ids or at != dst:
+            raise ConfigError(f"bad value for {where}: {link_ids} is not a chain of links "
+                              f"from {src} to {dst}")
+        routes[(src, dst)] = list(link_ids)
     return routes
 
 

@@ -6,7 +6,10 @@ A warm cache drops that to one, halving the observed message latency, at the
 price of a size-mismatch failure if the log is resized server-side.
 Requests are retried with exponential backoff until a reply arrives; because
 retries reuse the message id, the server's dedup index makes the append land
-exactly once no matter how many attempts were needed.
+exactly once, as long as fewer than the log's dedup window of other ids land
+between an id's first and last attempt (65,536 ids by default, 64 for cursor
+logs). The index forgets older ids, so a retry that comes later appends the
+payload again under a new seq.
 
 The client-side rules live in one sans-I/O core (`SizeQuery`, `AppendCall`)
 that does no I/O and reads no clock; `TransportClient` (simulated: callbacks

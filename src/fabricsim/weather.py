@@ -58,6 +58,9 @@ class ChannelModel:
 
     def __post_init__(self):
         check_not_negative(self, "noise_sd")
+        times = [t for t, _ in self.changes]  # `mean_at` applies them in this order
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ConfigError(f"bad value for changes: times {times} do not increase strictly")
 
     def mean_at(self, t_s: float) -> float:
         mean = self.base_mean

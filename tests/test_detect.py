@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import subprocess
 import sys
 
@@ -266,11 +267,27 @@ def test_detect_change_never_calls_scipy_stats(monkeypatch):
         detect_change(cur, prev)
 
 
-def test_program_modules_do_not_import_scipy_stats():
-    # scipy.stats costs about 45 MB of resident memory; the kernels above
-    # need scipy.special only
-    probe = ("import sys, fabricsim.cli, fabricsim.runner, fabricsim.sockfab; "
-             "print('scipy.stats' in sys.modules, 'fabricsim.detect' in sys.modules)")
+@pytest.mark.parametrize("module, loaded_by_detector", [("scipy.stats", False),
+                                                         ("scipy.special", True)],
+                         ids=["scipy.stats", "scipy.special"])
+def test_program_modules_do_not_import_scipy_stats(module, loaded_by_detector):
+    # scipy.stats costs about 45 MB of resident memory and scipy.special about
+    # 24 MB: no program module loads either, and the detector's first call
+    # loads scipy.special, which its kernels need, and never scipy.stats
+    cur, prev = window_pair([2.0, 2.1, 1.9, 2.2, 1.8, 2.05], [6.0, 5.9, 6.1, 6.2, 5.8, 6.05])
+    probe = ("import pickle, sys, fabricsim.cli, fabricsim.runner, fabricsim.sockfab\n"
+             f"print({module!r} in sys.modules, 'fabricsim.detect' in sys.modules)\n"
+             f"cur, prev = pickle.loads(bytes.fromhex({pickle.dumps((cur, prev)).hex()!r}))\n"
+             "alert = fabricsim.detect.detect_change(cur, prev)\n"
+             f"print({module!r} in sys.modules, alert.pack().hex())")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, check=True)
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.split() == ["False", "True", str(loaded_by_detector),
+                                     detect_change(cur, prev).pack().hex()]
+
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "fabricsim.cli",
+                             "scenarios"], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.split() == ["table1", "slicing", "e2e_cups", "queue_sweep"]
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert "fabricsim.detect" in imported and module not in imported

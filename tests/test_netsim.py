@@ -11,6 +11,7 @@ from fabricsim.netsim import (
     calibrated_slice_params,
     fit_slope_through_origin,
 )
+from fabricsim.scenario import build_routes
 from fabricsim.simcore import Simulator, s_to_us
 
 
@@ -106,6 +107,10 @@ def test_multi_hop_route_chains_latencies():
     net.send("a", "b", b"x")
     sim.run()
     assert got[0][0] == pytest.approx(35_000, abs=100)
+    # the same route, either way round, is a chain that a scenario may name
+    raw = {"topology": {"links": [{"id": l.link_id, "a": l.a, "b": l.b} for l in links],
+                        "routes": {"a->b": ["h1", "h2"], "b -> a": ["h2", "h1"]}}}
+    assert build_routes(raw) == {("a", "b"): ["h1", "h2"], ("b", "a"): ["h2", "h1"]}
 
 
 def test_duplicate_injection_delivers_twice():

@@ -210,11 +210,20 @@ def _set_key(config: dict, path: str, value) -> None:
      "latency.measurements[0].payload_bytes"),
     ("table1", {"latency.measurements.0.element_size": 512},
      "latency.measurements[0].element_size"),
+    ("e2e_cups", {"topology.links.1.id": "unl-ucsb-5g"}, "topology.links[1]"),
+    ("e2e_cups", {"topology.links.0.b": "unl-edge"}, "topology: no route"),
     # values that used to be accepted silently
     ("table1", {"topology.links.0.partitions_s": [[5, 1]]}, "topology.links[0]"),
     ("table1", {"topology.links.1.latency_sd_ms": -1}, "latency_sd_ms"),
     ("table1", {"topology.links.1.latency_mean_ms": -1}, "latency_mean_ms"),
     ("e2e_cups", {"cups.sustained_check_tasks": -1}, "cups.sustained_check_tasks"),
+    ("e2e_cups", {"topology.routes": {"unl-edge->ucsb-repo": []}}, "topology.routes"),
+    ("e2e_cups", {"topology.routes": {"unl-edge->ucsb-repo": ["ucsb-nd"]}}, "topology.routes"),
+    ("e2e_cups", {"topology.routes": {"unl-edge->ucsb-repo": ["unl-ucsb-5g"],
+                                      "unl-edge -> ucsb-repo": ["unl-ucsb-5g"]}},
+     "topology.routes['unl-edge -> ucsb-repo']"),
+    ("e2e_cups", {"cups.weather.channels.wind_speed.changes": [[7300, 6.0], [100, 3.0]]},
+     "changes"),
 ], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps",
         "cadence-zero", "cadence-negative", "alpha", "channels-unknown", "channels-empty",
         "runtime_sd_s", "noise_sd", "uniform-value_s", "alerts", "alert_interval_s",
@@ -222,8 +231,9 @@ def _set_key(config: dict, path: str, value) -> None:
         "noise_sd_mbps", "route-unknown-link", "samples-zero", "duration_s-zero",
         "fractions-ten", "fraction-zero", "fraction-one", "latency-count-one",
         "latency-server-unreachable", "payload_bytes-zero", "payload-above-element_size",
-        "partition-backwards", "latency_sd_ms", "latency_mean_ms",
-        "sustained_check_tasks"])
+        "link-id-duplicate", "cups-no-route", "partition-backwards", "latency_sd_ms",
+        "latency_mean_ms", "sustained_check_tasks", "route-empty", "route-not-a-chain",
+        "route-same-pair", "changes-out-of-order"])
 def test_cli_config_error_found_while_building_exits_two(
         tmp_path, capsys, scenario, edits, named):
     bad = tmp_path / "bad.json"
