@@ -71,10 +71,6 @@ class RouteUnreachable(NetError):
     """No route between the two nodes in this topology."""
 
 
-class InvalidSlice(NetError):
-    """Slice not active on the link, or PRB fractions exceed 1.0."""
-
-
 # --- handler engine ---
 
 class UnknownHandler(FabricError):

@@ -44,11 +44,6 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
             writer.writerow({k: _csv_value(row.get(k)) for k in fieldnames})
 
 
-def read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
-
-
 def write_report(out_dir: str | Path, report: dict,
                  csv_series: dict[str, tuple[list[str], list[dict]]]) -> Path:
     out_dir = Path(out_dir)

@@ -290,10 +290,11 @@ class PilotController:
             self.facility.submit_pilot(1, runtime, delay_key="placeholder")
 
     def nodes_for_task(self, task: TaskSpec) -> int:
-        per_node = self.facility.system.cores_per_node
+        """At most the facility's nodes: `_acquire` resubmits while a request is unfilled."""
+        system = self.facility.system
         by_data = required_nodes(task.data_size_bytes, task.threshold_bytes)
-        by_cores = math.ceil(task.cores / per_node)
-        return max(by_data, by_cores)
+        by_cores = math.ceil(task.cores / system.cores_per_node)  # check_task_fits caps it
+        return max(min(by_data, system.total_nodes), by_cores)
 
     def handle_task(self, task: TaskSpec):
         """Process: check the task fits (ConfigError), decide, wait for capacity, execute."""

@@ -2,7 +2,7 @@
 
 Data path one: an edge station reports weather telemetry every five minutes
 by remote append to the repository node's log, over the `unl-ucsb-5g` hop at
-its base rate (no slice is set here; the `slicing` scenario exercises slices).
+its base rate (the PRB slice model is sampled by the `slicing` sweep alone).
 
 Data path two: on a thirty-minute duty cycle the repository evaluates the
 most recent six records against the previous six through the dataflow-hosted

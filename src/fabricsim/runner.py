@@ -13,7 +13,7 @@ from pathlib import Path
 from .detect import TEST_NAMES
 from .errors import ConfigError, RouteUnreachable
 from .metrics import summarize
-from .netsim import DEFAULT_SLICE_SD_MBPS, Network, SliceConfig
+from .netsim import DEFAULT_SLICE_SD_MBPS, Network, slice_rate_mbps
 from .node import FabricNode
 from .pilot import (
     DEFAULT_THRESHOLD_BYTES,
@@ -119,59 +119,54 @@ def _run_latency_table(config: dict, out_dir: Path, seed: int):
 # -- slicing sweep -------------------------------------------------------------
 
 def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
+    """Each configuration splits the link's PRBs between the two devices; a
+    sample is the whole bytes one rate moves in `duration_s`, as iperf counts."""
     spec = config["slicing"]
     _check_at_least("slicing", spec, {"samples": 1, "duration_s": 1e-6, "noise_sd_mbps": 0})
     fractions = [float(f) for f in spec["fractions"]]
-    if not (0 < len(fractions) <= 9 and all(0 < f < 1 for f in fractions)):
+    if not (0 < len(fractions) <= 9  # and the complement, to 10 places, is not 0
+            and all(0 < f < 1 and round(1.0 - f, 10) > 0 for f in fractions)):
         raise ConfigError("bad value for slicing.fractions: need 1 to 9, each in (0, 1)")
-    for ue in ("ue_low", "ue_high"):  # a zero or negative rate has no throughput to sample
-        if spec[ue]["efficiency"] <= 0:
-            raise ConfigError(f"bad value for slicing.{ue}.efficiency: it is not positive")
-    sim = Simulator(seed=seed)
-    ue_low, ue_high = spec["ue_low"], spec["ue_high"]
-    efficiency = {ue_low["name"]: ue_low["efficiency"],
-                  ue_high["name"]: ue_high["efficiency"]}
-    network = Network(sim, build_links(config), routes=build_routes(config),
-                      ue_efficiency=efficiency,
-                      slice_sd_mbps=spec.get("noise_sd_mbps", DEFAULT_SLICE_SD_MBPS))
+    ues = (spec["ue_low"], spec["ue_high"])
+    for key, ue in zip(("ue_low", "ue_high"), ues):  # a zero or negative rate has no throughput
+        if ue["efficiency"] <= 0:
+            raise ConfigError(f"bad value for slicing.{key}.efficiency: it is not positive")
+    if ues[1]["name"] == ues[0]["name"]:  # rows, invariants and RNG streams are keyed by name
+        raise ConfigError(f"bad value for slicing.ue_high.name: {ues[1]['name']!r} "
+                          f"is also slicing.ue_low.name")
+    links = {link.link_id: link for link in build_links(config)}
+    build_routes(config)  # the sweep sends no frame, but a malformed route is still an error
     link_id = spec["link"]
-    if link_id not in network.links:
+    if link_id not in links:
         raise ConfigError(f"bad value for slicing.link: no link named {link_id!r}")
-    base = network.links[link_id].base_capacity_mbps
+    base = links[link_id].base_capacity_mbps
+    bound = base * max(ue["efficiency"] for ue in ues)
+    sd_mbps = spec.get("noise_sd_mbps", DEFAULT_SLICE_SD_MBPS)
+    duration_s = spec["duration_s"]
+    duration_us = s_to_us(duration_s)
+    sim = Simulator(seed=seed)
+    rngs = [sim.rng(f"slice:{link_id}:{ue['name']}") for ue in ues]
 
     rows, raw_rows = [], []
     invariants = {}
-    for i, f in enumerate(fractions):
-        cfg_idx = i + 1
-        low_slice = SliceConfig(cfg_idx, f, ue_low["name"])
-        high_slice = SliceConfig(10 - cfg_idx, round(1.0 - f, 10), ue_high["name"])
-        network.set_slices(link_id, [low_slice, high_slice])
-        p_low = sim.spawn(network.run_throughput_trial(
-            ue_low["name"], link_id, low_slice, spec["duration_s"], spec["samples"]))
-        p_high = sim.spawn(network.run_throughput_trial(
-            ue_high["name"], link_id, high_slice, spec["duration_s"], spec["samples"]))
-        sim.run()
-        for ue, slc, proc in ((ue_low, low_slice, p_low), (ue_high, high_slice, p_high)):
-            samples = [r.achieved_mbps for r in proc.result]
+    for cfg_idx, f in enumerate(fractions, start=1):
+        pair = (f, round(1.0 - f, 10))
+        nominals = [fraction * base * ue["efficiency"] for ue, fraction in zip(ues, pair)]
+        for ue, fraction, nominal, rng in zip(ues, pair, nominals, rngs):
+            rates = [slice_rate_mbps(nominal, sd_mbps, rng) for _ in range(spec["samples"])]
+            nbytes = [int(rate * 1e6 * duration_s / 8) for rate in rates]
+            samples = [n * 8 / (duration_us / 1e6) / 1e6 for n in nbytes]
             stats = summarize(samples)
-            rows.append({"config": cfg_idx, "ue": ue["name"],
-                         "fraction": slc.prb_fraction,
+            rows.append({"config": cfg_idx, "ue": ue["name"], "fraction": fraction,
                          "mean_mbps": stats["mean"], "sd_mbps": stats["sd"],
                          "n": stats["n"]})
             for j, s in enumerate(samples):
                 raw_rows.append({"config": cfg_idx, "ue": ue["name"],
-                                 "fraction": slc.prb_fraction, "sample": j,
-                                 "mbps": s})
-            consistent = all(
-                abs(r.achieved_mbps - r.nbytes * 8 / ((r.end_us - r.start_us) / 1e6) / 1e6)
-                < 1e-9 for r in proc.result)
-            invariants[f"transfer_consistency[{cfg_idx}:{ue['name']}]"] = consistent
-        nominal_sum = (network.nominal_capacity(link_id, low_slice,
-                                                efficiency[ue_low["name"]])
-                       + network.nominal_capacity(link_id, high_slice,
-                                                  efficiency[ue_high["name"]]))
-        bound = base * max(efficiency.values())
-        invariants[f"conservation[{cfg_idx}]"] = nominal_sum <= bound + 1e-9
+                                 "fraction": fraction, "sample": j, "mbps": s})
+            # each sample moves every whole byte its rate allows in the duration
+            invariants[f"transfer_consistency[{cfg_idx}:{ue['name']}]"] = all(
+                0 <= rate * 1e6 * duration_s - n * 8 < 8 for rate, n in zip(rates, nbytes))
+        invariants[f"conservation[{cfg_idx}]"] = nominals[0] + nominals[1] <= bound + 1e-9
 
     series = {
         "slicing_curve": (["config", "ue", "fraction", "mean_mbps", "sd_mbps", "n"], rows),

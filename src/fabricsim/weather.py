@@ -99,15 +99,3 @@ class WeatherModel:
         return TelemetryRecord(s_to_us(t_s), sample["wind_speed"],
                                sample["wind_direction"], sample["temperature"],
                                sample["humidity"], self.station_id)
-
-
-def generate_telemetry(model: WeatherModel, seed: int, duration_s: float,
-                       cadence_s: float = REPORT_CADENCE_S) -> list[TelemetryRecord]:
-    """Records at exact cadence, covering (0, duration]. Needs at least one
-    full interval pair to be useful downstream."""
-    if duration_s < 2 * cadence_s:
-        raise ConfigError(f"duration {duration_s}s is below one interval pair "
-                          f"({2 * cadence_s}s)")
-    rng = np.random.default_rng(seed)
-    count = int(duration_s // cadence_s)
-    return [model.record_at((i + 1) * cadence_s, rng) for i in range(count)]

@@ -3,16 +3,31 @@ import hashlib
 import numpy as np
 import pytest
 
-from fabricsim.errors import InvalidSlice, NetError, RouteUnreachable
-from fabricsim.netsim import (
-    LinkSpec,
-    Network,
-    SliceConfig,
-    calibrated_slice_params,
-    fit_slope_through_origin,
-)
-from fabricsim.scenario import build_routes
+from fabricsim.errors import RouteUnreachable
+from fabricsim.netsim import LinkSpec, Network, slice_rate_mbps
+from fabricsim.runner import run_scenario
+from fabricsim.scenario import build_routes, load_scenario
 from fabricsim.simcore import Simulator, s_to_us
+
+# Reference calibration: mean uplink throughput (Mbps) measured per device at
+# complementary PRB fractions on a 40 MHz TDD cell. The weaker device
+# saturates at high fractions, so its proportional slope is fit on the
+# low/mid points only.
+LOW_UE_CALIBRATION = ((0.1, 4.95), (0.5, 23.91), (0.9, 34.73))
+HIGH_UE_CALIBRATION = ((0.1, 5.14), (0.5, 25.22), (0.9, 43.47))
+
+
+def fit_slope_through_origin(points) -> float:
+    f = np.array([p[0] for p in points], dtype=float)
+    y = np.array([p[1] for p in points], dtype=float)
+    return float((f * y).sum() / (f * f).sum())
+
+
+def calibrated_slice_params() -> tuple[float, dict[str, float]]:
+    """(base_capacity_mbps, per-device efficiency) fit from the reference data."""
+    base = fit_slope_through_origin(HIGH_UE_CALIBRATION)
+    low = fit_slope_through_origin(LOW_UE_CALIBRATION[:2])
+    return base, {"low": low / base, "high": 1.0}
 
 
 def make_net(sim, **link_kwargs):
@@ -62,18 +77,14 @@ def test_frame_after_partition_window_is_delivered():
     assert len(got) == 1
 
 
-def test_serialization_delay_five_megabytes_on_half_slice():
-    # closed form: 5 MB * 8 / (0.5 * 48 Mbps) = 1.6667 s
+def test_serialization_delay_five_megabytes_at_base_rate():
+    # closed form: 5 MB * 8 / 24 Mbps = 1.6667 s
     sim = Simulator(seed=1)
-    link = LinkSpec("l0", "a", "b", latency_mean_ms=0.0, latency_sd_ms=0.0,
-                    base_capacity_mbps=48.0)
-    net = Network(sim, [link], ue_efficiency={"ue1": 1.0}, slice_sd_mbps=0.0)
-    slc = SliceConfig(5, 0.5, "ue1")
-    net.set_slices("l0", [slc])
+    net = make_net(sim, latency_mean_ms=0.0, base_capacity_mbps=24.0)
     got = deliveries(net, sim)
-    net.send("a", "b", b"\x00" * 5_000_000, slice_ue="ue1")
+    net.send("a", "b", b"\x00" * 5_000_000)
     sim.run()
-    expected_us = 5_000_000 * 8 / (0.5 * 48e6) * 1e6
+    expected_us = 5_000_000 * 8 / 24e6 * 1e6
     assert got[0][0] == pytest.approx(expected_us, rel=1e-6, abs=200)
 
 
@@ -124,34 +135,31 @@ def test_duplicate_injection_delivers_twice():
 
 # -- slicing model ---------------------------------------------------------------
 
+def _bundled_slicing():
+    """(base_capacity_mbps, {"low": efficiency, "high": efficiency}) of `slicing.json`."""
+    config = load_scenario("slicing")
+    spec = config["slicing"]
+    (link,) = [l for l in config["topology"]["links"] if l["id"] == spec["link"]]
+    return link["base_capacity_mbps"], {"low": spec["ue_low"]["efficiency"],
+                                        "high": spec["ue_high"]["efficiency"]}
+
+
 def test_nominal_capacity_low_fraction_near_reference():
-    # 10% of a 48.3 Mbps cell at efficiency 1.0
-    sim = Simulator(seed=1)
-    link = LinkSpec("l0", "ue", "gnb", 10.0, 0.0, base_capacity_mbps=48.3)
-    net = Network(sim, [link])
-    value = net.nominal_capacity("l0", SliceConfig(1, 0.10, "ue"), 1.0)
-    assert value == pytest.approx(4.83, abs=0.01)
-    assert value == pytest.approx(4.95, rel=0.05)  # reference measurement
+    # the bundled scenario carries the calibration fit itself
+    assert _bundled_slicing() == calibrated_slice_params()
+    base, eff = _bundled_slicing()
+    assert 0.1 * base * eff["low"] == pytest.approx(4.95, rel=0.05)  # reference measurement
 
 
 def test_nominal_capacity_high_fraction_hits_anchor():
-    base, eff = calibrated_slice_params()
-    sim = Simulator(seed=1)
-    link = LinkSpec("l0", "ue", "gnb", 10.0, 0.0, base_capacity_mbps=base)
-    net = Network(sim, [link])
-    value = net.nominal_capacity("l0", SliceConfig(9, 0.90, "ue"), eff["high"])
-    assert value == pytest.approx(43.47, rel=0.05)
+    base, eff = _bundled_slicing()
+    assert 0.9 * base * eff["high"] == pytest.approx(43.47, rel=0.05)
 
 
 def test_nominal_capacity_mid_fraction_two_ues():
-    base, eff = calibrated_slice_params()
-    sim = Simulator(seed=1)
-    link = LinkSpec("l0", "ue", "gnb", 10.0, 0.0, base_capacity_mbps=base)
-    net = Network(sim, [link])
-    low = net.nominal_capacity("l0", SliceConfig(5, 0.5, "a"), eff["low"])
-    high = net.nominal_capacity("l0", SliceConfig(5, 0.5, "b"), eff["high"])
-    assert low == pytest.approx(23.91, rel=0.05)
-    assert high == pytest.approx(25.22, rel=0.05)
+    base, eff = _bundled_slicing()
+    assert 0.5 * base * eff["low"] == pytest.approx(23.91, rel=0.05)
+    assert 0.5 * base * eff["high"] == pytest.approx(25.22, rel=0.05)
 
 
 def test_fit_slope_through_origin_exact_on_proportional_data():
@@ -159,93 +167,43 @@ def test_fit_slope_through_origin_exact_on_proportional_data():
 
 
 def test_effective_capacity_sampling_statistics():
-    base, eff = calibrated_slice_params()
-    sim = Simulator(seed=11)
-    link = LinkSpec("l0", "ue", "gnb", 10.0, 0.0, base_capacity_mbps=base)
-    net = Network(sim, [link], slice_sd_mbps=4.0)
-    slc = SliceConfig(5, 0.5, "ue")
-    samples = np.array([net.effective_capacity("l0", slc, 1.0) for _ in range(4000)])
+    base, _ = calibrated_slice_params()
+    rng = Simulator(seed=11).rng("slice:l0:ue")
     nominal = 0.5 * base
+    samples = np.array([slice_rate_mbps(nominal, 4.0, rng) for _ in range(4000)])
     assert samples.mean() == pytest.approx(nominal, rel=0.02)
     assert 3.0 < samples.std(ddof=1) < 5.0
 
 
-def test_slice_fraction_sum_validation():
-    sim = Simulator(seed=1)
-    net = make_net(sim)
-    with pytest.raises(InvalidSlice):
-        net.set_slices("l0", [SliceConfig(1, 0.6, "u1"), SliceConfig(2, 0.6, "u2")])
-
-
-def test_inactive_slice_rejected():
-    sim = Simulator(seed=1)
-    net = make_net(sim)
-    net.set_slices("l0", [SliceConfig(1, 0.5, "u1")])
-    with pytest.raises(InvalidSlice):
-        net.effective_capacity("l0", SliceConfig(2, 0.4, "u2"), 1.0)
-
-
-def test_slice_config_bounds():
-    with pytest.raises(InvalidSlice):
-        SliceConfig(0, 0.5, "x")
-    with pytest.raises(InvalidSlice):
-        SliceConfig(1, 0.0, "x")
-    with pytest.raises(InvalidSlice):
-        SliceConfig(1, 1.2, "x")
-
-
-# -- throughput trials ---------------------------------------------------------------
-
-def _trial_net(seed):
-    sim = Simulator(seed=seed)
-    base, eff = calibrated_slice_params()
-    link = LinkSpec("tdd", "ue", "gnb", 10.0, 1.0, base_capacity_mbps=base)
-    net = Network(sim, [link], ue_efficiency={"low": eff["low"], "high": 1.0},
-                  slice_sd_mbps=4.0)
-    return sim, net, base
-
-
 def test_trial_mean_within_two_standard_errors():
-    sim, net, base = _trial_net(22)
-    slc = SliceConfig(5, 0.5, "high")
-    net.set_slices("tdd", [slc])
-    proc = sim.spawn(net.run_throughput_trial("high", "tdd", slc, 1.0, 100))
-    sim.run()
-    samples = [r.achieved_mbps for r in proc.result]
+    base, _ = calibrated_slice_params()
+    rng = Simulator(seed=22).rng("slice:tdd:high")
+    samples = [slice_rate_mbps(0.5 * base, 4.0, rng) for _ in range(100)]
     se = 4.0 / np.sqrt(len(samples))
     assert abs(np.mean(samples) - 0.5 * base) <= 2 * se
 
 
-def test_trial_duration_zero_rejected():
-    sim, net, _ = _trial_net(1)
-    slc = SliceConfig(5, 0.5, "high")
-    net.set_slices("tdd", [slc])
-    with pytest.raises(NetError):
-        net.run_throughput_trial("high", "tdd", slc, 0.0, 10)
-
-
 def test_complementary_pair_ordering():
-    sim, net, _ = _trial_net(31)
-    low_slice = SliceConfig(3, 0.3, "low")
-    high_slice = SliceConfig(7, 0.7, "high")
-    net.set_slices("tdd", [low_slice, high_slice])
-    p_low = sim.spawn(net.run_throughput_trial("low", "tdd", low_slice, 1.0, 100))
-    p_high = sim.spawn(net.run_throughput_trial("high", "tdd", high_slice, 1.0, 100))
-    sim.run()
-    mean_low = np.mean([r.achieved_mbps for r in p_low.result])
-    mean_high = np.mean([r.achieved_mbps for r in p_high.result])
+    base, eff = calibrated_slice_params()
+    sim = Simulator(seed=31)
+    low_rng, high_rng = sim.rng("slice:tdd:low"), sim.rng("slice:tdd:high")
+    mean_low = np.mean([slice_rate_mbps(0.3 * base * eff["low"], 4.0, low_rng)
+                        for _ in range(100)])
+    mean_high = np.mean([slice_rate_mbps(0.7 * base * eff["high"], 4.0, high_rng)
+                         for _ in range(100)])
     assert mean_low < mean_high
 
 
-def test_transfer_records_are_internally_consistent():
-    sim, net, _ = _trial_net(9)
-    slc = SliceConfig(4, 0.4, "high")
-    net.set_slices("tdd", [slc])
-    proc = sim.spawn(net.run_throughput_trial("high", "tdd", slc, 2.0, 20))
-    sim.run()
-    for rec in proc.result:
-        derived = rec.nbytes * 8 / ((rec.end_us - rec.start_us) / 1e6) / 1e6
-        assert rec.achieved_mbps == pytest.approx(derived, rel=1e-9)
+def test_transfer_records_are_internally_consistent(tmp_path):
+    # every sample of the sweep is a whole number of bytes moved in duration_s
+    config = load_scenario("slicing")
+    config["slicing"].update(samples=20, duration_s=2.0)
+    report, series, ok = run_scenario(config, tmp_path)
+    consistency = [k for k in report["invariants"] if k.startswith("transfer_consistency[")]
+    assert ok and len(consistency) == 18
+    for row in series["slicing_samples"][1]:
+        nbytes = row["mbps"] * 1e6 * 2.0 / 8
+        assert nbytes == pytest.approx(round(nbytes), abs=1e-6)
 
 
 # -- determinism --------------------------------------------------------------------

@@ -167,14 +167,32 @@ def test_pilot_runtime_capped_on_first_submit_and_resubmit():
     submit_pilot = facility.submit_pilot
     facility.submit_pilot = lambda nodes, runtime_s, delay_key=None: (
         submits.append((delay_key, runtime_s)) or submit_pilot(nodes, runtime_s, delay_key))
-    # 2,048 bytes at 1,024 per node ask for two nodes but a pilot gets at most
-    # the one node the facility has, so _acquire resubmits right after the
-    # first submit (the one node's 64 cores can still host the task)
+    # 2,048 bytes at 1,024 per node would take two nodes, but the request is
+    # capped at the one node the facility has, and that node's pilot is enough
     task = TaskSpec(2048, 1024, 7200.0, 64, telemetry_timestamp_us=5)
     controller = PilotController(facility, CfdCostModel(), strategy="reactive")
     sim.spawn(controller.handle_task(task))
     sim.run(until_us=s_to_us(60))
-    assert submits[:2] == [(5, 3600.0), ("5:retry1", 3600.0)]
+    assert submits == [(5, 3600.0)]
+
+
+def test_task_wider_than_the_facility_submits_one_pilot():
+    # 8,192 bytes ask for 8 nodes of a 1 x 64 facility; an uncapped request
+    # stays unfilled while the pilot queues, and `_acquire` used to resubmit
+    # on every 300 s wake until 8 pilots were queued
+    sim = Simulator(seed=1)
+    system = SystemSpec(total_nodes=1, cores_per_node=64,
+                        queue_delay=QueueDelayModel("constant", 3 * 3600.0))
+    facility = Facility(sim, system)
+    submits = []
+    submit_pilot = facility.submit_pilot
+    facility.submit_pilot = lambda nodes, runtime_s, delay_key=None: (
+        submits.append(nodes) or submit_pilot(nodes, runtime_s, delay_key))
+    controller = PilotController(facility, CfdCostModel(), strategy="reactive")
+    proc = sim.spawn(controller.handle_task(TaskSpec(8192, 1024, 420.0, 64)))
+    sim.run()
+    assert submits == [1]
+    assert proc.result.complete_us > s_to_us(3 * 3600)
 
 
 def test_handle_task_no_pilot_can_host_raises_before_any_submit():

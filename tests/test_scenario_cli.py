@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -8,9 +9,14 @@ import pytest
 from fabricsim.cli import main
 from fabricsim.errors import ConfigError
 from fabricsim.logstore import LogStore
-from fabricsim.metrics import read_csv, summarize, write_report
+from fabricsim.metrics import summarize, write_report
 from fabricsim.runner import run_scenario
 from fabricsim.scenario import BUNDLED, load_scenario, validate_scenario
+
+
+def read_csv(path) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def test_bundled_scenarios_load_and_validate():
@@ -224,6 +230,13 @@ def _set_key(config: dict, path: str, value) -> None:
      "topology.routes['unl-edge -> ucsb-repo']"),
     ("e2e_cups", {"cups.weather.channels.wind_speed.changes": [[7300, 6.0], [100, 3.0]]},
      "changes"),
+    # two devices with one name: exit 1 with 5 or more fractions, and with
+    # fewer, one device's efficiency, RNG stream and invariants replaced the other's
+    ("slicing", {"slicing.ue_high.name": "rpi1"}, "slicing.ue_high.name"),
+    ("slicing", {"slicing.ue_high.name": "rpi1", "slicing.fractions": [0.3, 0.7]},
+     "slicing.ue_high.name"),
+    # values that used to exit 1 once the run had started: the complement rounds to 0
+    ("slicing", {"slicing.fractions": [0.5, 0.99999999999]}, "slicing.fractions"),
 ], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps",
         "cadence-zero", "cadence-negative", "alpha", "channels-unknown", "channels-empty",
         "runtime_sd_s", "noise_sd", "uniform-value_s", "alerts", "alert_interval_s",
@@ -233,7 +246,8 @@ def _set_key(config: dict, path: str, value) -> None:
         "latency-server-unreachable", "payload_bytes-zero", "payload-above-element_size",
         "link-id-duplicate", "cups-no-route", "partition-backwards", "latency_sd_ms",
         "latency_mean_ms", "sustained_check_tasks", "route-empty", "route-not-a-chain",
-        "route-same-pair", "changes-out-of-order"])
+        "route-same-pair", "changes-out-of-order", "ue-names-shared",
+        "ue-names-shared-two-fractions", "fraction-complement-zero"])
 def test_cli_config_error_found_while_building_exits_two(
         tmp_path, capsys, scenario, edits, named):
     bad = tmp_path / "bad.json"

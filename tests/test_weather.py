@@ -4,11 +4,23 @@ import pytest
 from fabricsim.errors import ConfigError
 from fabricsim.weather import (
     RECORD_SIZE,
+    REPORT_CADENCE_S,
     ChannelModel,
     TelemetryRecord,
     WeatherModel,
-    generate_telemetry,
 )
+
+
+def generate_telemetry(model: WeatherModel, seed: int, duration_s: float,
+                       cadence_s: float = REPORT_CADENCE_S) -> list[TelemetryRecord]:
+    """Records at exact cadence, covering (0, duration]. Needs at least one
+    full interval pair to be useful downstream."""
+    if duration_s < 2 * cadence_s:
+        raise ConfigError(f"duration {duration_s}s is below one interval pair "
+                          f"({2 * cadence_s}s)")
+    rng = np.random.default_rng(seed)
+    count = int(duration_s // cadence_s)
+    return [model.record_at((i + 1) * cadence_s, rng) for i in range(count)]
 
 
 def test_record_pack_round_trip():
