@@ -17,6 +17,7 @@ from typing import Callable, Generator
 
 from .errors import SimulatedCrash, UnknownHandler
 from .logstore import LogEntry
+from .simcore import Process
 
 CURSOR_CAPACITY = 64
 
@@ -48,9 +49,10 @@ class AppendEffect:
 
 class HandlerBinding:
     """One handler bound to one log, with its progress: `cursor` is the last
-    seq committed to `cursor_log`, and `pumping` whether a pump runs for it."""
+    seq committed to `cursor_log`, and `pump` the process that fires it, if
+    one runs."""
 
-    __slots__ = ("log_name", "handler_id", "binding_id", "cursor_log", "cursor", "pumping")
+    __slots__ = ("log_name", "handler_id", "binding_id", "cursor_log", "cursor", "pump")
 
     def __init__(self, log_name: str, handler_id: str):
         self.log_name = log_name
@@ -58,7 +60,7 @@ class HandlerBinding:
         self.binding_id = f"{log_name}__{handler_id}"
         self.cursor_log = f"__cursor__{self.binding_id}"
         self.cursor = 0
-        self.pumping = False
+        self.pump: Process | None = None
 
 
 @dataclass
@@ -121,6 +123,15 @@ class HandlerEngine:
             raise ValueError(f"unknown crash phase {phase!r}")
         self._crash_at = (invocation_index, phase)
 
+    def close(self) -> None:
+        """Close every binding's pump and drop the handlers and bindings."""
+        for bindings in self._by_log.values():
+            for binding in bindings:
+                if binding.pump is not None:
+                    binding.pump.gen.close()
+        self.handlers.clear()
+        self._by_log.clear()
+
     # -- dispatch -------------------------------------------------------------
 
     def notify_append(self, log_name: str) -> None:
@@ -128,9 +139,9 @@ class HandlerEngine:
             self._ensure_pump(binding)
 
     def _ensure_pump(self, binding: HandlerBinding) -> None:
-        if not binding.pumping:
-            binding.pumping = True
-            self.node.sim.spawn(self._pump(binding), name=f"pump:{binding.binding_id}")
+        if binding.pump is None:
+            binding.pump = self.node.sim.spawn(self._pump(binding),
+                                               name=f"pump:{binding.binding_id}")
 
     def _pump(self, binding: HandlerBinding):
         """Serial, in-order invocation loop for one binding."""
@@ -158,7 +169,7 @@ class HandlerEngine:
                 binding.cursor = seq
                 self._maybe_crash(index, "after_cursor")
         finally:
-            binding.pumping = False
+            binding.pump = None
 
     def fire(self, binding: HandlerBinding, entry: LogEntry):
         """Invoke the handler for one durable entry and apply its effects.

@@ -85,8 +85,17 @@ class Network:
 
     # -- endpoints and routing -------------------------------------------
 
-    def register_endpoint(self, node: str, callback: Callable[[bytes, str], None]) -> None:
+    def register_endpoint(self, node: str, callback: Callable[[bytes, str], None]
+                          ) -> Callable[[bytes, str], None]:
+        """Deliver frames for `node` to `callback`; returns the callback that
+        `unregister_endpoint` takes."""
         self._endpoints[node] = callback
+        return callback
+
+    def unregister_endpoint(self, node: str, callback: Callable[[bytes, str], None]) -> None:
+        """Drop `node`'s endpoint if it is still `callback`; frames to it then vanish."""
+        if self._endpoints.get(node) is callback:
+            del self._endpoints[node]
 
     def route(self, src: str, dst: str) -> list[LinkSpec]:
         explicit = self.routes.get((src, dst))

@@ -1,13 +1,16 @@
 """A fabric node: log registry + transport endpoints + handler engine.
 
 Nothing here survives in memory across a (simulated) crash; reopening a node
-over the same directory recovers all state from the logs.
+over the same directory recovers all state from the logs. `close()` is final:
+a closed node answers no frame, fires no handler and resends nothing, even if
+its old simulator runs on.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from .errors import StorageFailure
 from .events import HandlerEngine
 from .logstore import LogRegistry, LogStore
 from .netsim import Network
@@ -27,7 +30,8 @@ class FabricNode:
         self.client = TransportClient(sim, network, name)
         self.engine = HandlerEngine(self)
         self.server.on_append = self.engine.notify_append
-        wire_node(network, name, self.client, self.server)
+        self._endpoint = wire_node(network, name, self.client, self.server)
+        self.closed = False
 
     def create_log(self, name: str, element_size: int, capacity: int) -> LogStore:
         return self.registry.create(name, element_size, capacity)
@@ -35,6 +39,8 @@ class FabricNode:
     def append_local(self, log_name: str, payload: bytes,
                      message_id: bytes | None = None) -> int:
         """Local append that also wakes any handlers bound to the log."""
+        if self.closed:
+            raise StorageFailure(f"node {self.name!r} is closed")
         store = self.registry.get(log_name)
         if message_id is None:
             message_id = self.client.new_message_id()
@@ -45,4 +51,10 @@ class FabricNode:
         return seq
 
     def close(self) -> None:
+        """Close the pumps and the processes parked on exchanges, drop the
+        handlers and bindings, unplug the endpoint and close the logs."""
+        self.closed = True
+        self.engine.close()
+        self.client.close()
+        self.network.unregister_endpoint(self.name, self._endpoint)
         self.registry.close_all()

@@ -143,7 +143,9 @@ def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
     bound = base * max(ue["efficiency"] for ue in ues)
     sd_mbps = spec.get("noise_sd_mbps", DEFAULT_SLICE_SD_MBPS)
     duration_s = spec["duration_s"]
-    duration_us = s_to_us(duration_s)
+    if s_to_us(duration_s) / 1e6 != duration_s:  # a sample's bytes and rate share one duration
+        raise ConfigError(f"bad value for slicing.duration_s: {duration_s} is not a whole "
+                          f"number of microseconds")
     sim = Simulator(seed=seed)
     rngs = [sim.rng(f"slice:{link_id}:{ue['name']}") for ue in ues]
 
@@ -155,7 +157,7 @@ def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
         for ue, fraction, nominal, rng in zip(ues, pair, nominals, rngs):
             rates = [slice_rate_mbps(nominal, sd_mbps, rng) for _ in range(spec["samples"])]
             nbytes = [int(rate * 1e6 * duration_s / 8) for rate in rates]
-            samples = [n * 8 / (duration_us / 1e6) / 1e6 for n in nbytes]
+            samples = [n * 8 / duration_s / 1e6 for n in nbytes]
             stats = summarize(samples)
             rows.append({"config": cfg_idx, "ue": ue["name"], "fraction": fraction,
                          "mean_mbps": stats["mean"], "sd_mbps": stats["sd"],

@@ -242,6 +242,15 @@ class TransportClient:
         elif self.sim.trace is not None:
             self.sim.record("late-reply", node=self.node, request_id=reply.request_id)
 
+    def close(self) -> None:
+        """Close every process parked on an exchange, in request order, and
+        cancel its timeout, so nothing is resent."""
+        pending, self._pending = self._pending, {}
+        for exchange in pending.values():  # one entry per attempt; closing twice is a no-op
+            if exchange.timeout is not None:
+                exchange.timeout[2] = None  # cancels the timeout
+            exchange.proc.gen.close()
+
     def fetch_element_size(self, target: str, log_name: str):
         return (yield _Exchange(self, SizeQuery(target, log_name)))
 
@@ -331,6 +340,8 @@ class _Exchange:
         """Retire the request ids and hand the process the reply's outcome."""
         for request_id in self.request_ids:
             self.client._pending.pop(request_id, None)
+        if self.proc.gen.gi_frame is None:  # the process was closed while parked
+            return
         try:
             result = self.core.result(self.reply) if error is None else error
         except FabricError as exc:  # a failed reply raises where the process waits
@@ -339,8 +350,8 @@ class _Exchange:
 
 
 def wire_node(network: Network, node: str, client: TransportClient | None = None,
-              server: TransportServer | None = None) -> None:
-    """Register the node's one endpoint. It is the only place a simulated
+              server: TransportServer | None = None) -> Callable[[bytes, str], None]:
+    """Register and return the node's one endpoint, the only place a simulated
     frame is decoded: requests go to the server and replies to the client
     living on the node, and an undecodable frame is recorded as `bad-frame`."""
 
@@ -357,4 +368,4 @@ def wire_node(network: Network, node: str, client: TransportClient | None = None
         elif client is not None:
             client.on_reply(msg)
 
-    network.register_endpoint(node, dispatch)
+    return network.register_endpoint(node, dispatch)

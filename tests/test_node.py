@@ -1,0 +1,163 @@
+"""A closed node is closed: it answers no frame, fires no handler, resends
+nothing and keeps nothing of itself reachable from its old simulator."""
+
+import gc
+import struct
+import tracemalloc
+
+import pytest
+
+from fabricsim import dataflow
+from fabricsim.dataflow import INT64, DataflowGraph, GraphNode, OpDef
+from fabricsim.errors import SimulatedCrash, StorageFailure
+from fabricsim.events import AppendEffect
+from fabricsim.logstore import LogRegistry
+from fabricsim.netsim import LinkSpec, Network
+from fabricsim.node import FabricNode
+from fabricsim.simcore import Simulator, run_to_completion
+
+
+def build_pair(tmp_path, links=None, routes=None, trace=False):
+    sim = Simulator(seed=1, trace=trace)
+    links = links or [LinkSpec("wire", "alpha", "beta", 5.0, 0.0)]
+    net = Network(sim, links, routes)
+    alpha = FabricNode(sim, net, "alpha", tmp_path / "alpha")
+    beta = FabricNode(sim, net, "beta", tmp_path / "beta")
+    return sim, net, alpha, beta
+
+
+def test_request_in_flight_to_a_closed_node_is_not_applied(tmp_path):
+    # the size exchange takes 0-10 ms; the append request leaves at 10 ms and
+    # would land at 15 ms, after its target closed at 12 ms
+    sim, net, alpha, beta = build_pair(tmp_path)
+    beta.create_log("inbox", 16, 8)
+    sim.spawn(alpha.client.remote_append("beta", "inbox", b"late"))
+    sim.run(until_us=12_000)
+    beta.close()
+    sim.run(until_us=1_000_000)
+    assert beta.registry._open == {}
+    reopened = LogRegistry(tmp_path / "beta")
+    assert reopened.get("inbox").next_seq == 1
+    reopened.close_all()
+    alpha.close()
+
+
+def test_append_local_on_a_closed_node_raises(tmp_path):
+    sim, net, alpha, beta = build_pair(tmp_path)
+    alpha.create_log("events", 16, 8)
+    alpha.close()
+    with pytest.raises(StorageFailure):
+        alpha.append_local("events", b"x")
+    assert alpha.registry._open == {}
+    beta.close()
+
+
+def test_pump_parked_on_a_remote_append_is_closed_with_its_node(tmp_path):
+    # requests go up, replies come down; every reply before 1 s is dropped,
+    # so a live pump would resend its size request at 100 ms
+    links = [LinkSpec("up", "alpha", "beta", 5.0, 0.0),
+             LinkSpec("down", "beta", "alpha", 5.0, 0.0, partitions_us=((0, 1_000_000),))]
+    sim, net, alpha, beta = build_pair(
+        tmp_path, links, {("alpha", "beta"): ["up"], ("beta", "alpha"): ["down"]}, trace=True)
+    beta.create_log("inbox", 8, 8)
+    alpha.create_log("src", 8, 8)
+    alpha.engine.register_handler(
+        "ship", lambda entry, ctx: [AppendEffect("beta", "inbox", entry.payload)])
+    binding = alpha.engine.bind("src", "ship")
+    alpha.append_local("src", b"parked")
+    sim.run(until_us=1_000)  # the size request is in flight
+    before = len(sim.trace)
+    alpha.close()
+    sim.run(until_us=60_000_000)
+    # the request in flight still lands, and beta's reply is dropped; nothing more
+    after = [(kind, fields.get("src"), fields.get("link")) for _, kind, fields in sim.trace[before:]]
+    assert after == [("deliver", "alpha", None), ("drop", None, "down")]
+    assert binding.pump is None and alpha.client._pending == {}
+    assert beta.registry.get("inbox").next_seq == 1
+    beta.close()
+
+
+def test_failed_reply_queued_for_a_closed_node_raises_nowhere(tmp_path):
+    # the size reply (unknown log) lands at 10 ms and queues the resume; the
+    # close runs between the two, so the resume finds its process closed
+    sim, net, alpha, beta = build_pair(tmp_path)
+    proc = sim.spawn(alpha.client.remote_append("beta", "nope", b"x"))
+    sim.schedule(6_000, sim.schedule, 4_000, alpha.close)
+    sim.run(until_us=1_000_000)
+    assert proc.error is None and not proc.finished
+    beta.close()
+
+
+def test_closing_an_old_node_leaves_its_namesake_wired(tmp_path):
+    sim, net, alpha, beta = build_pair(tmp_path)
+    renewed = FabricNode(sim, net, "alpha", tmp_path / "renewed")
+    renewed.create_log("inbox", 16, 8)
+    alpha.close()
+    assert run_to_completion(sim, beta.client.remote_append("alpha", "inbox", b"hi")) == 1
+    assert renewed.registry.get("inbox").next_seq == 2
+    for node in (renewed, beta):
+        node.close()
+
+
+def _open_chain(root, epoch, values):
+    """A ships values to B, whose dataflow node triples them; B crashes after
+    every 10th invocation's effects."""
+    sim = Simulator(seed=epoch)
+    net = Network(sim, [LinkSpec("ab", "a", "b", 5.0, 1.0)])
+    fabric = {name: FabricNode(sim, net, name, root / name) for name in ("a", "b")}
+    a, b = fabric["a"], fabric["b"]
+    if epoch == 0:
+        a.create_log("src", 8, len(values) + 16)
+        b.create_log("feed", 8, len(values) + 16)
+        for v in values:
+            a.append_local("src", struct.pack("<q", v))
+    graph = DataflowGraph(graph_id="g", nodes=[GraphNode("triple", (("v", INT64),), INT64, "triple")],
+                          edges=[], placement={"triple": "b"})
+    dg = dataflow.compile_graph(graph, fabric, {"triple": OpDef(lambda v: 3 * v)},
+                                window=len(values) + 16)
+    port_log = dg.port_log("triple", "v")
+
+    def to_operand(entry, ctx):
+        value = struct.unpack("<q", entry.payload)[0]
+        return [AppendEffect("b", port_log, dataflow.pack_operand(entry.seq - 1, INT64, value))]
+
+    a.engine.register_handler("ship", lambda entry, ctx: [AppendEffect("b", "feed", entry.payload)])
+    a.engine.bind("src", "ship")
+    b.engine.register_handler("to-operand", to_operand)
+    b.engine.bind("feed", "to-operand")
+    b.engine.set_crash_plan(10, "after_effects")
+    return sim, fabric, dg
+
+
+def test_kept_crash_replay_simulators_hold_little_memory(tmp_path):
+    # a caller that keeps every epoch's simulator (to add up simulated time)
+    # keeps only the simulator's own heap and network, not the closed nodes'
+    # engines, handlers, bindings and port indexes
+    values = list(range(300))
+    sim, fabric, dg = _open_chain(tmp_path, 0, values)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept_sims = []
+        for epoch in range(1, 100):
+            try:
+                sim.run()
+                break
+            except SimulatedCrash:
+                kept_sims.append(sim)
+            for node in fabric.values():
+                node.close()
+            sim, fabric, dg = _open_chain(tmp_path, epoch, values)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        epochs = len(kept_sims)
+        kept_sims.clear()
+        gc.collect()
+        dropped = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert epochs >= 50
+    assert [dg.output_value("triple", i) for i in range(len(values))] == [3 * v for v in values]
+    assert (kept - dropped) / epochs < 8 * 1024
+    for node in fabric.values():
+        node.close()

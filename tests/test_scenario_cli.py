@@ -237,6 +237,9 @@ def _set_key(config: dict, path: str, value) -> None:
      "slicing.ue_high.name"),
     # values that used to exit 1 once the run had started: the complement rounds to 0
     ("slicing", {"slicing.fractions": [0.5, 0.99999999999]}, "slicing.fractions"),
+    # a duration between two microseconds: exit 0, with every rate counted over
+    # `duration_s` but divided by the rounded microseconds (2.5e-6 s read as 2 us)
+    ("slicing", {"slicing.duration_s": 2.5e-6}, "slicing.duration_s"),
 ], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps",
         "cadence-zero", "cadence-negative", "alpha", "channels-unknown", "channels-empty",
         "runtime_sd_s", "noise_sd", "uniform-value_s", "alerts", "alert_interval_s",
@@ -247,7 +250,8 @@ def _set_key(config: dict, path: str, value) -> None:
         "link-id-duplicate", "cups-no-route", "partition-backwards", "latency_sd_ms",
         "latency_mean_ms", "sustained_check_tasks", "route-empty", "route-not-a-chain",
         "route-same-pair", "changes-out-of-order", "ue-names-shared",
-        "ue-names-shared-two-fractions", "fraction-complement-zero"])
+        "ue-names-shared-two-fractions", "fraction-complement-zero",
+        "duration_s-between-microseconds"])
 def test_cli_config_error_found_while_building_exits_two(
         tmp_path, capsys, scenario, edits, named):
     bad = tmp_path / "bad.json"
