@@ -8,7 +8,7 @@ Frame layout, all integers little-endian:
     ...  type-specific fields
 
 Strings are u16 length + UTF-8 bytes; payloads are u32 length + bytes.
-Every request carries a u64 request id that the matching reply echoes.
+Every request carries a u64 request id, reused by its retries and its reply.
 Each layout is one precompiled `struct.Struct`: a reply encodes with one
 `pack` and decodes with one `unpack`; a request reads its fixed head with
 `unpack_from` and slices out the name and the payload.

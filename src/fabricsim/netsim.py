@@ -93,7 +93,7 @@ class Network:
         return callback
 
     def unregister_endpoint(self, node: str, callback: Callable[[bytes, str], None]) -> None:
-        """Drop `node`'s endpoint if it is still `callback`; frames to it then vanish."""
+        """Drop `node`'s endpoint if it is still `callback`; frames to it then drop."""
         if self._endpoints.get(node) is callback:
             del self._endpoints[node]
 
@@ -128,9 +128,11 @@ class Network:
                   index: int) -> None:
         sim = self.sim
         if index == len(plan):
-            if sim.trace is not None:
-                sim.record("deliver", src=src, dst=dst, nbytes=len(frame))
             endpoint = self._endpoints.get(dst)
+            if sim.trace is not None and endpoint is None:
+                sim.record("drop", src=src, dst=dst, reason="no-endpoint", nbytes=len(frame))
+            elif sim.trace is not None:
+                sim.record("deliver", src=src, dst=dst, nbytes=len(frame))
             if endpoint is not None:
                 endpoint(frame, src)
             return

@@ -4,8 +4,9 @@ client-side element-size caching, exactly-once via server-side dedup.
 Without the cache every append costs two round trips (size fetch + append).
 A warm cache drops that to one, halving the observed message latency, at the
 price of a size-mismatch failure if the log is resized server-side.
-Requests are retried with exponential backoff until a reply arrives; because
-retries reuse the message id, the server's dedup index makes the append land
+Requests are retried with exponential backoff until a reply arrives; every
+retry of an exchange reuses its request id, and because retries of an append
+reuse its message id, the server's dedup index makes the append land
 exactly once, as long as fewer than the log's dedup window of other ids land
 between an id's first and last attempt (65,536 ids by default, 64 for cursor
 logs). The index forgets older ids, so a retry that comes later appends the
@@ -15,12 +16,14 @@ The client-side rules live in one sans-I/O core (`SizeQuery`, `AppendCall`)
 that does no I/O and reads no clock; `TransportClient` (simulated: callbacks
 retry and time out each exchange) and `sockfab.SocketClient` (blocking TCP)
 only move its frames. Each node's endpoint decodes every frame exactly once.
+`remote_append` yields its size exchange itself, with no sub-generator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from inspect import GEN_CLOSED, getgeneratorstate
 from typing import Callable
 
 import numpy as np
@@ -102,6 +105,8 @@ def _check_reply(reply, kind: type, what: str) -> None:
 class SizeQuery:
     """One element-size exchange with a log on `target`."""
 
+    __slots__ = ("target", "log_name")
+
     def __init__(self, target: str, log_name: str):
         self.target = target
         self.log_name = log_name
@@ -119,6 +124,8 @@ class AppendCall:
     size exchange supplies it through `learn_size`; after that the append
     request may be resent freely, since retries reuse the message id and the
     server's dedup index applies it once."""
+
+    __slots__ = ("cache", "target", "log_name", "payload", "message_id", "element_size")
 
     def __init__(self, cache: SizeCache | None, target: str, log_name: str,
                  payload: bytes, message_id: bytes):
@@ -246,7 +253,7 @@ class TransportClient:
         """Close every process parked on an exchange, in request order, and
         cancel its timeout, so nothing is resent."""
         pending, self._pending = self._pending, {}
-        for exchange in pending.values():  # one entry per attempt; closing twice is a no-op
+        for exchange in pending.values():  # one entry per exchange
             if exchange.timeout is not None:
                 exchange.timeout[2] = None  # cancels the timeout
             exchange.proc.gen.close()
@@ -261,7 +268,7 @@ class TransportClient:
             message_id = self.new_message_id()
         call = AppendCall(self.cache, target, log_name, payload, message_id)
         if call.element_size is None:
-            call.learn_size((yield from self.fetch_element_size(target, log_name)))
+            call.learn_size((yield _Exchange(self, SizeQuery(target, log_name))))
         return (yield _Exchange(self, call))
 
     def measure_latency(self, target: str, log_name: str, payload_size: int, count: int):
@@ -283,28 +290,29 @@ class TransportClient:
 
 class _Exchange:
     """One request/reply exchange of `core` (a `SizeQuery` or `AppendCall`),
-    driven by scheduled callbacks. A reply to any attempt schedules a zero-delay
+    driven by scheduled callbacks. Every attempt carries the same request id, as
+    it carries the same message id. A reply to any attempt schedules a zero-delay
     resume of the parked process, and a timeout a zero-delay resend with backoff,
     so a reply that lands in between still lets that resend go out first."""
 
-    __slots__ = ("client", "core", "request_ids", "proc", "reply", "timeout")
+    __slots__ = ("client", "core", "request_id", "attempts", "proc", "reply", "timeout")
 
     def __init__(self, client: TransportClient, core):
         client.network.hop_plan(client.node, core.target)  # raises RouteUnreachable early
-        self.client, self.core = client, core
-        self.request_ids: list[int] = []  # attempt n sent request_ids[n]
+        self.client, self.core, self.attempts = client, core, 0
+        self.request_id = next(client._request_ids)
         self.proc = self.reply = self.timeout = None  # timeout: the last armed heap entry
         self._send()
 
     def _send(self) -> None:
-        client, attempt = self.client, len(self.request_ids)
+        client, attempt = self.client, self.attempts
         if client.policy.max_attempts is not None and attempt >= client.policy.max_attempts:
             raise DeliveryAbandoned(f"no reply from {self.core.target} after {attempt} attempts")
-        request_id = next(client._request_ids)
-        self.request_ids.append(request_id)
-        client._pending[request_id] = self
+        if attempt == 0:  # the exchange's one entry; `_resume` pops it
+            client._pending[self.request_id] = self
+        self.attempts = attempt + 1
         client.network.send(client.node, self.core.target,
-                            framing.encode(self.core.request(request_id)))
+                            framing.encode(self.core.request(self.request_id)))
 
     def park(self, proc: Process) -> None:
         """Called when the process yields the exchange, and after each resend."""
@@ -313,7 +321,7 @@ class _Exchange:
             sim.schedule(0, self._resume)
         else:
             self.timeout = sim.schedule(
-                self.client.policy.timeout_us(len(self.request_ids) - 1), self._expire)
+                self.client.policy.timeout_us(self.attempts - 1), self._expire)
 
     def deliver(self, reply) -> None:
         if self.reply is None:
@@ -327,7 +335,8 @@ class _Exchange:
         self.client.sim.schedule(0, self._resend)
 
     def _resend(self) -> None:
-        if self.proc.gen.gi_frame is None:  # the process was closed while parked
+        # closed while parked? (`gi_frame` would materialise a parked generator's frame)
+        if getgeneratorstate(self.proc.gen) == GEN_CLOSED:
             return
         try:
             self._send()
@@ -337,10 +346,9 @@ class _Exchange:
             self.park(self.proc)
 
     def _resume(self, error: DeliveryAbandoned | None = None) -> None:
-        """Retire the request ids and hand the process the reply's outcome."""
-        for request_id in self.request_ids:
-            self.client._pending.pop(request_id, None)
-        if self.proc.gen.gi_frame is None:  # the process was closed while parked
+        """Retire the request id and hand the process the reply's outcome."""
+        self.client._pending.pop(self.request_id, None)
+        if getgeneratorstate(self.proc.gen) == GEN_CLOSED:  # closed while parked
             return
         try:
             result = self.core.result(self.reply) if error is None else error

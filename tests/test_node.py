@@ -29,13 +29,20 @@ def build_pair(tmp_path, links=None, routes=None, trace=False):
 def test_request_in_flight_to_a_closed_node_is_not_applied(tmp_path):
     # the size exchange takes 0-10 ms; the append request leaves at 10 ms and
     # would land at 15 ms, after its target closed at 12 ms
-    sim, net, alpha, beta = build_pair(tmp_path)
+    sim, net, alpha, beta = build_pair(tmp_path, trace=True)
     beta.create_log("inbox", 16, 8)
     sim.spawn(alpha.client.remote_append("beta", "inbox", b"late"))
     sim.run(until_us=12_000)
     beta.close()
     sim.run(until_us=1_000_000)
     assert beta.registry._open == {}
+    # the frame that reaches the unplugged endpoint is traced as dropped
+    after_close = [(t, kind, f) for t, kind, f in sim.trace if t > 12_000]
+    assert not [f for _, kind, f in after_close
+                if kind == "deliver" and (f["src"], f["dst"]) == ("alpha", "beta")]
+    dropped = [(t, f) for t, kind, f in after_close if f.get("reason") == "no-endpoint"]
+    assert dropped[0][0] == 15_000
+    assert {(f["src"], f["dst"]) for _, f in dropped} == {("alpha", "beta")}
     reopened = LogRegistry(tmp_path / "beta")
     assert reopened.get("inbox").next_seq == 1
     reopened.close_all()

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import inspect
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -291,14 +292,21 @@ def test_each_delivered_frame_is_decoded_once(tmp_path, monkeypatch):
     assert decodes == kinds.count("deliver")
 
 
-def _lossy_appends(root, n, seed, trace):
-    """`n` concurrent 16-byte appends over a 10 +- 4 ms link with 20% loss and
-    5% duplication."""
+def _lossy_link(root, n, seed, trace=False):
+    """A client and a log of room for `n` 16-byte appends, over a 10 +- 4 ms
+    link with 20% loss and 5% duplication."""
     sim, net, registry, server, client = build(
         root, seed=seed, latency_ms=10.0, sd_ms=4.0, loss=0.2, dup=0.05, trace=trace)
     registry.create("data", 16, 2 * n)
-    procs = [sim.spawn(client.remote_append("server", "data", i.to_bytes(16, "little")))
-             for i in range(n)]
+    appends = [client.remote_append("server", "data", i.to_bytes(16, "little"))
+               for i in range(n)]
+    return sim, net, registry, appends
+
+
+def _lossy_appends(root, n, seed, trace):
+    """`n` concurrent appends over `_lossy_link`."""
+    sim, net, registry, appends = _lossy_link(root, n, seed, trace)
+    procs = [sim.spawn(gen) for gen in appends]
     sim.run()
     assert all(p.error is None for p in procs)
     return sim, net, registry, [p.result for p in procs]
@@ -306,12 +314,20 @@ def _lossy_appends(root, n, seed, trace):
 
 def test_lossy_appends_reproduce_pinned_history(tmp_path):
     # literals: every frame's fate and timing, the order the appends land
-    # in, and the message ids drawn
+    # in, and the message ids drawn; the first hash also covers request ids,
+    # the second everything else
     sim, net, registry, seqs = _lossy_appends(tmp_path, 300, seed=11, trace=True)
     kinds = [kind for _, kind, _ in sim.trace]
     assert {"drop", "duplicate", "late-reply"} <= set(kinds)
+    assert kinds.count("late-reply") == 51
     trace_hash = hashlib.sha256("\n".join(sim.trace_lines()).encode()).hexdigest()
-    assert trace_hash == "22e25e43a3f4fe59a8ea465169b34e0c72427504156f910af5c5b94adc9898a4"
+    assert trace_hash == "a17f41d0ffd76c00707379e87d763c552331e1605f3cd2fe98aed45fcb1d690d"
+    without_ids = [
+        json.dumps({"t_us": t, "kind": kind,
+                    **{k: v for k, v in f.items() if k != "request_id"}}, sort_keys=True)
+        for t, kind, f in sim.trace]
+    assert hashlib.sha256("\n".join(without_ids).encode()).hexdigest() == \
+        "5e2a98f3d8826824922cd13e227e40db8b3ce3620f4527e0ad5a8d49c4d1d644"
     seqs_hash = hashlib.sha256(json.dumps(seqs).encode()).hexdigest()
     assert seqs_hash == "02df379aba65e1b1f71f1dd39dde4212b048ae9894c5c0dafddc493ff80c5186"
     ids = b"".join(e.message_id for e in registry.get("data").scan(1, 300).entries)
@@ -375,6 +391,53 @@ def test_bounded_retry_budget_abandons(tmp_path):
     registry.create("data", 64, 8)
     with pytest.raises(DeliveryAbandoned):
         run_to_completion(sim, client.remote_append("server", "data", b"x"))
+
+
+def test_an_exchange_abandoned_before_its_first_send_leaves_no_pending_entry(tmp_path):
+    sim, net, registry, server, client = build(
+        tmp_path, policy=RetryPolicy(max_attempts=0))
+    registry.create("data", 64, 8)
+    with pytest.raises(DeliveryAbandoned):
+        run_to_completion(sim, client.remote_append("server", "data", b"x"))
+    assert client._pending == {}
+
+
+def test_every_attempt_of_an_exchange_carries_its_one_request_id(tmp_path):
+    # requests take 200 ms up, and replies that leave before 250 ms are dropped:
+    # the size request goes out at 0, 100 and 300 ms, the reply to the second
+    # attempt resolves the exchange at 310 ms and the reply to the third is late
+    sim = Simulator(seed=1, trace=True)
+    links = [LinkSpec("up", "client", "server", 200.0, 0.0),
+             LinkSpec("down", "server", "client", 10.0, 0.0, partitions_us=((0, 250_000),))]
+    net = Network(sim, links, {("client", "server"): ["up"], ("server", "client"): ["down"]})
+    registry = LogRegistry(tmp_path / "server")
+    server = TransportServer(sim, net, "server", registry)
+    client = TransportClient(sim, net, "client")
+    registry.create("data", 16, 8)
+    taken = []  # (t_us, message) of every frame an endpoint takes
+
+    def capture(node, endpoint):
+        def wrapped(frame, src):
+            taken.append((sim.now_us, framing.decode(frame)))
+            endpoint(frame, src)
+        net.register_endpoint(node, wrapped)
+
+    capture("server", wire_node(net, "server", server=server))
+    capture("client", wire_node(net, "client", client=client))
+    proc = sim.spawn(client.remote_append("server", "data", b"once"))
+    sim.run()
+    assert proc.result == 1
+    size_requests = [(t, m.request_id) for t, m in taken if isinstance(m, SizeRequest)]
+    (size_id,) = {request_id for _, request_id in size_requests}
+    assert [t for t, _ in size_requests] == [200_000, 300_000, 500_000]
+    size_replies = [(t, m.request_id) for t, m in taken if isinstance(m, SizeReply)]
+    assert size_replies == [(310_000, size_id), (510_000, size_id)]
+    # the first reply resolves the exchange: the append request leaves at once
+    first_append = next(t for t, m in taken if isinstance(m, AppendRequest))
+    assert first_append == 310_000 + 200_000
+    late = [(t, f["request_id"]) for t, kind, f in sim.trace
+            if kind == "late-reply" and f["request_id"] == size_id]
+    assert late == size_replies[1:]
 
 
 def test_retry_transparency_same_result_under_loss(tmp_path):
@@ -487,6 +550,22 @@ def test_finished_exchanges_and_expired_waits_leave_no_cyclic_garbage(tmp_path):
         gc.garbage.clear()
         gc.enable()
     assert seqs and not leaked
+
+
+def test_an_append_in_flight_keeps_at_most_1200_traced_bytes(tmp_path):
+    # the generators exist before tracing starts, so the peak is what the
+    # appends in flight keep alive: exchanges, protocol cores, frames, events
+    n = 1_000
+    sim, net, registry, appends = _lossy_link(tmp_path, n, seed=11)
+    tracemalloc.start()
+    try:
+        procs = [sim.spawn(gen) for gen in appends]
+        sim.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.error is None for p in procs)
+    assert peak / n <= 1_200
 
 
 def test_client_exchanges_stay_generator_functions():
