@@ -54,8 +54,8 @@ class LinkSpec:
             raise NetError("a partition must not end before it starts")
         if not (0.0 <= self.loss_prob < 1.0):
             raise NetError(f"loss_prob must be in [0,1), got {self.loss_prob}")
-        if self.base_capacity_mbps <= 0:
-            raise NetError("base_capacity_mbps must be positive")
+        if not self.base_capacity_mbps >= CAPACITY_FLOOR_MBPS:  # a frame would outlast every retry
+            raise NetError(f"base_capacity_mbps must be at least {CAPACITY_FLOOR_MBPS}")
         if not (0.0 <= self.duplicate_prob < 1.0):
             raise NetError("duplicate_prob must be in [0,1)")
 
@@ -77,6 +77,7 @@ class Network:
         self._endpoints: dict[str, Callable[[bytes, str], None]] = {}
         self._rngs: dict[str, np.random.Generator] = {}
         self._plans: dict[tuple[str, str], tuple] = {}
+        self._traverse = self._traverse  # one bound method serves every frame in flight
 
     def _rng(self, label: str) -> np.random.Generator:
         if label not in self._rngs:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientResources, check_not_negative
-from .simcore import Simulator, Trigger, s_to_us, sleep, wait
+from .simcore import US_PER_S, Simulator, Trigger, s_to_us, sleep, wait
 
 HOURS_24_S = 24 * 3600.0
 
@@ -65,6 +65,13 @@ def pilot_parameters(n_req: int, estimated_runtime_s: float,
     nodes = min(system.total_nodes, n_req)
     runtime = min(system.max_runtime_s, estimated_runtime_s)
     return nodes, runtime
+
+
+def check_walltime(name: str, seconds: float) -> None:
+    """A pilot's walltime is whole microseconds; one with none never hosts a
+    task, and `_acquire` would resubmit it forever at one simulated instant."""
+    if not seconds * US_PER_S > 0.5:  # s_to_us(seconds) <= 0, without its overflow
+        raise ConfigError(f"bad value for {name}: {seconds} s is no walltime")
 
 
 def check_task_fits(cores: int, system: SystemSpec, cost_model: CfdCostModel) -> None:
@@ -112,6 +119,7 @@ class SystemSpec:
     def __post_init__(self):
         if self.total_nodes < 1:
             raise ConfigError("facility needs at least one node")
+        check_walltime("max_runtime_s", self.max_runtime_s)
 
 
 @dataclass(frozen=True)

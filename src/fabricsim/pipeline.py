@@ -54,6 +54,7 @@ from .pilot import (
     SystemSpec,
     TaskSpec,
     check_task_fits,
+    check_walltime,
 )
 from .simcore import Simulator, run_to_completion, s_to_us, sleep
 from .weather import CHANNELS, RECORD_SIZE, REPORT_CADENCE_S, TelemetryRecord, WeatherModel
@@ -89,6 +90,7 @@ class CupsParams:
             raise ConfigError("scenario too short for a single evaluation")
         if WINDOW_LEN * self.cadence_s != self.duty_cycle_s:
             raise ConfigError("window must span exactly one duty cycle")
+        check_walltime("estimated_runtime_s", self.estimated_runtime_s)
 
 
 @dataclass

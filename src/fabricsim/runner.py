@@ -7,6 +7,7 @@ the scenario completed and every invariant held.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .pilot import (
     PilotController,
     TaskResult,
     TaskSpec,
+    check_walltime,
 )
 from .pipeline import ND, PAIR_BYTES, UCSB, UNL, CupsParams, CupsPipeline, sustained_rate_s
 from .scenario import (
@@ -43,6 +45,8 @@ def run_scenario(config: dict, out_dir: str | Path,
     kind = config["kind"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if (out_dir / "state").is_dir():  # every run starts from empty logs
+        shutil.rmtree(out_dir / "state")
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
     results, invariants, series = _RUNNERS[kind](config, out_dir, seed)
@@ -238,6 +242,8 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
 def _run_queue_sweep(config: dict, out_dir: Path, seed: int):
     spec = config["queue_sweep"]
     _check_at_least("queue_sweep", spec, {"alerts": 1, "alert_interval_s": 0})
+    check_walltime("queue_sweep.estimated_runtime_s",
+                   spec.get("estimated_runtime_s", REFERENCE_MEAN_S))
     strategies = spec.get("strategies", ["reactive", "proactive"])
     rows = []
     summaries = []

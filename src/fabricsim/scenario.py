@@ -9,6 +9,7 @@ can be referenced by name instead of path.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -50,8 +51,15 @@ def _check_value(value, kind, where: str) -> None:
         types = _NUM if kind is float else kind
         if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
             raise ConfigError(f"bad value for {where}: expected {_KINDS[kind]}")
+        _check_finite(value, where)
     else:
         kind(value, where)
+
+
+def _check_finite(value, where: str) -> None:
+    """Python's `json` reads NaN and Infinity, and `NaN < 0` is false."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"bad value for {where}: {value} is not a finite number")
 
 
 def _list_of(kind):
@@ -77,6 +85,8 @@ def _pair_item(value, where):
     if (not isinstance(value, list) or len(value) != 2
             or any(not isinstance(v, _NUM) or isinstance(v, bool) for v in value)):
         raise ConfigError(f"bad value for {where}: expected [number, number]")
+    for v in value:
+        _check_finite(v, where)
 
 
 def _route_path(where, key):
@@ -240,8 +250,8 @@ def load_scenario(ref: str | Path) -> dict:
             f"scenarios/{ref}.json").read_text()
     else:
         raise ConfigError(f"scenario not found: {ref}")
-    try:
-        raw = json.loads(text)
+    try:  # -0.0 reads as 0.0: numpy rejects a scale or a bound of -0.0
+        raw = json.loads(text, parse_float=lambda s: float(s) + 0.0)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     validate_scenario(raw)

@@ -7,8 +7,10 @@ parks it: the engine calls the yielded object's `park(process)`, and that
 object schedules the resume. `sleep(...)`, a `Trigger`, `wait(trigger,
 timeout_us)` and the transport's exchanges are the yieldables.
 
-A heap entry is the event itself, `[t, tie, fn, args]`; cancelling a
-pending event sets its `fn` slot to None, and `run` skips it.
+A heap entry is the event itself, `[t << 40 | tie, fn, args]` (ties below 2**40).
+`Simulator.cancel(entry)` is the one way to cancel: it clears `fn` and `args`, and
+rebuilds the heap without cancelled entries once they are more than a quarter of a
+heap of at least 256; pop order is the total order on the key, so history stays.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
+TIE_BITS = 40
+COMPACT_SHARE, COMPACT_MIN = 0.25, 256  # not asyncio's half: lossy appends pass it after their peak
 
 
 def ms_to_us(ms: float) -> int:
@@ -111,8 +115,7 @@ class _WaitFor:
         proc, self.proc = self.proc, None
         if proc is None:  # the timeout won
             return
-        if self.timeout is not None:
-            self.timeout[2] = None  # cancels the timeout
+        proc._sim.cancel(self.timeout)
         proc._sim.schedule(0, proc._sim._step, proc, value, False)
 
     def expire(self) -> None:
@@ -146,6 +149,8 @@ class Simulator:
         self.seed = seed
         self._heap: list[list] = []
         self._tie = itertools.count()
+        self._cancelled = 0  # cancelled entries still in the heap
+        self._step = self._step  # one bound method serves every resume
         self.trace: list[tuple[int, str, dict]] | None = [] if trace else None
 
     # -- randomness -----------------------------------------------------
@@ -159,12 +164,23 @@ class Simulator:
     # -- scheduling -----------------------------------------------------
 
     def schedule(self, delay_us: int, fn: Callable, *args) -> list:
-        """Queue `fn(*args)`; returns the heap entry `[t, tie, fn, args]`."""
+        """Queue `fn(*args)`; returns the heap entry `[t << 40 | tie, fn, args]`."""
         if delay_us < 0:
             raise ValueError("cannot schedule in the past")
-        event = [self.now_us + int(delay_us), next(self._tie), fn, args]
+        event = [(self.now_us + int(delay_us)) << TIE_BITS | next(self._tie), fn, args]
         heapq.heappush(self._heap, event)
         return event
+
+    def cancel(self, event: list | None) -> None:
+        """Cancel a pending event (None: no event); may compact the heap."""
+        if event is not None and event[1] is not None:
+            event[1] = event[2] = None
+            self._cancelled += 1
+            heap = self._heap
+            if self._cancelled > COMPACT_SHARE * len(heap) and len(heap) >= COMPACT_MIN:
+                heap[:] = [e for e in heap if e[1] is not None]  # in place: `run` holds it
+                heapq.heapify(heap)
+                self._cancelled = 0
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         proc = Process(self, gen, name)
@@ -176,12 +192,8 @@ class Simulator:
             self.trace.append((self.now_us, kind, fields))
 
     def trace_lines(self) -> list[str]:
-        if self.trace is None:
-            return []
-        return [
-            json.dumps({"t_us": t, "kind": k, **f}, sort_keys=True)
-            for t, k, f in self.trace
-        ]
+        return [json.dumps({"t_us": t, "kind": k, **f}, sort_keys=True)
+                for t, k, f in self.trace or ()]
 
     # -- the loop -------------------------------------------------------
 
@@ -192,13 +204,15 @@ class Simulator:
             raise ValueError("clock cannot move backwards")
         fired = 0
         heap, pop = self._heap, heapq.heappop
+        end = None if until_us is None else (int(until_us) + 1) << TIE_BITS
         while heap:
-            if until_us is not None and heap[0][0] > until_us:
+            if end is not None and heap[0][0] >= end:
                 break
-            t, _, fn, args = pop(heap)
+            key, fn, args = pop(heap)
             if fn is None:
+                self._cancelled -= 1
                 continue
-            self.now_us = t
+            self.now_us = key >> TIE_BITS
             fn(*args)
             fired += 1
             if fired > max_events:
@@ -210,10 +224,7 @@ class Simulator:
 
     def _step(self, proc: Process, value: Any, throwing: bool) -> None:
         try:
-            if throwing:
-                yielded = proc.gen.throw(value)
-            else:
-                yielded = proc.gen.send(value)
+            yielded = proc.gen.throw(value) if throwing else proc.gen.send(value)
         except StopIteration as stop:
             proc.result, proc.finished = stop.value, True
             return

@@ -231,6 +231,7 @@ class TransportClient:
         self.cache = cache
         self._request_ids = itertools.count(1)
         self._pending: dict[int, _Exchange] = {}
+        self._size_queries: dict[tuple[str, str], SizeQuery] = {}  # one per log: stateless
         self._rng: np.random.Generator = sim.rng(f"client:{node}")
         self._ids, self._ids_pos = b"", 0
 
@@ -254,12 +255,15 @@ class TransportClient:
         cancel its timeout, so nothing is resent."""
         pending, self._pending = self._pending, {}
         for exchange in pending.values():  # one entry per exchange
-            if exchange.timeout is not None:
-                exchange.timeout[2] = None  # cancels the timeout
+            self.sim.cancel(exchange.timeout)
             exchange.proc.gen.close()
 
+    def _size_query(self, target: str, log_name: str) -> SizeQuery:
+        key = (target, log_name)
+        return self._size_queries.get(key) or self._size_queries.setdefault(key, SizeQuery(*key))
+
     def fetch_element_size(self, target: str, log_name: str):
-        return (yield _Exchange(self, SizeQuery(target, log_name)))
+        return (yield _Exchange(self, self._size_query(target, log_name)))
 
     def remote_append(self, target: str, log_name: str, payload: bytes,
                       message_id: bytes | None = None):
@@ -268,7 +272,7 @@ class TransportClient:
             message_id = self.new_message_id()
         call = AppendCall(self.cache, target, log_name, payload, message_id)
         if call.element_size is None:
-            call.learn_size((yield _Exchange(self, SizeQuery(target, log_name))))
+            call.learn_size((yield _Exchange(self, self._size_query(target, log_name))))
         return (yield _Exchange(self, call))
 
     def measure_latency(self, target: str, log_name: str, payload_size: int, count: int):
@@ -289,11 +293,11 @@ class TransportClient:
 
 
 class _Exchange:
-    """One request/reply exchange of `core` (a `SizeQuery` or `AppendCall`),
-    driven by scheduled callbacks. Every attempt carries the same request id, as
-    it carries the same message id. A reply to any attempt schedules a zero-delay
-    resume of the parked process, and a timeout a zero-delay resend with backoff,
-    so a reply that lands in between still lets that resend go out first."""
+    """One request/reply exchange of `core` (a `SizeQuery` or `AppendCall`), driven by
+    callbacks, and its own timeout callback. Every attempt carries the same request id,
+    as it carries the same message id. A reply to any attempt schedules a zero-delay
+    resume of the parked process, and a timeout a zero-delay resend with backoff, so a
+    reply that lands in between still lets that resend go out first."""
 
     __slots__ = ("client", "core", "request_id", "attempts", "proc", "reply", "timeout")
 
@@ -320,17 +324,16 @@ class _Exchange:
         if self.reply is not None:
             sim.schedule(0, self._resume)
         else:
-            self.timeout = sim.schedule(
-                self.client.policy.timeout_us(self.attempts - 1), self._expire)
+            self.timeout = sim.schedule(self.client.policy.timeout_us(self.attempts - 1), self)
 
     def deliver(self, reply) -> None:
         if self.reply is None:
             self.reply = reply
             if self.timeout is not None:  # parked, and no resend queued
-                self.timeout[2] = None  # cancels the timeout
+                self.client.sim.cancel(self.timeout)
                 self.client.sim.schedule(0, self._resume)
 
-    def _expire(self) -> None:
+    def __call__(self) -> None:  # the timeout fired
         self.timeout = None
         self.client.sim.schedule(0, self._resend)
 

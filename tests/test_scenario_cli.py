@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ from fabricsim.logstore import LogStore
 from fabricsim.metrics import summarize, write_report
 from fabricsim.runner import run_scenario
 from fabricsim.scenario import BUNDLED, load_scenario, validate_scenario
+
+from .test_scenario_mutation import Hang, run_within_alarm
 
 
 def read_csv(path) -> list[dict]:
@@ -240,6 +243,18 @@ def _set_key(config: dict, path: str, value) -> None:
     # a duration between two microseconds: exit 0, with every rate counted over
     # `duration_s` but divided by the rounded microseconds (2.5e-6 s read as 2 us)
     ("slicing", {"slicing.duration_s": 2.5e-6}, "slicing.duration_s"),
+    # NaN and Infinity, which Python's `json` reads: a traceback once the run was built
+    ("table1", {"topology.links.0.latency_mean_ms": math.nan},
+     "topology.links[0].latency_mean_ms"),
+    ("e2e_cups", {"topology.links.1.latency_sd_ms": math.inf}, "topology.links[1].latency_sd_ms"),
+    ("slicing", {"topology.links.0.base_capacity_mbps": math.nan},
+     "topology.links[0].base_capacity_mbps"),
+    ("e2e_cups", {"cups.cost_model.runtime_sd_s": math.inf}, "cups.cost_model.runtime_sd_s"),
+    ("slicing", {"slicing.ue_low.efficiency": math.nan}, "slicing.ue_low.efficiency"),
+    ("queue_sweep", {"queue_sweep.delays.3.mu": math.nan}, "queue_sweep.delays[3].mu"),
+    ("queue_sweep", {"queue_sweep.alert_interval_s": math.inf}, "queue_sweep.alert_interval_s"),
+    ("e2e_cups", {"cups.weather.channels.wind_speed.changes": [[7300, math.nan]]},
+     "cups.weather.channels.wind_speed.changes[0]"),
 ], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps",
         "cadence-zero", "cadence-negative", "alpha", "channels-unknown", "channels-empty",
         "runtime_sd_s", "noise_sd", "uniform-value_s", "alerts", "alert_interval_s",
@@ -251,7 +266,9 @@ def _set_key(config: dict, path: str, value) -> None:
         "latency_mean_ms", "sustained_check_tasks", "route-empty", "route-not-a-chain",
         "route-same-pair", "changes-out-of-order", "ue-names-shared",
         "ue-names-shared-two-fractions", "fraction-complement-zero",
-        "duration_s-between-microseconds"])
+        "duration_s-between-microseconds", "latency_mean_ms-nan", "latency_sd_ms-infinity",
+        "base_capacity_mbps-nan", "runtime_sd_s-infinity", "efficiency-nan", "mu-nan",
+        "alert_interval_s-infinity", "changes-nan"])
 def test_cli_config_error_found_while_building_exits_two(
         tmp_path, capsys, scenario, edits, named):
     bad = tmp_path / "bad.json"
@@ -263,6 +280,66 @@ def test_cli_config_error_found_while_building_exits_two(
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ") and named in err
+
+
+@pytest.mark.parametrize("scenario, edits, named", [
+    # a pilot walltime that rounds to 0 us: `_acquire` resubmitted forever at one instant
+    ("e2e_cups", {"cups.system.max_runtime_s": 0}, "max_runtime_s"),
+    ("e2e_cups", {"cups.system.max_runtime_s": -0.0}, "max_runtime_s"),
+    ("queue_sweep", {"queue_sweep.system.max_runtime_s": 1e-9}, "max_runtime_s"),
+    ("queue_sweep", {"queue_sweep.estimated_runtime_s": -1}, "queue_sweep.estimated_runtime_s"),
+    ("e2e_cups", {"cups.pilot.strategy": "reactive", "cups.pilot.estimated_runtime_s": 0},
+     "estimated_runtime_s"),
+    # a link so slow that each frame outlasts a million retry timeouts
+    ("table1", {"topology.links.2.base_capacity_mbps": 1e-9}, "topology.links[2]"),
+], ids=["max_runtime_s-zero", "max_runtime_s-minus-zero", "max_runtime_s-below-a-microsecond",
+        "estimated_runtime_s-negative", "cups-estimated_runtime_s-zero",
+        "base_capacity_mbps-below-floor"])
+def test_cli_run_that_never_ended_exits_two(tmp_path, scenario, edits, named):
+    config = load_scenario(scenario)
+    for path, value in edits.items():
+        _set_key(config, path, value)
+    try:
+        code, err = run_within_alarm(tmp_path, config)
+    except Hang:
+        pytest.fail("the run did not end")
+    assert code == 2
+    assert err.startswith("config error: ") and named in err
+
+
+@pytest.mark.parametrize("scenario, path", [
+    ("e2e_cups", "cups.weather.channels.wind_speed.noise_sd"),
+    ("e2e_cups", "cups.cost_model.runtime_sd_s"),
+    ("queue_sweep", "queue_sweep.delays.2.value_s"),  # uniform
+    ("queue_sweep", "queue_sweep.delays.3.sigma"),  # lognormal
+], ids=["noise_sd", "runtime_sd_s", "uniform-value_s", "lognormal-sigma"])
+def test_cli_minus_zero_runs_as_zero(tmp_path, scenario, path):
+    # numpy rejects a scale, bound or sigma of -0.0, which `x < 0` lets through
+    reports = []
+    for value in (0.0, -0.0):
+        config = load_scenario(scenario)
+        _set_key(config, path, value)
+        assert run_within_alarm(tmp_path / str(value), config) == (0, "")
+        reports.append((tmp_path / str(value) / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("scenario", ["table1", "e2e_cups"])
+def test_cli_repeat_run_into_one_directory(tmp_path, capsys, scenario):
+    # the second run used to stop at the first log the first one left in `state/`
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--out", str(out)]) == 0
+    first = (out / "report.json").read_bytes()
+    assert main(["run", "--scenario", scenario, "--out", str(out)]) == 0
+    assert (out / "report.json").read_bytes() == first
+
+
+def test_cli_repeat_sweep_into_one_directory(tmp_path, capsys):
+    args = ["sweep", "--scenario", "table1", "--seeds", "1..2", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert main(args) == 0
+    assert read_csv(tmp_path / "sweep_summary.csv") == [{"seed": "1", "ok": "true"},
+                                                         {"seed": "2", "ok": "true"}]
 
 
 def _cli_run_within_5_s(tmp_path, config):

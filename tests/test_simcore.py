@@ -1,8 +1,12 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fabricsim import simcore
 from fabricsim.simcore import (
     TIMEOUT,
     Simulator,
@@ -143,6 +147,99 @@ def test_cancelled_timeout_is_skipped_without_count_or_clock_move():
     assert sim.now_us == 4_999
     sim.run(until_us=6_000, max_events=0)  # the cancelled timeout fires nothing
     assert sim.now_us == 6_000
+
+
+# -- cancel and heap compaction -----------------------------------------------------
+
+def _cancelled_in_heap(sim):
+    return sum(event[1] is None for event in sim._heap)
+
+
+def test_cancel_compacts_once_more_than_a_quarter_of_a_heap_of_256_is_cancelled():
+    sim = Simulator()
+    fired = []
+    events = [sim.schedule(i, fired.append, i) for i in range(300)]
+    for event in events[:75]:  # a quarter exactly: kept
+        sim.cancel(event)
+    assert len(sim._heap) == 300 and _cancelled_in_heap(sim) == 75
+    sim.cancel(events[75])
+    assert len(sim._heap) == 224 and _cancelled_in_heap(sim) == 0
+    sim.run()
+    assert fired == list(range(76, 300))
+
+
+def test_cancel_leaves_a_heap_below_256_whole_and_counts_an_event_once():
+    sim = Simulator()
+    fired = []
+    events = [sim.schedule(i, fired.append, i) for i in range(255)]
+    for event in events[:200] + events[:200]:
+        sim.cancel(event)
+    sim.cancel(None)
+    assert len(sim._heap) == 255 and sim._cancelled == 200
+    sim.run()
+    assert fired == list(range(200, 255)) and sim._cancelled == 0
+
+
+_OPS = st.lists(st.one_of(
+    # (op, how many events, spread of their delays in us)
+    st.tuples(st.just("schedule"), st.integers(1, 300), st.integers(0, 5_000)),
+    # (op, how many pending events, which ones)
+    st.tuples(st.just("cancel"), st.integers(1, 250), st.integers(0, 2**16)),
+    # (op, until_us past now or None, max_events)
+    st.tuples(st.just("run"), st.none() | st.integers(0, 5_000), st.integers(0, 400)),
+), max_size=20)
+
+
+def _replay(first, ops):
+    """Run a first fill of `first` events, then `ops`; events fired by the run
+    schedule and cancel more. Returns every outcome a caller can observe."""
+    sim = Simulator()
+    pending, ids, seen = {}, itertools.count(), []
+
+    def add(delay):
+        i = next(ids)
+        pending[i] = sim.schedule(delay, fire, i)
+
+    def cancel(count, pick):
+        for _ in range(min(count, len(pending))):
+            keys = list(pending)
+            pick = pick * 31 + 7
+            sim.cancel(pending.pop(keys[pick % len(keys)]))
+
+    def fire(i):
+        del pending[i]
+        seen.append((sim.now_us, i))
+        if i % 3 == 0:
+            add(i % 7 * 100)
+        if i % 4 == 0:
+            cancel(2, i)
+
+    def schedule(count, spread):
+        for j in range(count):
+            add((j * 7_919) % (spread + 1))
+
+    schedule(*first)
+    for op, a, b in ops:
+        if op == "run":
+            try:
+                sim.run(until_us=None if a is None else sim.now_us + a, max_events=b)
+            except RuntimeError:  # the event budget
+                seen.append("budget")
+            seen.append((sim.now_us, len(seen)))
+        else:
+            (schedule if op == "schedule" else cancel)(a, b)
+    sim.run()
+    return seen, sim.now_us
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(first=st.tuples(st.integers(256, 700), st.integers(0, 5_000)), ops=_OPS)
+def test_heap_compaction_changes_no_history(first, ops):
+    compacted = _replay(first, ops)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simcore, "COMPACT_SHARE", float("inf"))  # compaction off
+        assert _replay(first, ops) == compacted
+
 
 def test_unjoined_process_exception_surfaces():
     sim = Simulator()

@@ -552,7 +552,7 @@ def test_finished_exchanges_and_expired_waits_leave_no_cyclic_garbage(tmp_path):
     assert seqs and not leaked
 
 
-def test_an_append_in_flight_keeps_at_most_1200_traced_bytes(tmp_path):
+def test_an_append_in_flight_keeps_at_most_900_traced_bytes(tmp_path):
     # the generators exist before tracing starts, so the peak is what the
     # appends in flight keep alive: exchanges, protocol cores, frames, events
     n = 1_000
@@ -565,7 +565,29 @@ def test_an_append_in_flight_keeps_at_most_1200_traced_bytes(tmp_path):
     finally:
         tracemalloc.stop()
     assert all(p.error is None for p in procs)
-    assert peak / n <= 1_200
+    assert peak / n <= 900  # 860 B measured
+
+
+def test_cancelled_timeouts_stay_within_a_quarter_of_the_heap(tmp_path, monkeypatch):
+    # after every cancel, the only step that adds a cancelled entry, in a heap of
+    # 256 or more; one timeout per exchange answered before it fired
+    n, seen = 2_000, []
+    sim, net, registry, appends = _lossy_link(tmp_path, n, seed=11)
+    cancel = Simulator.cancel
+
+    def checked_cancel(self, event):
+        cancel(self, event)
+        cancelled = [entry[1] for entry in self._heap].count(None)
+        assert cancelled == self._cancelled
+        if len(self._heap) >= 256:
+            assert cancelled <= len(self._heap) / 4
+        seen.append(cancelled)
+
+    monkeypatch.setattr(Simulator, "cancel", checked_cancel)
+    procs = [sim.spawn(gen) for gen in appends]
+    sim.run()
+    assert all(p.error is None for p in procs)
+    assert len(seen) > n and max(seen) > 256  # the wire path did cancel, and compact
 
 
 def test_client_exchanges_stay_generator_functions():
