@@ -6,24 +6,26 @@ appending past capacity evicts the oldest entry. Every record carries a
 CRC32; a failed checksum on the newest record is treated as a torn write
 and discarded on recovery, anywhere else it is corruption.
 
-A bounded message-id dedup index (LRU) is persisted in a sidecar journal so
-retried appends return the original sequence number instead of writing twice.
-Its bound (window) is the header's u32 after capacity, 0 meaning
-DEFAULT_DEDUP_LIMIT; past four windows of entries the journal is compacted.
+A bounded message-id dedup index (LRU, window the header's u32 after
+capacity, 0 meaning DEFAULT_DEDUP_LIMIT) returns a retried append its
+original seq. The records are the index for the ids they hold; a sidecar
+journal keeps the ids whose records were evicted (none while the window is
+at most the capacity), each written at eviction, before its slot is
+overwritten, and compacted to the index's evicted ids past four windows.
 
-A reopen makes one crc32 per record and per journal entry. Records where
-the header's counters put them are checked as columns (seq equals that
-layout, the largest payload_len fits, the rest is zero); a journal of
-distinct ids ending in the records' (message_id, seq) columns becomes the
-index as it stands. Anything else is classified slot by slot and replayed
-entry by entry.
+A reopen makes one crc32 per record and per journal entry and cuts a torn
+journal tail. Records where the header's counters put them are checked as
+columns (seq equals that layout, the largest payload_len fits, the rest is
+zero), else slot by slot. The index is built on first use as the replay of
+(journal ++ live (message_id, seq) columns), in one step if the ids are
+distinct, else entry by entry.
 
-Durability: `append` hands the record, the header and the journal entry to
+Durability: `append` hands the eviction entry, the record and the header to
 the operating system before it returns, so a log survives a process crash.
 Nothing is fsynced unless `flush()` is called, so a power cut may lose the
-most recent appends. `resize` and compaction rename a written `.tmp` file
-over the old one: atomic under a process crash only, since neither the file
-nor its directory is fsynced. A reopen removes a leftover `.tmp` file.
+latest appends and eviction entries. `resize` and compaction rename a `.tmp`
+file over the old one, atomic under a process crash only (neither the file
+nor its directory is fsynced); a reopen removes a leftover `.tmp` file.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ DEFAULT_DEDUP_LIMIT = 65_536
 _DEDUP_ENTRY = struct.Struct("<16sQ")  # message_id, seq (crc32 appended)
 _DEDUP_PAIRS = struct.Struct("<16sQ4x")  # message_id, seq
 _DEDUP_STRIDE = _DEDUP_PAIRS.size
-_DEDUP_COLUMNS = np.dtype([("message_id", "V16"), ("seq", "<u8"), ("crc", "<u4")])
+_EVICTED = struct.Struct("<Q16s")  # a record's seq and message_id
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]{1,128}")
 
@@ -109,10 +111,11 @@ class LogStore:
         self._lock = threading.Lock()
         self._dedup_limit = dedup_limit
         self._dedup: OrderedDict[bytes, int] = OrderedDict()
+        self._pending: tuple[bytes, np.ndarray] | None = None  # what _index builds from
         self._dedup_journal_entries = 0
         self._fd = os.open(self.path, os.O_RDWR)
         self._dedup_file = f"{path}.dedup"
-        self._dedup_fd = os.open(self._dedup_file, os.O_RDWR | os.O_CREAT, 0o644)
+        self._dedup_fd = os.open(self._dedup_file, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         self._closed = False
         self.torn_discarded = False
         self._recovered: tuple[int, np.ndarray] | None = None
@@ -157,7 +160,7 @@ class LogStore:
         store = cls(path, name or path.stem, element_size, capacity, next_seq,
                     earliest_seq, dedup_limit)
         store.torn_discarded = torn
-        store._load_dedup(live)
+        store._pending = (store._read_journal(), live)
         if len(live):
             store._recovered = (earliest_seq, live)
         return store
@@ -179,9 +182,9 @@ class LogStore:
     def append(self, payload: bytes, message_id: bytes, created_at_us: int = 0) -> int:
         """Append; returns the assigned (or original, on dedup) seq.
 
-        The record, the header and the journal entry are written to the OS
-        before this returns: the append survives a process crash, but not a
-        power cut unless `flush()` is called afterwards.
+        The evicted id's journal entry (if any), the record and the header
+        are written to the OS before this returns: the append survives a
+        process crash, but not a power cut unless `flush()` is called.
         """
         if self._closed:
             raise StorageFailure(f"log {self.name!r} is closed")
@@ -191,19 +194,27 @@ class LogStore:
             raise PayloadTooLarge(
                 f"payload {len(payload)} > element size {self.element_size}")
         with self._lock:
-            prior = self._dedup.get(bytes(message_id))
+            index = self._index()
+            prior = index.get(bytes(message_id))
             if prior is not None:
-                self._dedup.move_to_end(bytes(message_id))
+                index.move_to_end(bytes(message_id))
                 return prior
-            seq = self._next_seq
+            seq, offset = self._next_seq, self._slot_offset(self._next_seq)
             try:
+                if seq - self._earliest_seq >= self.capacity < self._dedup_limit:
+                    # the window outlives the record it overwrites: journal its id first
+                    old_seq, old_id = _EVICTED.unpack(os.pread(self._fd, _EVICTED.size, offset))
+                    os.write(self._dedup_fd, _pack_dedup_entry(old_id, old_seq))
+                    self._dedup_journal_entries += 1
                 os.pwrite(self._fd, self._record(seq, payload, message_id, created_at_us),
-                          self._slot_offset(seq))
+                          offset)
                 self._next_seq = seq + 1
                 if self._next_seq - self._earliest_seq > self.capacity:
                     self._earliest_seq = self._next_seq - self.capacity
                 self._persist_header()
-                self._dedup_remember(bytes(message_id), seq, persist=True)
+                self._dedup_remember(bytes(message_id), seq)
+                if self._dedup_journal_entries > 4 * self._dedup_limit:
+                    self._compact_dedup()
             except OSError as exc:
                 raise StorageFailure(str(exc)) from exc
             return seq
@@ -286,7 +297,7 @@ class LogStore:
         os.close(self._dedup_fd)
         self._closed = True
         self._dedup.clear()
-        self._recovered = None
+        self._pending = self._recovered = None
 
     # -- on-disk layout ----------------------------------------------------
 
@@ -327,55 +338,51 @@ class LogStore:
 
     # -- dedup index --------------------------------------------------------
 
-    def _dedup_remember(self, message_id: bytes, seq: int, persist: bool) -> None:
+    def _index(self) -> OrderedDict[bytes, int]:
+        """The dedup index. After a reopen it is built here, on first use:
+        the replay of (journal ++ live columns), which for distinct ids is
+        their newest window in order."""
+        if self._pending is not None:
+            journal, live = self._pending
+            self._pending = None
+            pairs = list(_DEDUP_PAIRS.iter_unpack(journal))
+            pairs += zip(live["message_id"].tolist(), live["seq"].tolist())
+            self._dedup = OrderedDict(pairs)
+            if len(self._dedup) < len(pairs):  # an id repeats: replay as an LRU would
+                self._dedup = OrderedDict()
+                for mid, seq in pairs:
+                    self._dedup_remember(mid, seq)
+            elif len(pairs) > self._dedup_limit:
+                self._dedup = OrderedDict(pairs[-self._dedup_limit:])
+        return self._dedup
+
+    def _dedup_remember(self, message_id: bytes, seq: int) -> None:
         if message_id in self._dedup:
             self._dedup.move_to_end(message_id)
             return
         self._dedup[message_id] = seq
-        while len(self._dedup) > self._dedup_limit:
+        if len(self._dedup) > self._dedup_limit:
             self._dedup.popitem(last=False)
-        if persist:
-            os.write(self._dedup_fd, _pack_dedup_entry(message_id, seq))
-            self._dedup_journal_entries += 1
-            if self._dedup_journal_entries > 4 * self._dedup_limit:
-                self._compact_dedup()
 
     def _compact_dedup(self) -> None:
-        _replace_file(self._dedup_file,
-                      b"".join(_pack_dedup_entry(mid, seq) for mid, seq in self._dedup.items()))
+        """Rewrite the journal as the index's ids whose records were evicted."""
+        evicted = [(mid, seq) for mid, seq in self._index().items() if seq < self._earliest_seq]
+        _replace_file(self._dedup_file, b"".join(_pack_dedup_entry(*e) for e in evicted))
         os.close(self._dedup_fd)
-        self._dedup_fd = os.open(self._dedup_file, os.O_RDWR)
-        os.lseek(self._dedup_fd, 0, os.SEEK_END)
-        self._dedup_journal_entries = len(self._dedup)
+        self._dedup_fd = os.open(self._dedup_file, os.O_RDWR | os.O_APPEND)
+        self._dedup_journal_entries = len(evicted)
 
-    def _load_dedup(self, live: np.ndarray) -> None:
-        """Rebuild the index from the journal, then from the live records'
-        (message_id, seq) columns, which are ground truth for the ids they
-        still hold; cut any torn journal tail. Each entry's CRC is checked
-        by one crc32 call over the whole entry (see _CRC_RESIDUE)."""
+    def _read_journal(self) -> bytes:
+        """The journal's entries before the first whose CRC fails (one
+        crc32 over the whole entry, see _CRC_RESIDUE); that torn tail is cut."""
         raw = os.pread(self._dedup_fd, os.fstat(self._dedup_fd).st_size, 0)
-        journal = np.frombuffer(raw, _DEDUP_COLUMNS, len(raw) // _DEDUP_STRIDE)
-        residues = list(map(zlib.crc32, journal.view(f"V{_DEDUP_STRIDE}")))
-        count = residues.count(_CRC_RESIDUE)
-        if count != len(residues):  # torn tail; ignore it and the rest
-            count = next(i for i, r in enumerate(residues) if r != _CRC_RESIDUE)
-        pairs = list(_DEDUP_PAIRS.iter_unpack(raw[:count * _DEDUP_STRIDE]))
-        index = OrderedDict(pairs)
-        tail = journal[count - len(live):count]
-        if (len(index) == count >= len(live) and (tail["seq"] == live["seq"]).all()
-                and (tail["message_id"] == live["message_id"]).all()):
-            # distinct ids replay to their newest dedup_limit, and re-touching
-            # the journal's own last entries in order moves none of them
-            self._dedup = (index if count <= self._dedup_limit
-                           else OrderedDict(pairs[count - self._dedup_limit:]))
-        else:
-            for mid, seq in pairs + list(zip(live["message_id"].tolist(),
-                                             live["seq"].tolist())):
-                self._dedup_remember(mid, seq, persist=False)
+        entries = np.frombuffer(raw, f"V{_DEDUP_STRIDE}", len(raw) // _DEDUP_STRIDE)
+        count = next((i for i, residue in enumerate(map(zlib.crc32, entries))
+                      if residue != _CRC_RESIDUE), len(entries))
         self._dedup_journal_entries = count
-        os.lseek(self._dedup_fd, count * _DEDUP_STRIDE, os.SEEK_SET)
         if count * _DEDUP_STRIDE != len(raw):
             os.ftruncate(self._dedup_fd, count * _DEDUP_STRIDE)
+        return raw[:count * _DEDUP_STRIDE]
 
 
 # -- header / record codecs ------------------------------------------------

@@ -199,6 +199,10 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     overrides.update(spec.get("pilot", {}))  # every pilot key is a CupsParams field
     params = CupsParams(duration_s=spec["duration_s"], **overrides)
     cost_model = build_cost_model(spec.get("cost_model"))
+    sustained_tasks = spec.get("sustained_check_tasks", 0)
+    if sustained_tasks:  # the walltime of the one pilot that sustained_rate_s submits
+        check_walltime("cups.cost_model.mean_runtime_s",
+                       cost_model.mean_runtime_s * (sustained_tasks + 2))
     pipeline = CupsPipeline(
         sim, network, out_dir / "state", params,
         weather=build_weather(spec["weather"]),
@@ -210,7 +214,6 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     results = {"telemetry": summarize(metrics.telemetry_latency_ms),
                "evaluations": len(metrics.evaluations),
                "alerts": metrics.alerts, "tasks": metrics.tasks}
-    sustained_tasks = spec.get("sustained_check_tasks", 0)
     if sustained_tasks:
         gaps = sustained_rate_s(seed, tasks=sustained_tasks,
                                 cores=params.task_cores,

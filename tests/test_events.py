@@ -3,7 +3,7 @@ import struct
 import pytest
 
 from fabricsim.errors import SimulatedCrash, UnknownHandler
-from fabricsim.events import CURSOR_CAPACITY, AppendEffect, effect_message_id
+from fabricsim.events import AppendEffect, effect_message_id
 from fabricsim.logstore import LogStore
 from fabricsim.netsim import LinkSpec, Network
 from fabricsim.node import FabricNode
@@ -224,8 +224,9 @@ def test_refire_after_crash_converges_to_fault_free_state(tmp_path):
 def test_crash_replay_chain_keeps_cursor_journals_within_their_window(tmp_path,
                                                                        monkeypatch):
     # work gate: 400 values, a crash after every 30th invocation's effects;
-    # at every reopen each cursor journal holds at most four windows of
-    # entries, and no cursor commit is ever a dedup hit
+    # at every reopen each cursor journal is empty (its window fits its
+    # capacity, so no id outlives its record), and no cursor commit is ever
+    # a dedup hit
     cursor_hits = []
     real_append = LogStore.append
 
@@ -252,8 +253,7 @@ def test_crash_replay_chain_keeps_cursor_journals_within_their_window(tmp_path,
         node.engine.bind("src", "copy")
         cursors = [node.registry.get(name) for name in node.registry.names()
                    if name.startswith("__cursor__")]
-        assert cursors and all(c._dedup_journal_entries <= 4 * CURSOR_CAPACITY
-                               for c in cursors)
+        assert cursors and all(c._dedup_journal_entries == 0 for c in cursors)
         node.engine.set_crash_plan(30, "after_effects")
         try:
             sim.run()

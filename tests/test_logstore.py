@@ -220,11 +220,11 @@ def test_scan_matches_per_seq_read_across_the_wrap_point(tmp_path):
 @pytest.fixture
 def recovery_paths(monkeypatch) -> collections.Counter:
     """How often recovery checked its records as whole "columns" or slot by
-    "slots", and rebuilt its dedup index from the "journal" as it stands or
-    by an entry-by-entry "replay"."""
+    "slots", and how often a reopened log built its dedup index in one step
+    from "distinct" ids or by an entry-by-entry "replay"."""
     paths: collections.Counter = collections.Counter()
     real_decode = logstore._decode_slots
-    real_load, real_remember = LogStore._load_dedup, LogStore._dedup_remember
+    real_index, real_remember = LogStore._index, LogStore._dedup_remember
 
     def decode(raw, element_size, layout=None):
         result = real_decode(raw, element_size, layout)
@@ -232,18 +232,20 @@ def recovery_paths(monkeypatch) -> collections.Counter:
             paths["columns" if isinstance(result, np.ndarray) else "slots"] += 1
         return result
 
-    def remember(self, message_id, seq, persist):
-        paths["replayed entries"] += not persist
-        real_remember(self, message_id, seq, persist)
+    def remember(self, message_id, seq):
+        paths["remembered entries"] += 1
+        real_remember(self, message_id, seq)
 
-    def load_dedup(self, live):
-        before = paths["replayed entries"]
-        real_load(self, live)
-        paths["replay" if paths["replayed entries"] > before else "journal"] += 1
+    def index(self):
+        building, before = self._pending is not None, paths["remembered entries"]
+        built = real_index(self)
+        if building:
+            paths["replay" if paths["remembered entries"] > before else "distinct"] += 1
+        return built
 
     monkeypatch.setattr(logstore, "_decode_slots", decode)
     monkeypatch.setattr(LogStore, "_dedup_remember", remember)
-    monkeypatch.setattr(LogStore, "_load_dedup", load_dedup)
+    monkeypatch.setattr(LogStore, "_index", index)
     return paths
 
 
@@ -356,7 +358,7 @@ def test_recover_matches_reference_on_random_histories(tmp_path, recovery_paths)
         else:
             outcomes["corrupt"] += 1
     assert min(outcomes.values()) >= 10, outcomes
-    assert min(recovery_paths[p] for p in ("columns", "slots", "journal", "replay")) >= 10, \
+    assert min(recovery_paths[p] for p in ("columns", "slots", "distinct", "replay")) >= 10, \
         recovery_paths
 
 
@@ -371,7 +373,7 @@ def expect_recovery_as_reference(path) -> bool:
         return False
     r = LogStore.recover(path)
     got = {"next_seq": r.next_seq, "earliest_seq": r.earliest_seq,
-           "torn_discarded": r.torn_discarded, "dedup": list(r._dedup.items()),
+           "torn_discarded": r.torn_discarded, "dedup": list(r._index().items()),
            "journal_entries": r._dedup_journal_entries,
            "journal_bytes": journal.stat().st_size}
     r.close()
@@ -397,7 +399,7 @@ def test_recover_replays_a_journal_with_a_repeated_id_entry_by_entry(tmp_path,
     assert expect_recovery_as_reference(path)
     assert (recovery_paths["columns"], recovery_paths["replay"]) == (1, 1)
     r = LogStore.recover(path)
-    assert (r.next_seq, list(r._dedup.items())) == (3, [(mid(2), 1)])
+    assert (r.next_seq, list(r._index().items())) == (3, [(mid(2), 1)])
     r.close()
 
 
@@ -435,38 +437,40 @@ def test_recover_matches_reference_when_header_and_records_disagree(tmp_path, ap
     r.close()
 
 
-@pytest.mark.parametrize("fault, records_path, journal_path", [
-    ("header_behind", "slots", "journal"),
-    ("header_ahead", "slots", "journal"),
-    ("torn_tail", "slots", "journal"),
+@pytest.mark.parametrize("fault, records_path, index_path", [
+    ("header_behind", "slots", "distinct"),
+    ("header_ahead", "slots", "distinct"),
+    ("torn_tail", "slots", "distinct"),
     ("flipped_byte", "slots", None),             # beyond the torn slot: corrupt
     ("repeated_journal_id", "columns", "replay"),
-    ("torn_journal_tail", "columns", "replay"),
-    ("journal_seqs_disagree", "columns", "replay"),  # distinct ids, not the records'
-    ("journal_ids_disagree", "columns", "replay"),
-    ("journal_past_window", "columns", "journal"),  # distinct ids: newest window
+    ("torn_journal_tail", "columns", "distinct"),  # the cut journal names seqs 1-4
+    ("journal_seqs_disagree", "columns", "replay"),  # ids the records hold, other seqs
+    ("journal_ids_disagree", "columns", "distinct"),  # 21 distinct ids: newest window
+    ("journal_past_window", "columns", "distinct"),  # 13 distinct ids: newest window
     ("reappended_past_window", "columns", "replay"),
 ])
 def test_recover_fallbacks_match_reference(tmp_path, recovery_paths, fault, records_path,
-                                          journal_path):
-    # 13 appends wrap an 8-slot log whose dedup window is 4 ids, so its
-    # 13-entry journal is longer than the window; each fault moves recovery
-    # off the column check or the journal's own order, or neither
+                                          index_path):
+    # 13 appends wrap an 8-slot log whose dedup window is 10 ids, so its
+    # journal holds the 5 evicted ids and with the records names more ids
+    # than the window; each fault moves recovery off the column check or
+    # the index off its one-step build, or neither
     path, stride = tmp_path / "f.log", RECORD_OVERHEAD + 4
     journal = path.with_suffix(".log.dedup")
-    s = LogStore.create(path, "f", 4, 8, dedup_limit=4)
+    s = LogStore.create(path, "f", 4, 8, dedup_limit=10)
     for i in range(1, 14):
         s.append(bytes([i]), mid(i))
     if fault == "reappended_past_window":
         s.append(b"re", mid(1))  # evicted from the window, so written again
     s.close()
+    assert journal.read_bytes() == b"".join(journal_entry(mid(i), i) for i in range(
+        1, 7 if fault == "reappended_past_window" else 6))
     if fault in ("header_behind", "header_ahead", "torn_tail"):
         rewrite_header(path, 15 if fault == "header_ahead" else 13)
     newest = HEADER_SIZE + (13 - 1) % 8 * stride
     data = bytearray(path.read_bytes())
-    if fault == "torn_tail":  # seq 13 half written: neither header nor journal name it
+    if fault == "torn_tail":  # seq 13 half written over seq 5, whose id the journal holds
         data[newest + 20:newest + stride] = bytes(stride - 20)
-        journal.write_bytes(journal.read_bytes()[:-28])
     elif fault == "flipped_byte":
         data[newest - 2 * stride + 30] ^= 0x10
     elif fault == "repeated_journal_id":
@@ -480,8 +484,122 @@ def test_recover_fallbacks_match_reference(tmp_path, recovery_paths, fault, reco
     path.write_bytes(data)
     assert expect_recovery_as_reference(path) == (fault != "flipped_byte")
     assert recovery_paths[records_path] == 1, recovery_paths
-    if journal_path is not None:
-        assert recovery_paths[journal_path] == 1, recovery_paths
+    if index_path is not None:
+        assert recovery_paths[index_path] == 1, recovery_paths
+
+
+@pytest.mark.parametrize("window", [4, 8])
+def test_journal_stays_empty_while_the_window_fits_the_capacity(tmp_path, window):
+    # every id the window can hold is still in a record, so nothing is journaled
+    path = tmp_path / "w.log"
+    journal = path.with_suffix(".log.dedup")
+    s = LogStore.create(path, "w", 8, 8, dedup_limit=window)
+    for i in range(1, 21):  # wraps twice and a half
+        s.append(bytes([i]), mid(i))
+    s.close()
+    assert journal.stat().st_size == 0
+    r = LogStore.recover(path)
+    assert r.append(b"retry", mid(20)) == 20
+    for i in range(21, 31):
+        r.append(bytes([i]), mid(i))
+    assert r.append(b"retry", mid(31 - window)) == 31 - window
+    r.close()
+    assert journal.stat().st_size == 0
+    assert expect_recovery_as_reference(path)
+
+
+def test_journal_holds_exactly_the_evicted_ids_in_seq_order(tmp_path):
+    path = tmp_path / "e.log"
+    journal = path.with_suffix(".log.dedup")
+    s = LogStore.create(path, "e", 8, 4, dedup_limit=16)
+    for i in range(1, 11):  # seqs 1-6 are evicted
+        s.append(bytes([i]), mid(i))
+    s.close()
+    assert journal.read_bytes() == b"".join(journal_entry(mid(i), i) for i in range(1, 7))
+    assert expect_recovery_as_reference(path)
+    r = LogStore.recover(path)
+    assert r.append(b"retry", mid(2)) == 2  # evicted, still in the window
+    assert r.append(b"retry", mid(9)) == 9  # live
+    assert (r.earliest_seq, r.next_seq) == (7, 11)
+    r.close()
+
+
+def test_crash_between_eviction_entry_and_overwrite_recovers_as_reference(tmp_path,
+                                                                         monkeypatch):
+    # seq 5 would overwrite seq 1: the journal names seq 1, whose record is
+    # still whole, so id 1 is in the journal and in the records
+    path = tmp_path / "x.log"
+    s = LogStore.create(path, "x", 8, 4)
+    for i in range(1, 5):
+        s.append(bytes([i]), mid(i))
+
+    class Crash(Exception):
+        pass
+
+    def crashing_pwrite(fd, data, offset):
+        raise Crash
+
+    monkeypatch.setattr(os, "pwrite", crashing_pwrite)
+    with pytest.raises(Crash):
+        s.append(b"five", mid(5))
+    monkeypatch.undo()
+    os.close(s._fd)  # the process is gone: nothing else reaches its files
+    os.close(s._dedup_fd)
+    assert path.with_suffix(".log.dedup").read_bytes() == journal_entry(mid(1), 1)
+    assert expect_recovery_as_reference(path)
+    r = LogStore.recover(path)
+    assert (r.earliest_seq, r.next_seq) == (1, 5)
+    assert r.append(b"retry", mid(1)) == 1
+    assert r.append(b"five", mid(5)) == 5
+    r.close()
+    assert expect_recovery_as_reference(path)
+
+
+@pytest.mark.parametrize("window", [4, logstore.DEFAULT_DEDUP_LIMIT])
+def test_journal_listing_every_id_still_recovers_as_reference(tmp_path, recovery_paths,
+                                                              window):
+    # a journal that names every appended id, live records' ids included (the
+    # format before it kept only evicted ids), replays entry by entry
+    path = tmp_path / "old.log"
+    journal = path.with_suffix(".log.dedup")
+    s = LogStore.create(path, "old", 8, 8, dedup_limit=window)
+    for i in range(1, 14):
+        s.append(bytes([i]), mid(i))
+    s.close()
+    journal.write_bytes(b"".join(journal_entry(mid(i), i) for i in range(1, 14)))
+    assert expect_recovery_as_reference(path)
+    assert recovery_paths["replay"] == 1
+    r = LogStore.recover(path)
+    assert list(r._index().items()) == [(mid(i), i) for i in range(max(1, 14 - window), 14)]
+    assert r.append(b"retry", mid(13)) == 13
+    assert r.append(b"new", mid(14)) == 14
+    r.close()
+    assert expect_recovery_as_reference(path)
+
+
+def test_recover_checks_each_crc_once_and_defers_the_index(tmp_path, monkeypatch):
+    # work pin: a 1,000-record log with no evictions reopens with one crc32
+    # per record plus the header's, and builds its index at the first append
+    path = tmp_path / "pin.log"
+    s = LogStore.create(path, "pin", 8, 1024)
+    for i in range(1, 1001):
+        s.append(i.to_bytes(8, "little"), mid(i))
+    s.close()
+    calls = []
+
+    class CountingZlib:
+        @staticmethod
+        def crc32(data, value=0):
+            calls.append(1)
+            return zlib.crc32(data, value)
+
+    monkeypatch.setattr(logstore, "zlib", CountingZlib)
+    r = LogStore.recover(path)
+    assert len(calls) == 1001
+    assert len(r._dedup) == 0
+    assert r.append(b"retry", mid(500)) == 500
+    assert len(r._dedup) == 1000
+    r.close()
 
 
 @pytest.mark.parametrize("step", ["before_write", "after_write", "after_replace"])
@@ -492,8 +610,8 @@ def test_crash_mid_resize_or_compaction_recovers_as_reference(tmp_path, monkeypa
     # at each step leaves the old file or the new one, and the reopen removes
     # any leftover .tmp file
     path = tmp_path / "c.log"
-    s = LogStore.create(path, "c", 8, 8, dedup_limit=4)
-    for i in range(1, 21):  # wrapped, and the journal compacted once already
+    s = LogStore.create(path, "c", 8, 2, dedup_limit=3)
+    for i in range(1, 21):  # wrapped, and the journal of evicted ids compacted once already
         s.append(bytes([i]) * (i % 8), mid(i))
     real_open, real_replace = open, os.replace
 

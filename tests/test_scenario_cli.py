@@ -97,9 +97,9 @@ def test_table1_report_deterministic(tmp_path):
 # sha256 over the relative path, size and bytes of every file a bundled
 # scenario writes at its bundled seed, state logs and .dedup journals included
 BUNDLED_OUTPUT_SHA256 = {
-    "table1": "736a64f6afd9d6d25ac780529927f1524ff955c224ac19ef1fa6481ee45612d0",
+    "table1": "5346866d96afe066a01914fcac05726cf2a45bbe90653c55323d898c6b520f24",
     "slicing": "93a9cb9c03fa6590a59bf80aca3bbbbb17dfd66663cd5631ec9c488c0aeb30f9",
-    "e2e_cups": "28d33d0e05775b169fba756889e827ea69bcf31d454f6a739be63c80c08c540d",
+    "e2e_cups": "dd7e71333a4c8fb85dffdd7980ca993707583879662f1cab61e622c51daf9904",
     "queue_sweep": "6567ca6cb150c6bdff1d837e01aa1e737d901682735557005f93e4b0d729fe76",
 }
 
@@ -243,6 +243,9 @@ def _set_key(config: dict, path: str, value) -> None:
     # a duration between two microseconds: exit 0, with every rate counted over
     # `duration_s` but divided by the rounded microseconds (2.5e-6 s read as 2 us)
     ("slicing", {"slicing.duration_s": 2.5e-6}, "slicing.duration_s"),
+    # the sustained check's pilot, of walltime mean_runtime_s * (tasks + 2),
+    # rounded to 0 us: exit 1, "pilot 1 is expired, not active"
+    ("e2e_cups", {"cups.cost_model.mean_runtime_s": 1e-9}, "cups.cost_model.mean_runtime_s"),
     # NaN and Infinity, which Python's `json` reads: a traceback once the run was built
     ("table1", {"topology.links.0.latency_mean_ms": math.nan},
      "topology.links[0].latency_mean_ms"),
@@ -266,7 +269,8 @@ def _set_key(config: dict, path: str, value) -> None:
         "latency_mean_ms", "sustained_check_tasks", "route-empty", "route-not-a-chain",
         "route-same-pair", "changes-out-of-order", "ue-names-shared",
         "ue-names-shared-two-fractions", "fraction-complement-zero",
-        "duration_s-between-microseconds", "latency_mean_ms-nan", "latency_sd_ms-infinity",
+        "duration_s-between-microseconds", "sustained-walltime-below-a-microsecond",
+        "latency_mean_ms-nan", "latency_sd_ms-infinity",
         "base_capacity_mbps-nan", "runtime_sd_s-infinity", "efficiency-nan", "mu-nan",
         "alert_interval_s-infinity", "changes-nan"])
 def test_cli_config_error_found_while_building_exits_two(
