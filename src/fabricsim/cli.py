@@ -21,12 +21,14 @@ from .errors import ConfigError, CorruptHeader, FabricError
 from .logstore import LogStore
 from .metrics import write_csv, write_report
 from .runner import run_scenario
-from .scenario import BUNDLED, load_scenario
+from .scenario import BUNDLED, SEED, load_scenario
 
 
 def _cmd_run(args) -> int:
     try:
         config = load_scenario(args.scenario)
+        if args.seed is not None:
+            SEED(args.seed, "--seed")
         out_dir = Path(args.out or f"out-{config['name']}")
         report, series, ok = run_scenario(config, out_dir, seed=args.seed)
     except ConfigError as exc:  # rejected on load, or while the run is built
@@ -48,9 +50,11 @@ def _cmd_run(args) -> int:
 def _parse_seed_range(text: str) -> range:
     try:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        seeds = range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise ConfigError(f"bad seed range {text!r}; expected A..B") from exc
+    SEED(seeds.start, "--seeds")
+    return seeds
 
 
 def _cmd_sweep(args) -> int:

@@ -119,10 +119,3 @@ class InsufficientResources(FabricError):
 
 class ConfigError(FabricError):
     """Scenario configuration failed validation."""
-
-
-def check_not_negative(obj, *names: str) -> None:
-    """ConfigError naming the first of `obj`'s fields that is below zero."""
-    for name in names:
-        if getattr(obj, name) < 0:
-            raise ConfigError(f"bad value for {name}: {getattr(obj, name)} is negative")

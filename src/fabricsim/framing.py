@@ -87,6 +87,8 @@ _SIZE_REPLY = struct.Struct("<IBQBI")       # ... request id, status, element si
 _APPEND_REPLY = struct.Struct("<IBQBQ")     # ... request id, status, seq
 _HEAD_LEN = _REQUEST_HEAD.size
 _TAIL_LEN = _APPEND_TAIL.size
+# the largest payload an append frame carries under MAX_FRAME_BODY, whatever its log name
+MAX_PAYLOAD = MAX_FRAME_BODY - (_HEAD_LEN - 4) - 0xFFFF - _TAIL_LEN
 _REPLY_LAYOUTS = {TYPE_SIZE_REPLY: (_SIZE_REPLY, SizeReply),
                   TYPE_APPEND_REPLY: (_APPEND_REPLY, AppendReply)}
 

@@ -19,12 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NetError, RouteUnreachable, check_not_negative
+from .errors import NetError, RouteUnreachable
 from .simcore import US_PER_MS, Simulator
 
 MIN_LATENCY_US = 100  # 0.1 ms floor on sampled latency
+MAX_LATENCY_MS = 60_000.0  # 12 resends at RetryPolicy.cap_ms; a bundled link still ends in 0.4 s
 DEFAULT_SLICE_SD_MBPS = 4.0
-CAPACITY_FLOOR_MBPS = 0.05
+CAPACITY_FLOOR_MBPS = 0.05  # below it a frame outlasts every retry
+MAX_CAPACITY_MBPS = 1e6  # 1 Tbps: a year of slicing samples still counts finite bytes
 
 
 def slice_rate_mbps(nominal: float, sd_mbps: float, rng: np.random.Generator) -> float:
@@ -49,15 +51,8 @@ class LinkSpec:
     duplicate_prob: float = 0.0
 
     def __post_init__(self):
-        check_not_negative(self, "latency_mean_ms", "latency_sd_ms")
         if any(end < start for start, end in self.partitions_us):
             raise NetError("a partition must not end before it starts")
-        if not (0.0 <= self.loss_prob < 1.0):
-            raise NetError(f"loss_prob must be in [0,1), got {self.loss_prob}")
-        if not self.base_capacity_mbps >= CAPACITY_FLOOR_MBPS:  # a frame would outlast every retry
-            raise NetError(f"base_capacity_mbps must be at least {CAPACITY_FLOOR_MBPS}")
-        if not (0.0 <= self.duplicate_prob < 1.0):
-            raise NetError("duplicate_prob must be in [0,1)")
 
     def partitioned_at(self, t_us: int) -> bool:
         return any(start <= t_us < end for start, end in self.partitions_us)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientResources, check_not_negative
-from .simcore import US_PER_S, Simulator, Trigger, s_to_us, sleep, wait
+from .errors import ConfigError, InsufficientResources
+from .simcore import Simulator, Trigger, s_to_us, sleep, wait
 
 HOURS_24_S = 24 * 3600.0
 
@@ -67,13 +67,6 @@ def pilot_parameters(n_req: int, estimated_runtime_s: float,
     return nodes, runtime
 
 
-def check_walltime(name: str, seconds: float) -> None:
-    """A pilot's walltime is whole microseconds; one with none never hosts a
-    task, and `_acquire` would resubmit it forever at one simulated instant."""
-    if not seconds * US_PER_S > 0.5:  # s_to_us(seconds) <= 0, without its overflow
-        raise ConfigError(f"bad value for {name}: {seconds} s is no walltime")
-
-
 def check_task_fits(cores: int, system: SystemSpec, cost_model: CfdCostModel) -> None:
     """Build-time check: a task no pilot can host would wait for capacity
     forever, and a core count with no runtime would fail only once it runs."""
@@ -94,9 +87,6 @@ class QueueDelayModel:
     mu: float = 7.0          # lognormal log-scale parameters
     sigma: float = 1.5
 
-    def __post_init__(self):
-        check_not_negative(self, "value_s", "sigma")
-
     def sample_s(self, rng: np.random.Generator) -> float:
         if self.kind == "constant":
             delay = self.value_s
@@ -115,11 +105,6 @@ class SystemSpec:
     cores_per_node: int = 64
     max_runtime_s: float = 48 * 3600.0
     queue_delay: QueueDelayModel = QueueDelayModel()
-
-    def __post_init__(self):
-        if self.total_nodes < 1:
-            raise ConfigError("facility needs at least one node")
-        check_walltime("max_runtime_s", self.max_runtime_s)
 
 
 @dataclass(frozen=True)
@@ -182,11 +167,6 @@ class CfdCostModel:
     mean_runtime_s: float = REFERENCE_MEAN_S
     runtime_sd_s: float = REFERENCE_SD_S
     multi_node_penalty: float = 1.15
-
-    def __post_init__(self):
-        check_not_negative(self, "runtime_sd_s", "multi_node_penalty")
-        if self.mean_runtime_s <= 0:  # sample_runtime_s divides by it
-            raise ConfigError(f"bad value for mean_runtime_s: {self.mean_runtime_s} is not positive")
 
     def mean_for(self, cores: int, nodes: int = 1) -> float:
         if cores == REFERENCE_CORES:

@@ -54,7 +54,6 @@ from .pilot import (
     SystemSpec,
     TaskSpec,
     check_task_fits,
-    check_walltime,
 )
 from .simcore import Simulator, run_to_completion, s_to_us, sleep
 from .weather import CHANNELS, RECORD_SIZE, REPORT_CADENCE_S, TelemetryRecord, WeatherModel
@@ -80,17 +79,12 @@ class CupsParams:
     strategy: str = "proactive"
 
     def __post_init__(self):
-        if not self.cadence_s > 0:
-            raise ConfigError(f"bad value for cadence_s: {self.cadence_s} is not positive")
-        if not 0 < self.alpha < 1:
-            raise ConfigError(f"bad value for alpha: {self.alpha} is not between 0 and 1")
         if not self.channels or not set(self.channels) <= set(CHANNELS):
             raise ConfigError(f"bad value for channels: pick one or more of {CHANNELS}")
         if self.duration_s < 2 * self.duty_cycle_s:
             raise ConfigError("scenario too short for a single evaluation")
         if WINDOW_LEN * self.cadence_s != self.duty_cycle_s:
             raise ConfigError("window must span exactly one duty cycle")
-        check_walltime("estimated_runtime_s", self.estimated_runtime_s)
 
 
 @dataclass

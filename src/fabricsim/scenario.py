@@ -14,16 +14,44 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, NetError
-from .netsim import LinkSpec
+from .framing import MAX_PAYLOAD
+from .netsim import CAPACITY_FLOOR_MBPS, MAX_CAPACITY_MBPS, MAX_LATENCY_MS, LinkSpec
 from .pilot import CfdCostModel, QueueDelayModel, SystemSpec
-from .simcore import s_to_us
+from .simcore import US_PER_S, s_to_us
+from .transport import MIN_LATENCY_COUNT
 from .weather import ChannelModel, WeatherModel
 
 BUNDLED = ("table1", "slicing", "e2e_cups", "queue_sweep")
+HORIZON_S = 366 * 24 * 3600.0  # one simulated year bounds every time given in seconds
 
-_NUM = (int, float)
 # scalar field types and how an error names them; a float field takes an int
 _KINDS = {str: "string", int: "integer", float: "number", bool: "boolean"}
+
+
+class Num:
+    """A numeric row: its kind, a finite value, and the range from `lo` to
+    `hi`, either end open. The bounds are data, so tests can walk the rows."""
+
+    def __init__(self, lo=-math.inf, hi=math.inf, *, lo_open=False, hi_open=False, kind=float):
+        self.lo, self.hi, self.kind = lo, hi, kind
+        self.lo_open, self.hi_open = lo_open or lo == -math.inf, hi_open or hi == math.inf
+
+    def __call__(self, value, where: str) -> None:
+        types = (int, float) if self.kind is float else int
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"bad value for {where}: expected {_KINDS[self.kind]}")
+        if isinstance(value, float) and not math.isfinite(value):  # `json` reads NaN
+            raise ConfigError(f"bad value for {where}: {value} is not a finite number")
+        if not ((value > self.lo if self.lo_open else value >= self.lo)
+                and (value < self.hi if self.hi_open else value <= self.hi)):
+            ends = "[("[self.lo_open] + f"{self.lo}, {self.hi}" + "])"[self.hi_open]
+            raise ConfigError(f"bad value for {where}: {value} is outside {ends}")
+
+
+_SECONDS = Num(0, HORIZON_S)
+# a walltime of 0 us hosts no task, and `_acquire` would resubmit it forever at one instant
+WALLTIME = Num(0.5 / US_PER_S, HORIZON_S, lo_open=True)  # s_to_us gives 0 at or below 0.5 us
+_COUNT = Num(1, kind=int)
 
 
 def _join(path: str, key: str) -> str:
@@ -44,22 +72,13 @@ def _check_mapping(raw, schema: dict, path: str) -> None:
 
 
 def _check_value(value, kind, where: str) -> None:
-    """`kind` is a mapping schema, a scalar type or a checker function."""
+    """`kind` is a mapping schema, `str`, `bool` or a checker such as a `Num`."""
     if isinstance(kind, dict):
         _check_mapping(value, kind, where)
-    elif kind in _KINDS:
-        types = _NUM if kind is float else kind
-        if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
-            raise ConfigError(f"bad value for {where}: expected {_KINDS[kind]}")
-        _check_finite(value, where)
-    else:
+    elif kind not in (str, bool):
         kind(value, where)
-
-
-def _check_finite(value, where: str) -> None:
-    """Python's `json` reads NaN and Infinity, and `NaN < 0` is false."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"bad value for {where}: {value} is not a finite number")
+    elif not isinstance(value, kind):
+        raise ConfigError(f"bad value for {where}: expected {_KINDS[kind]}")
 
 
 def _list_of(kind):
@@ -68,6 +87,7 @@ def _list_of(kind):
             raise ConfigError(f"bad value for {where}: expected a list")
         for i, item in enumerate(value):
             _check_value(item, kind, f"{where}[{i}]")
+    check.item = kind
     return check
 
 
@@ -78,15 +98,18 @@ def _mapping_of(kind, item_path):
             raise ConfigError(f"bad value for {where}: expected a mapping")
         for name, item in value.items():
             _check_value(item, kind, item_path(where, name))
+    check.item = kind
     return check
 
 
-def _pair_item(value, where):
-    if (not isinstance(value, list) or len(value) != 2
-            or any(not isinstance(v, _NUM) or isinstance(v, bool) for v in value)):
-        raise ConfigError(f"bad value for {where}: expected [number, number]")
-    for v in value:
-        _check_finite(v, where)
+def _pair_of(*kinds):
+    def check(value, where):
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(f"bad value for {where}: expected [number, number]")
+        for i, (item, kind) in enumerate(zip(value, kinds)):
+            kind(item, f"{where}[{i}]")
+    check.items = kinds
+    return check
 
 
 def _route_path(where, key):
@@ -99,12 +122,12 @@ _LINK = {
     "id": (True, str),
     "a": (True, str),
     "b": (True, str),
-    "latency_mean_ms": (True, float),
-    "latency_sd_ms": (True, float),
-    "loss_prob": (False, float),
-    "base_capacity_mbps": (False, float),
-    "duplicate_prob": (False, float),
-    "partitions_s": (False, _list_of(_pair_item)),
+    "latency_mean_ms": (True, Num(0, MAX_LATENCY_MS)),
+    "latency_sd_ms": (True, Num(0, MAX_LATENCY_MS)),
+    "loss_prob": (False, Num(0, 1, hi_open=True)),
+    "base_capacity_mbps": (False, Num(CAPACITY_FLOOR_MBPS, MAX_CAPACITY_MBPS)),
+    "duplicate_prob": (False, Num(0, 1, hi_open=True)),
+    "partitions_s": (False, _list_of(_pair_of(_SECONDS, _SECONDS))),
 }
 
 _TOPOLOGY = {
@@ -114,28 +137,28 @@ _TOPOLOGY = {
 
 _QUEUE_DELAY = {
     "kind": (True, str),
-    "value_s": (False, float),
-    "mu": (False, float),
-    "sigma": (False, float),
+    "value_s": (False, _SECONDS),
+    "mu": (False, Num()),
+    "sigma": (False, Num(0)),
 }
 
 _SYSTEM = {
-    "total_nodes": (False, int),
-    "cores_per_node": (False, int),
-    "max_runtime_s": (False, float),
+    "total_nodes": (False, _COUNT),
+    "cores_per_node": (False, _COUNT),
+    "max_runtime_s": (False, WALLTIME),
     "queue_delay": (False, _QUEUE_DELAY),
 }
 
 _COST_MODEL = {
-    "mean_runtime_s": (False, float),
-    "runtime_sd_s": (False, float),
-    "multi_node_penalty": (False, float),
+    "mean_runtime_s": (False, Num(0, HORIZON_S, lo_open=True)),  # sample_runtime_s divides by it
+    "runtime_sd_s": (False, _SECONDS),
+    "multi_node_penalty": (False, Num(0)),
 }
 
 _CHANNEL = {
-    "mean": (True, float),
-    "noise_sd": (True, float),
-    "changes": (False, _list_of(_pair_item)),
+    "mean": (True, Num()),
+    "noise_sd": (True, Num(0)),
+    "changes": (False, _list_of(_pair_of(_SECONDS, Num()))),
 }
 
 
@@ -149,9 +172,9 @@ _MEASUREMENT = {
     "client": (True, str),
     "server": (True, str),
     "log_name": (False, str),
-    "element_size": (False, int),
-    "payload_bytes": (True, int),
-    "count": (True, int),
+    "element_size": (False, Num(1, MAX_PAYLOAD, kind=int)),
+    "payload_bytes": (True, Num(1, MAX_PAYLOAD, kind=int)),
+    "count": (True, Num(MIN_LATENCY_COUNT, kind=int)),
     "use_cache": (False, bool),
 }
 
@@ -161,57 +184,59 @@ _LATENCY = {
 
 _UE = {
     "name": (True, str),
-    "efficiency": (True, float),
+    "efficiency": (True, Num(0, 1, lo_open=True)),  # a device's share of the link's rate
 }
 
 _SLICING = {
     "link": (True, str),
     "ue_low": (True, _UE),
     "ue_high": (True, _UE),
-    "fractions": (True, _list_of(float)),
-    "samples": (True, int),
-    "duration_s": (True, float),
-    "noise_sd_mbps": (False, float),
+    "fractions": (True, _list_of(Num(0, 1, lo_open=True, hi_open=True))),
+    "samples": (True, _COUNT),
+    "duration_s": (True, Num(1 / US_PER_S, HORIZON_S)),
+    "noise_sd_mbps": (False, Num(0, MAX_CAPACITY_MBPS)),
 }
 
 _PILOT = {
     "strategy": (False, str),
-    "threshold_bytes": (False, int),
-    "task_cores": (False, int),
-    "estimated_runtime_s": (False, float),
+    "threshold_bytes": (False, _COUNT),
+    "task_cores": (False, _COUNT),
+    "estimated_runtime_s": (False, WALLTIME),
 }
 
 _CUPS = {
-    "duration_s": (True, float),
-    "cadence_s": (False, float),
-    "duty_cycle_s": (False, float),
-    "alpha": (False, float),
+    "duration_s": (True, _SECONDS),
+    "cadence_s": (False, Num(0, HORIZON_S, lo_open=True)),
+    "duty_cycle_s": (False, _SECONDS),
+    "alpha": (False, Num(0, 1, lo_open=True, hi_open=True)),
     "channels": (False, _list_of(str)),
-    "eval_offset_s": (False, float),
-    "forward_offset_s": (False, float),
+    "eval_offset_s": (False, _SECONDS),
+    "forward_offset_s": (False, _SECONDS),
     "weather": (True, _WEATHER),
     "pilot": (False, _PILOT),
     "system": (False, _SYSTEM),
     "cost_model": (False, _COST_MODEL),
-    "sustained_check_tasks": (False, int),
+    "sustained_check_tasks": (False, Num(0, kind=int)),
 }
 
 _QUEUE_SWEEP = {
-    "alerts": (True, int),
-    "alert_interval_s": (True, float),
-    "cores": (False, int),
-    "estimated_runtime_s": (False, float),
-    "data_size_bytes": (False, int),
-    "threshold_bytes": (False, int),
+    "alerts": (True, _COUNT),
+    "alert_interval_s": (True, _SECONDS),
+    "cores": (False, _COUNT),
+    "estimated_runtime_s": (False, WALLTIME),
+    "data_size_bytes": (False, Num(0, kind=int)),
+    "threshold_bytes": (False, _COUNT),
     "system": (False, _SYSTEM),
     "delays": (True, _list_of(_QUEUE_DELAY)),
     "strategies": (False, _list_of(str)),
 }
 
+SEED = Num(0, kind=int)  # numpy's SeedSequence takes no negative seed
+
 _TOP = {
     "name": (True, str),
     "kind": (True, str),
-    "seed": (True, int),
+    "seed": (True, SEED),
     "topology": (False, _TOPOLOGY),
     "latency": (False, _LATENCY),
     "slicing": (False, _SLICING),
@@ -274,7 +299,7 @@ def build_links(raw: dict) -> list[LinkSpec]:
                                             for a, b in fields.pop("partitions_s"))
         try:
             links.append(LinkSpec(**fields))
-        except (NetError, ConfigError) as exc:
+        except NetError as exc:
             raise ConfigError(f"bad value for topology.links[{i}]: {exc}") from exc
     return links
 

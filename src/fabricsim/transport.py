@@ -71,6 +71,8 @@ class RetryPolicy:
 # Opt-in per-client cache of (node, log) -> element size; `SizeCache()` is empty.
 SizeCache = dict[tuple[str, str], int]
 
+MIN_LATENCY_COUNT = 3  # the first sample is discarded, and an sd needs two more
+
 
 @dataclass(frozen=True)
 class LatencyStats:
@@ -278,8 +280,8 @@ class TransportClient:
     def measure_latency(self, target: str, log_name: str, payload_size: int, count: int):
         """Process: time `count` appends back to back; the first sample is
         discarded (connection start-up / cold cache), stats cover the rest."""
-        if count < 2:
-            raise TransportError("need at least two samples")
+        if count < MIN_LATENCY_COUNT:
+            raise TransportError(f"need at least {MIN_LATENCY_COUNT} samples")
         samples_ms = []
         for i in range(count):
             payload = bytes([i % 256]) * payload_size

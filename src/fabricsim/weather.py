@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_not_negative
+from .errors import ConfigError
 from .simcore import s_to_us
 
 REPORT_CADENCE_S = 300
@@ -57,7 +57,6 @@ class ChannelModel:
     changes: tuple[tuple[float, float], ...] = ()  # (time_s, new_mean)
 
     def __post_init__(self):
-        check_not_negative(self, "noise_sd")
         times = [t for t, _ in self.changes]  # `mean_at` applies them in this order
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError(f"bad value for changes: times {times} do not increase strictly")

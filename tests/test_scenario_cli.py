@@ -9,6 +9,7 @@ import pytest
 
 from fabricsim.cli import main
 from fabricsim.errors import ConfigError
+from fabricsim.framing import MAX_PAYLOAD
 from fabricsim.logstore import LogStore
 from fabricsim.metrics import summarize, write_report
 from fabricsim.runner import run_scenario
@@ -258,6 +259,24 @@ def _set_key(config: dict, path: str, value) -> None:
     ("queue_sweep", {"queue_sweep.alert_interval_s": math.inf}, "queue_sweep.alert_interval_s"),
     ("e2e_cups", {"cups.weather.channels.wind_speed.changes": [[7300, math.nan]]},
      "cups.weather.channels.wind_speed.changes[0]"),
+    # a traceback from numpy's SeedSequence
+    ("table1", {"seed": -1}, "seed"),
+    # exit 1: the first sample is discarded, and the sd of the one left is NaN
+    ("table1", {"latency.measurements.1.count": 2}, "latency.measurements[1].count"),
+    # one past the largest payload an append frame carries, whatever its log name:
+    # 2**24 used to run forever (a frame the server cannot decode, resent), and
+    # 2**32 to end in a struct.error
+    ("table1", {"latency.measurements.0.payload_bytes": MAX_PAYLOAD + 1},
+     "latency.measurements[0].payload_bytes"),
+    ("table1", {"latency.measurements.0.element_size": MAX_PAYLOAD + 1},
+     "latency.measurements[0].element_size"),
+    # an OverflowError traceback once the run was built
+    ("table1", {"topology.links.1.latency_sd_ms": 1e308}, "topology.links[1].latency_sd_ms"),
+    ("slicing", {"slicing.duration_s": 1e308}, "slicing.duration_s"),
+    ("slicing", {"slicing.ue_high.efficiency": 1e308}, "slicing.ue_high.efficiency"),
+    ("e2e_cups", {"cups.cost_model.mean_runtime_s": 1e308}, "cups.cost_model.mean_runtime_s"),
+    # exit 1, "pilot 1 is expired, not active"
+    ("e2e_cups", {"cups.cost_model.runtime_sd_s": 1e15}, "cups.cost_model.runtime_sd_s"),
 ], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps",
         "cadence-zero", "cadence-negative", "alpha", "channels-unknown", "channels-empty",
         "runtime_sd_s", "noise_sd", "uniform-value_s", "alerts", "alert_interval_s",
@@ -272,7 +291,10 @@ def _set_key(config: dict, path: str, value) -> None:
         "duration_s-between-microseconds", "sustained-walltime-below-a-microsecond",
         "latency_mean_ms-nan", "latency_sd_ms-infinity",
         "base_capacity_mbps-nan", "runtime_sd_s-infinity", "efficiency-nan", "mu-nan",
-        "alert_interval_s-infinity", "changes-nan"])
+        "alert_interval_s-infinity", "changes-nan", "seed-negative", "latency-count-two",
+        "payload_bytes-above-max-payload", "element_size-above-max-payload",
+        "latency_sd_ms-1e308", "slicing-duration_s-1e308", "efficiency-1e308",
+        "mean_runtime_s-1e308", "runtime_sd_s-1e15"])
 def test_cli_config_error_found_while_building_exits_two(
         tmp_path, capsys, scenario, edits, named):
     bad = tmp_path / "bad.json"
@@ -296,9 +318,12 @@ def test_cli_config_error_found_while_building_exits_two(
      "estimated_runtime_s"),
     # a link so slow that each frame outlasts a million retry timeouts
     ("table1", {"topology.links.2.base_capacity_mbps": 1e-9}, "topology.links[2]"),
+    # a latency or a run longer than the model is built for
+    ("table1", {"topology.links.0.latency_mean_ms": 1e15}, "topology.links[0].latency_mean_ms"),
+    ("e2e_cups", {"cups.duration_s": 1e15}, "cups.duration_s"),
 ], ids=["max_runtime_s-zero", "max_runtime_s-minus-zero", "max_runtime_s-below-a-microsecond",
         "estimated_runtime_s-negative", "cups-estimated_runtime_s-zero",
-        "base_capacity_mbps-below-floor"])
+        "base_capacity_mbps-below-floor", "latency_mean_ms-1e15", "cups-duration_s-1e15"])
 def test_cli_run_that_never_ended_exits_two(tmp_path, scenario, edits, named):
     config = load_scenario(scenario)
     for path, value in edits.items():
@@ -380,6 +405,15 @@ def test_cli_station_id_longer_than_16_bytes_exits_two(tmp_path):
     code, err = _cli_run_within_5_s(tmp_path, config)
     assert code == 2
     assert err.startswith("config error: ") and "station_id" in err
+
+
+@pytest.mark.parametrize("command, option", [("run", "--seed=-1"), ("sweep", "--seeds=-1..1")])
+def test_cli_negative_seed_exits_two(tmp_path, capsys, command, option):
+    code = main([command, "--scenario", "table1", option, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad value for {option.split('=')[0]}: -1 ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_records_a_seed_that_raises(tmp_path, capsys):

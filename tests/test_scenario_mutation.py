@@ -1,8 +1,12 @@
 """Mutation runs of the bundled scenarios: each case sets one numeric leaf to a
 value that Python's `json` reads but a scenario may not hold (NaN, Infinity,
--0.0, 0 or 1e-9), and `fabric run` must end in exit 0, 1 or 2, with no
-traceback, before a per-case alarm. A fixed, seeded sample runs here; every
-case can be listed with `mutation_cases()`."""
+-0.0, 0, 1e-9, 1e15 or +-1e308), and `fabric run` must end in exit 0, 1 or 2,
+with no traceback, before a per-case alarm; a value the leaf's schema row
+rejects exits 2 naming the key. The bound walk takes each finite bound of each
+leaf's row: the first value past it exits 2 naming the key, and the last value
+within it passes the schema. Every bound case and a fixed, seeded sample of the
+mutation cases run here; every mutation case can be listed with
+`mutation_cases()`."""
 
 from __future__ import annotations
 
@@ -16,10 +20,11 @@ import signal
 import pytest
 
 from fabricsim.cli import main
-from fabricsim.scenario import BUNDLED, load_scenario
+from fabricsim.errors import ConfigError
+from fabricsim.scenario import _TOP, BUNDLED, load_scenario, validate_scenario
 
-VALUES = (math.nan, math.inf, -0.0, 0, 1e-9)
-SAMPLE, SAMPLE_SEED = 60, 25
+VALUES = (math.nan, math.inf, -0.0, 0, 1e-9, 1e15, 1e308, -1e308)
+SAMPLE, SAMPLE_SEED = 96, 25
 ALARM_S = 5
 SHORT_CUPS_S = 3 * 3600.0  # e2e_cups runs 4 h; three keep the sample near 5 s
 
@@ -36,13 +41,52 @@ def numeric_leaves(node, path=()):
         yield path
 
 
+def schema_row(path: tuple):
+    """The schema row of the leaf at `path`: a mapping's field, a list's or a
+    name mapping's item, or one element of a pair."""
+    kind = _TOP
+    for key in path:
+        if isinstance(kind, dict):
+            kind = kind[key][1]
+        elif hasattr(kind, "items"):
+            kind = kind.items[key]
+        else:
+            kind = kind.item
+    return kind
+
+
+def key_name(path: tuple) -> str:
+    """`path` as a config error names it: `topology.links[0].loss_prob`."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
 def mutation_cases() -> list[tuple[str, tuple, float]]:
     return [(name, path, value) for name in BUNDLED
             for path in numeric_leaves(load_scenario(name)) for value in VALUES]
 
 
+def _step(value, direction: int, kind: type):
+    """The next integer, or float, after `value` in `direction` (-1 or 1)."""
+    return value + direction if kind is int else math.nextafter(value, direction * math.inf)
+
+
+def bound_cases() -> list[tuple[str, tuple, float, bool]]:
+    """(scenario, path, value, within) for the last value within and the first
+    value past each finite bound of each leaf's row."""
+    cases = []
+    for name in BUNDLED:
+        for path in numeric_leaves(load_scenario(name)):
+            row = schema_row(path)
+            for bound, is_open, out in ((row.lo, row.lo_open, -1), (row.hi, row.hi_open, 1)):
+                if math.isfinite(bound):
+                    within = _step(bound, -out, row.kind) if is_open else bound
+                    past = bound if is_open else _step(bound, out, row.kind)
+                    cases += [(name, path, within, True), (name, path, past, False)]
+    return cases
+
+
 def _case_id(case) -> str:
-    name, path, value = case
+    name, path, value = case[:3]
     return f"{name}:{'.'.join(map(str, path))}={value!r}"
 
 
@@ -72,8 +116,8 @@ def run_within_alarm(tmp_path, config: dict, seconds: int = ALARM_S) -> tuple[in
     return code, err.getvalue()
 
 
-def run_mutated(tmp_path, name: str, path: tuple, value) -> tuple[int, str]:
-    """`run_within_alarm` on bundled `name` with the leaf at `path` set to `value`."""
+def mutated(name: str, path: tuple, value) -> dict:
+    """Bundled `name`, with e2e_cups shortened, and the leaf at `path` set to `value`."""
     config = load_scenario(name)
     if name == "e2e_cups":
         config["cups"]["duration_s"] = SHORT_CUPS_S
@@ -81,7 +125,12 @@ def run_mutated(tmp_path, name: str, path: tuple, value) -> tuple[int, str]:
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    return run_within_alarm(tmp_path, config)
+    return config
+
+
+def run_mutated(tmp_path, name: str, path: tuple, value) -> tuple[int, str]:
+    """`run_within_alarm` on bundled `name` with the leaf at `path` set to `value`."""
+    return run_within_alarm(tmp_path, mutated(name, path, value))
 
 
 _SAMPLE = random.Random(SAMPLE_SEED).sample(mutation_cases(), SAMPLE)
@@ -97,3 +146,29 @@ def test_mutated_bundled_scenario_ends_in_an_exit_status(tmp_path, case):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("config error: ")
+    name, path, value = case
+    try:
+        schema_row(path)(value, key_name(path))
+    except ConfigError:  # the row rejects it
+        assert code == 2 and key_name(path) in err
+
+
+_BOUNDS = bound_cases()
+
+
+@pytest.mark.parametrize("case", _BOUNDS, ids=[
+    f"{_case_id(c)}-{'within' if c[3] else 'past'}" for c in _BOUNDS])
+def test_value_at_a_schema_bound(tmp_path, case):
+    """Past the bound, `fabric run` exits 2 naming the key. Within it, the schema
+    takes the value; it is not run, as a value at an upper bound can run for long."""
+    name, path, value, within = case
+    config = mutated(name, path, value)
+    if within:
+        try:
+            validate_scenario(config)
+        except ConfigError as exc:
+            assert key_name(path) not in str(exc)
+    else:
+        code, err = run_within_alarm(tmp_path, config)
+        assert code == 2
+        assert err.startswith(f"config error: bad value for {key_name(path)}: ")

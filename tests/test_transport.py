@@ -38,6 +38,7 @@ from fabricsim.simcore import (
     wait,
 )
 from fabricsim.transport import (
+    MIN_LATENCY_COUNT,
     AppendCall,
     RetryPolicy,
     SizeCache,
@@ -614,6 +615,15 @@ def test_measure_latency_requires_two_samples(tmp_path):
     registry.create("bench", 64, 8)
     with pytest.raises(Exception):
         run_to_completion(sim, client.measure_latency("server", "bench", 16, 1))
+
+
+def test_measure_latency_needs_min_latency_count(tmp_path):
+    sim, net, registry, server, client = build(tmp_path)
+    registry.create("bench", 64, 8)
+    with pytest.raises(TransportError, match=f"at least {MIN_LATENCY_COUNT} samples"):
+        run_to_completion(sim, client.measure_latency("server", "bench", 16,
+                                                      MIN_LATENCY_COUNT - 1))
+    assert registry.get("bench").next_seq == 1  # rejected before the first append
 
 
 def test_measure_latency_stats_match_samples(tmp_path):
