@@ -53,10 +53,6 @@ class SizeMismatch(TransportError):
     """Client's cached element size is stale; append rejected."""
 
 
-class DeliveryAbandoned(TransportError):
-    """Retry budget exhausted before a sequence number was returned."""
-
-
 class FrameError(TransportError):
     """Wire frame failed to decode."""
 

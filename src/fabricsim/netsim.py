@@ -23,7 +23,7 @@ from .errors import NetError, RouteUnreachable
 from .simcore import US_PER_MS, Simulator
 
 MIN_LATENCY_US = 100  # 0.1 ms floor on sampled latency
-MAX_LATENCY_MS = 60_000.0  # 12 resends at RetryPolicy.cap_ms; a bundled link still ends in 0.4 s
+MAX_LATENCY_MS = 60_000.0  # 12 resends at transport.RETRY_CAP_MS; a bundled link ends in 0.4 s
 DEFAULT_SLICE_SD_MBPS = 4.0
 CAPACITY_FLOOR_MBPS = 0.05  # below it a frame outlasts every retry
 MAX_CAPACITY_MBPS = 1e6  # 1 Tbps: a year of slicing samples still counts finite bytes

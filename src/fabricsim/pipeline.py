@@ -291,6 +291,11 @@ class CupsPipeline:
         }
 
 
+def sustained_walltime_s(tasks: int, cores: int, cost_model: CfdCostModel) -> float:
+    """The walltime of the one pilot `sustained_rate_s` submits."""
+    return cost_model.mean_for(cores) * (tasks + 2)
+
+
 def sustained_rate_s(seed: int, tasks: int, cores: int,
                      cost_model: CfdCostModel) -> list[float]:
     """Gaps between completions of back-to-back runs on one dedicated pilot."""
@@ -298,7 +303,7 @@ def sustained_rate_s(seed: int, tasks: int, cores: int,
     system = SystemSpec(total_nodes=1, cores_per_node=cores,
                         queue_delay=QueueDelayModel("constant", 0.0))
     facility = Facility(sim, system, stream_label="dedicated")
-    pilot = facility.submit_pilot(1, cost_model.mean_runtime_s * (tasks + 2))
+    pilot = facility.submit_pilot(1, sustained_walltime_s(tasks, cores, cost_model))
 
     completions: list[int] = []
 

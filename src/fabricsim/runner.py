@@ -14,7 +14,7 @@ from pathlib import Path
 from .detect import TEST_NAMES
 from .errors import ConfigError, RouteUnreachable
 from .metrics import summarize
-from .netsim import DEFAULT_SLICE_SD_MBPS, Network, slice_rate_mbps
+from .netsim import CAPACITY_FLOOR_MBPS, DEFAULT_SLICE_SD_MBPS, Network, slice_rate_mbps
 from .node import FabricNode
 from .pilot import (
     DEFAULT_THRESHOLD_BYTES,
@@ -25,7 +25,8 @@ from .pilot import (
     TaskResult,
     TaskSpec,
 )
-from .pipeline import ND, PAIR_BYTES, UCSB, UNL, CupsParams, CupsPipeline, sustained_rate_s
+from .pipeline import (ND, PAIR_BYTES, UCSB, UNL, CupsParams, CupsPipeline, sustained_rate_s,
+                       sustained_walltime_s)
 from .scenario import (
     WALLTIME,
     build_cost_model,
@@ -149,6 +150,9 @@ def _run_slicing_sweep(config: dict, out_dir: Path, seed: int):
         pair = (f, round(1.0 - f, 10))
         nominals = [fraction * base * ue["efficiency"] for ue, fraction in zip(ues, pair)]
         for ue, fraction, nominal, rng in zip(ues, pair, nominals, rngs):
+            if nominal < CAPACITY_FLOOR_MBPS:  # else the noise's scale, sd / nominal, overflows
+                raise ConfigError(f"bad value for slicing: {ue['name']!r} at fraction {fraction} "
+                                  f"is a nominal {nominal:.3g} Mbps, below {CAPACITY_FLOOR_MBPS}")
             rates = [slice_rate_mbps(nominal, sd_mbps, rng) for _ in range(spec["samples"])]
             nbytes = [int(rate * 1e6 * duration_s / 8) for rate in rates]
             samples = [n * 8 / duration_s / 1e6 for n in nbytes]
@@ -189,9 +193,9 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     params = CupsParams(duration_s=spec["duration_s"], **overrides)
     cost_model = build_cost_model(spec.get("cost_model"))
     sustained_tasks = spec.get("sustained_check_tasks", 0)
-    if sustained_tasks:  # the walltime of the one pilot that sustained_rate_s submits
-        WALLTIME(cost_model.mean_runtime_s * (sustained_tasks + 2),
-                 "cups.cost_model.mean_runtime_s * (sustained_check_tasks + 2)")
+    if sustained_tasks:
+        WALLTIME(sustained_walltime_s(sustained_tasks, params.task_cores, cost_model),
+                 "cups.cost_model.mean_runtime_s at task_cores * (sustained_check_tasks + 2)")
     pipeline = CupsPipeline(
         sim, network, out_dir / "state", params,
         weather=build_weather(spec["weather"]),

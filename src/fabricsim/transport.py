@@ -4,18 +4,19 @@ client-side element-size caching, exactly-once via server-side dedup.
 Without the cache every append costs two round trips (size fetch + append).
 A warm cache drops that to one, halving the observed message latency, at the
 price of a size-mismatch failure if the log is resized server-side.
-Requests are retried with exponential backoff until a reply arrives; every
-retry of an exchange reuses its request id, and because retries of an append
-reuse its message id, the server's dedup index makes the append land
-exactly once, as long as fewer than the log's dedup window of other ids land
-between an id's first and last attempt (65,536 ids by default, 64 for cursor
-logs). The index forgets older ids, so a retry that comes later appends the
-payload again under a new seq.
+Requests are resent after 100 ms, doubling to a 5 s cap, until a reply
+arrives; no exchange gives up. Every retry of an exchange reuses its request
+id, and because retries of an append reuse its message id, the server's dedup
+index makes the append land exactly once, as long as fewer than the log's
+dedup window of other ids land between an id's first and last attempt (65,536
+ids by default, 64 for cursor logs). The index forgets older ids, so a retry
+that comes later appends the payload again under a new seq.
 
 The client-side rules live in one sans-I/O core (`SizeQuery`, `AppendCall`)
-that does no I/O and reads no clock; `TransportClient` (simulated: callbacks
-retry and time out each exchange) and `sockfab.SocketClient` (blocking TCP)
-only move its frames. Each node's endpoint decodes every frame exactly once.
+that does no I/O and reads no clock; `TransportClient` (simulated: a timeout
+resends, and a reply resumes the waiting process in the event that delivers it)
+and `sockfab.SocketClient` (blocking TCP) only move its frames. Each node's
+endpoint decodes every frame exactly once.
 `remote_append` yields its size exchange itself, with no sub-generator.
 """
 
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import framing
 from .errors import (
-    DeliveryAbandoned,
     FabricError,
     FrameError,
     PayloadTooLarge,
@@ -55,17 +55,12 @@ from .netsim import Network
 from .simcore import Process, Simulator, ms_to_us
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff; attempts unbounded by default."""
+RETRY_BASE_MS, RETRY_CAP_MS = 100.0, 5000.0  # exponential backoff; no exchange gives up
 
-    base_ms: float = 100.0
-    cap_ms: float = 5000.0
-    max_attempts: int | None = None
 
-    def timeout_us(self, attempt: int) -> int:
-        # 2 ** 1024 overflows a float; from attempt 1023 on the cap applies anyway
-        return ms_to_us(min(self.base_ms * (2 ** min(attempt, 1023)), self.cap_ms))
+def retry_timeout_us(attempt: int) -> int:
+    # 2 ** 1024 overflows a float; from attempt 1023 on the cap applies anyway
+    return ms_to_us(min(RETRY_BASE_MS * (2 ** min(attempt, 1023)), RETRY_CAP_MS))
 
 
 # Opt-in per-client cache of (node, log) -> element size; `SizeCache()` is empty.
@@ -225,11 +220,10 @@ class TransportClient:
     _IDS_PER_DRAW = 256  # one rng.bytes(16 * n) draw yields the bytes of n bytes(16) draws
 
     def __init__(self, sim: Simulator, network: Network, node: str,
-                 policy: RetryPolicy = RetryPolicy(), cache: SizeCache | None = None):
+                 cache: SizeCache | None = None):
         self.sim = sim
         self.network = network
         self.node = node
-        self.policy = policy
         self.cache = cache
         self._request_ids = itertools.count(1)
         self._pending: dict[int, _Exchange] = {}
@@ -245,8 +239,8 @@ class TransportClient:
         return self._ids[self._ids_pos - 16:self._ids_pos]
 
     def on_reply(self, reply) -> None:
-        """Hand this decoded reply to its exchange, if one still waits."""
-        exchange = self._pending.get(reply.request_id)
+        """Hand the reply to its exchange, if one waits, and retire its request id."""
+        exchange = self._pending.pop(reply.request_id, None)
         if exchange is not None:
             exchange.deliver(reply)
         elif self.sim.trace is not None:
@@ -297,69 +291,46 @@ class TransportClient:
 class _Exchange:
     """One request/reply exchange of `core` (a `SizeQuery` or `AppendCall`), driven by
     callbacks, and its own timeout callback. Every attempt carries the same request id,
-    as it carries the same message id. A reply to any attempt schedules a zero-delay
-    resume of the parked process, and a timeout a zero-delay resend with backoff, so a
-    reply that lands in between still lets that resend go out first."""
+    as it carries the same message id. A timeout resends with backoff and re-arms, and
+    the first reply to any attempt cancels the timeout and resumes the parked process,
+    each in the event that brings it."""
 
-    __slots__ = ("client", "core", "request_id", "attempts", "proc", "reply", "timeout")
+    __slots__ = ("client", "core", "request_id", "attempts", "proc", "timeout")
 
     def __init__(self, client: TransportClient, core):
-        client.network.hop_plan(client.node, core.target)  # raises RouteUnreachable early
         self.client, self.core, self.attempts = client, core, 0
         self.request_id = next(client._request_ids)
-        self.proc = self.reply = self.timeout = None  # timeout: the last armed heap entry
-        self._send()
+        self.proc = None  # the process, once it yields the exchange
+        self._send()  # raises RouteUnreachable or FrameError before anything is pending
+        client._pending[self.request_id] = self
 
-    def _send(self) -> None:
-        client, attempt = self.client, self.attempts
-        if client.policy.max_attempts is not None and attempt >= client.policy.max_attempts:
-            raise DeliveryAbandoned(f"no reply from {self.core.target} after {attempt} attempts")
-        if attempt == 0:  # the exchange's one entry; `_resume` pops it
-            client._pending[self.request_id] = self
-        self.attempts = attempt + 1
+    def _send(self) -> None:  # one attempt, and its timeout: `timeout` is the armed heap entry
+        client = self.client
         client.network.send(client.node, self.core.target,
                             framing.encode(self.core.request(self.request_id)))
+        self.timeout = client.sim.schedule(retry_timeout_us(self.attempts), self)
+        self.attempts += 1
 
     def park(self, proc: Process) -> None:
-        """Called when the process yields the exchange, and after each resend."""
-        self.proc, sim = proc, self.client.sim
-        if self.reply is not None:
-            sim.schedule(0, self._resume)
-        else:
-            self.timeout = sim.schedule(self.client.policy.timeout_us(self.attempts - 1), self)
-
-    def deliver(self, reply) -> None:
-        if self.reply is None:
-            self.reply = reply
-            if self.timeout is not None:  # parked, and no resend queued
-                self.client.sim.cancel(self.timeout)
-                self.client.sim.schedule(0, self._resume)
+        self.proc = proc
 
     def __call__(self) -> None:  # the timeout fired
         self.timeout = None
-        self.client.sim.schedule(0, self._resend)
-
-    def _resend(self) -> None:
         # closed while parked? (`gi_frame` would materialise a parked generator's frame)
-        if getgeneratorstate(self.proc.gen) == GEN_CLOSED:
-            return
-        try:
+        if getgeneratorstate(self.proc.gen) != GEN_CLOSED:
             self._send()
-        except DeliveryAbandoned as exc:
-            self._resume(exc)
-        else:
-            self.park(self.proc)
 
-    def _resume(self, error: DeliveryAbandoned | None = None) -> None:
-        """Retire the request id and hand the process the reply's outcome."""
-        self.client._pending.pop(self.request_id, None)
+    def deliver(self, reply) -> None:
+        """Hand the process the outcome of the first reply to any attempt."""
+        sim = self.client.sim
+        sim.cancel(self.timeout)
         if getgeneratorstate(self.proc.gen) == GEN_CLOSED:  # closed while parked
             return
         try:
-            result = self.core.result(self.reply) if error is None else error
+            result, error = self.core.result(reply), False
         except FabricError as exc:  # a failed reply raises where the process waits
-            result = error = exc
-        self.client.sim._step(self.proc, result, error is not None)
+            result, error = exc, True
+        sim._step(self.proc, result, error)
 
 
 def wire_node(network: Network, node: str, client: TransportClient | None = None,

@@ -84,14 +84,16 @@ def test_pump_parked_on_a_remote_append_is_closed_with_its_node(tmp_path):
     beta.close()
 
 
-def test_failed_reply_queued_for_a_closed_node_raises_nowhere(tmp_path):
-    # the size reply (unknown log) lands at 10 ms and queues the resume; the
-    # close runs between the two, so the resume finds its process closed
-    sim, net, alpha, beta = build_pair(tmp_path)
+def test_failed_reply_to_a_node_closed_at_its_instant_raises_nowhere(tmp_path):
+    # the size reply (unknown log) would land at 10 ms; the close, scheduled
+    # first, runs at that instant before it, so the reply finds no endpoint
+    sim, net, alpha, beta = build_pair(tmp_path, trace=True)
     proc = sim.spawn(alpha.client.remote_append("beta", "nope", b"x"))
-    sim.schedule(6_000, sim.schedule, 4_000, alpha.close)
+    sim.schedule(10_000, alpha.close)
     sim.run(until_us=1_000_000)
     assert proc.error is None and not proc.finished
+    dropped = [(t, f["src"], f["reason"]) for t, kind, f in sim.trace if kind == "drop"]
+    assert dropped == [(10_000, "beta", "no-endpoint")]
     beta.close()
 
 

@@ -277,6 +277,9 @@ def _set_key(config: dict, path: str, value) -> None:
     ("e2e_cups", {"cups.cost_model.mean_runtime_s": 1e308}, "cups.cost_model.mean_runtime_s"),
     # exit 1, "pilot 1 is expired, not active"
     ("e2e_cups", {"cups.cost_model.runtime_sd_s": 1e15}, "cups.cost_model.runtime_sd_s"),
+    # a nominal slice rate below the capacity floor: an OverflowError traceback
+    ("slicing", {"slicing.ue_low.efficiency": 5e-324}, "'rpi1' at fraction 0.1 "),
+    ("slicing", {"slicing.fractions.0": 5e-324}, "'rpi1' at fraction 5e-324 "),
 ], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps",
         "cadence-zero", "cadence-negative", "alpha", "channels-unknown", "channels-empty",
         "runtime_sd_s", "noise_sd", "uniform-value_s", "alerts", "alert_interval_s",
@@ -294,7 +297,8 @@ def _set_key(config: dict, path: str, value) -> None:
         "alert_interval_s-infinity", "changes-nan", "seed-negative", "latency-count-two",
         "payload_bytes-above-max-payload", "element_size-above-max-payload",
         "latency_sd_ms-1e308", "slicing-duration_s-1e308", "efficiency-1e308",
-        "mean_runtime_s-1e308", "runtime_sd_s-1e15"])
+        "mean_runtime_s-1e308", "runtime_sd_s-1e15", "efficiency-subnormal",
+        "fraction-subnormal"])
 def test_cli_config_error_found_while_building_exits_two(
         tmp_path, capsys, scenario, edits, named):
     bad = tmp_path / "bad.json"
@@ -351,6 +355,17 @@ def test_cli_minus_zero_runs_as_zero(tmp_path, scenario, path):
         assert run_within_alarm(tmp_path / str(value), config) == (0, "")
         reports.append((tmp_path / str(value) / "out" / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_cli_cups_sustained_check_at_one_core_runs(tmp_path):
+    # the sustained check's pilot holds 10 runs of 15,565 s, the 1-core mean;
+    # sized from the 64-core mean of 420.39 s, it expired before the first ended
+    config = load_scenario("e2e_cups")
+    config["cups"]["pilot"]["task_cores"] = 1
+    assert run_within_alarm(tmp_path, config) == (0, "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["invariants"]) == 4 and all(report["invariants"].values())
+    assert report["sustained"]["n"] == 7
 
 
 @pytest.mark.parametrize("scenario", ["table1", "e2e_cups"])

@@ -10,7 +10,7 @@ import pytest
 
 from fabricsim import framing
 from fabricsim.errors import (
-    DeliveryAbandoned,
+    FrameError,
     PayloadTooLarge,
     RouteUnreachable,
     SizeMismatch,
@@ -40,18 +40,18 @@ from fabricsim.simcore import (
 from fabricsim.transport import (
     MIN_LATENCY_COUNT,
     AppendCall,
-    RetryPolicy,
     SizeCache,
     SizeQuery,
     TransportClient,
     TransportServer,
     _Exchange,
+    retry_timeout_us,
     wire_node,
 )
 
 
 def build(tmp_path, seed=1, latency_ms=50.0, sd_ms=0.0, loss=0.0, dup=0.0,
-          policy=RetryPolicy(), cache=None, trace=False, partitions=()):
+          cache=None, trace=False, partitions=()):
     sim = Simulator(seed=seed, trace=trace)
     link = LinkSpec("wire", "client", "server", latency_ms, sd_ms,
                     loss_prob=loss, duplicate_prob=dup,
@@ -59,7 +59,7 @@ def build(tmp_path, seed=1, latency_ms=50.0, sd_ms=0.0, loss=0.0, dup=0.0,
     net = Network(sim, [link])
     registry = LogRegistry(tmp_path / "server")
     server = TransportServer(sim, net, "server", registry)
-    client = TransportClient(sim, net, "client", policy=policy, cache=cache)
+    client = TransportClient(sim, net, "client", cache=cache)
     wire_node(net, "server", server=server)
     wire_node(net, "client", client=client)
     return sim, net, registry, server, client
@@ -89,7 +89,7 @@ def test_reply_on_the_timeouts_microsecond_still_lets_the_resend_go_out(
         tmp_path, monkeypatch):
     # 50 ms each way with no jitter: the append reply lands on the exact
     # microsecond of the 100 ms timeout, which fires first, so the resend
-    # goes out and the process then resumes with the reply it already has
+    # goes out before the reply resumes the process
     encodes = Counter()
     real_encode = framing.encode
 
@@ -132,6 +132,15 @@ def test_fault_free_path_sends_exactly_two_requests(tmp_path):
     to_server = [f for _, kind, f in sim.trace
                  if kind == "deliver" and f["dst"] == "server"]
     assert len(to_server) == 2  # one size request, one append request
+
+
+def test_fault_free_uncached_append_schedules_seven_events(tmp_path):
+    # the spawn, two requests and two replies, and one timeout per exchange;
+    # each reply resumes the process in the event that delivers it
+    sim, net, registry, server, client = build(tmp_path, latency_ms=40.0)
+    registry.create("data", 64, 8)
+    assert run_to_completion(sim, client.remote_append("server", "data", b"x")) == 1
+    assert next(sim._tie) == 7
 
 
 def test_warm_cache_halves_latency_to_one_round_trip(tmp_path):
@@ -320,20 +329,26 @@ def test_lossy_appends_reproduce_pinned_history(tmp_path):
     sim, net, registry, seqs = _lossy_appends(tmp_path, 300, seed=11, trace=True)
     kinds = [kind for _, kind, _ in sim.trace]
     assert {"drop", "duplicate", "late-reply"} <= set(kinds)
-    assert kinds.count("late-reply") == 51
+    assert kinds.count("late-reply") == 55
     trace_hash = hashlib.sha256("\n".join(sim.trace_lines()).encode()).hexdigest()
-    assert trace_hash == "a17f41d0ffd76c00707379e87d763c552331e1605f3cd2fe98aed45fcb1d690d"
+    assert trace_hash == "56181601989db5a85e9ac430c8673b339747d66327aaec85f27ee7b5ac7e6176"
     without_ids = [
         json.dumps({"t_us": t, "kind": kind,
                     **{k: v for k, v in f.items() if k != "request_id"}}, sort_keys=True)
         for t, kind, f in sim.trace]
     assert hashlib.sha256("\n".join(without_ids).encode()).hexdigest() == \
-        "5e2a98f3d8826824922cd13e227e40db8b3ce3620f4527e0ad5a8d49c4d1d644"
+        "8d6635801d6a912169da79f50da2380d59ecfab5f00933821d71f2fc3062b993"
     seqs_hash = hashlib.sha256(json.dumps(seqs).encode()).hexdigest()
-    assert seqs_hash == "02df379aba65e1b1f71f1dd39dde4212b048ae9894c5c0dafddc493ff80c5186"
+    assert seqs_hash == "6e575b4ffc570253676d01c86e065859ec287c48743d8817dc50d14920ed74f9"
     ids = b"".join(e.message_id for e in registry.get("data").scan(1, 300).entries)
     assert hashlib.sha256(ids).hexdigest() == \
-        "e43e320d2d1657923c9cca25a1a4ca985831069b9f0d3d8423c96505a6855dd3"
+        "1ca678ad6729400231ccbff58d1442c4e94a1548ddbf979b757462683d4830cf"
+
+
+def test_lossy_appends_schedule_at_most_2716_events(tmp_path):
+    # spawns, hops and timeouts only: no resume or resend event of its own
+    sim, *_ = _lossy_appends(tmp_path, 300, seed=11, trace=False)
+    assert next(sim._tie) <= 2_716
 
 
 def test_message_ids_are_the_client_stream_in_order(tmp_path):
@@ -386,21 +401,13 @@ def test_wire_path_resolves_each_route_once_and_decodes_each_frame_once(
 
 # -- retries under faults -----------------------------------------------------------
 
-def test_bounded_retry_budget_abandons(tmp_path):
-    sim, net, registry, server, client = build(
-        tmp_path, loss=0.999, policy=RetryPolicy(max_attempts=4))
-    registry.create("data", 64, 8)
-    with pytest.raises(DeliveryAbandoned):
-        run_to_completion(sim, client.remote_append("server", "data", b"x"))
-
-
 def test_an_exchange_abandoned_before_its_first_send_leaves_no_pending_entry(tmp_path):
-    sim, net, registry, server, client = build(
-        tmp_path, policy=RetryPolicy(max_attempts=0))
-    registry.create("data", 64, 8)
-    with pytest.raises(DeliveryAbandoned):
-        run_to_completion(sim, client.remote_append("server", "data", b"x"))
+    # a log name too long for a frame: the size request never goes out
+    sim, net, registry, server, client = build(tmp_path)
+    with pytest.raises(FrameError, match="string field too long"):
+        run_to_completion(sim, client.remote_append("server", "x" * 70_000, b"x"))
     assert client._pending == {}
+    client.close()
 
 
 def test_every_attempt_of_an_exchange_carries_its_one_request_id(tmp_path):
@@ -477,11 +484,10 @@ def test_appends_issued_during_partition_converge_after_heal(tmp_path):
 
 
 def test_retry_timeouts_double_up_to_the_cap_at_any_attempt():
-    policy = RetryPolicy()
-    assert [policy.timeout_us(a) for a in range(7)] == [
+    assert [retry_timeout_us(a) for a in range(7)] == [
         100_000, 200_000, 400_000, 800_000, 1_600_000, 3_200_000, 5_000_000]
-    assert policy.timeout_us(1023) == policy.timeout_us(1024) == 5_000_000
-    assert policy.timeout_us(10**6) == 5_000_000
+    assert retry_timeout_us(1023) == retry_timeout_us(1024) == 5_000_000
+    assert retry_timeout_us(10**6) == 5_000_000
 
 
 def test_append_parked_through_a_two_hour_partition_lands_after_heal(tmp_path):
