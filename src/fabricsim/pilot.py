@@ -24,6 +24,8 @@ from .errors import ConfigError, InsufficientResources
 from .simcore import Simulator, Trigger, s_to_us, sleep, wait
 
 HOURS_24_S = 24 * 3600.0
+MAX_LOG_DELAY = 50.0  # bounds a lognormal delay's |mu| and sigma: e**50 s is far past 24 h
+MAX_NODE_PENALTY = 10.0  # bounds the runtime factor of each node past the first
 
 REFERENCE_CORES = 64
 REFERENCE_MEAN_S = 420.39

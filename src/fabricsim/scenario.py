@@ -16,10 +16,10 @@ from pathlib import Path
 from .errors import ConfigError, NetError
 from .framing import MAX_PAYLOAD
 from .netsim import CAPACITY_FLOOR_MBPS, MAX_CAPACITY_MBPS, MAX_LATENCY_MS, LinkSpec
-from .pilot import CfdCostModel, QueueDelayModel, SystemSpec
+from .pilot import MAX_LOG_DELAY, MAX_NODE_PENALTY, CfdCostModel, QueueDelayModel, SystemSpec
 from .simcore import US_PER_S, s_to_us
 from .transport import MIN_LATENCY_COUNT
-from .weather import ChannelModel, WeatherModel
+from .weather import MAX_CHANNEL_VALUE, ChannelModel, WeatherModel
 
 BUNDLED = ("table1", "slicing", "e2e_cups", "queue_sweep")
 HORIZON_S = 366 * 24 * 3600.0  # one simulated year bounds every time given in seconds
@@ -138,8 +138,8 @@ _TOPOLOGY = {
 _QUEUE_DELAY = {
     "kind": (True, str),
     "value_s": (False, _SECONDS),
-    "mu": (False, Num()),
-    "sigma": (False, Num(0)),
+    "mu": (False, Num(-MAX_LOG_DELAY, MAX_LOG_DELAY)),
+    "sigma": (False, Num(0, MAX_LOG_DELAY)),
 }
 
 _SYSTEM = {
@@ -152,13 +152,15 @@ _SYSTEM = {
 _COST_MODEL = {
     "mean_runtime_s": (False, Num(0, HORIZON_S, lo_open=True)),  # sample_runtime_s divides by it
     "runtime_sd_s": (False, _SECONDS),
-    "multi_node_penalty": (False, Num(0)),
+    "multi_node_penalty": (False, Num(0, MAX_NODE_PENALTY)),
 }
 
+_MEAN = Num(-MAX_CHANNEL_VALUE, MAX_CHANNEL_VALUE)
+
 _CHANNEL = {
-    "mean": (True, Num()),
-    "noise_sd": (True, Num(0)),
-    "changes": (False, _list_of(_pair_of(_SECONDS, Num()))),
+    "mean": (True, _MEAN),
+    "noise_sd": (True, Num(0, MAX_CHANNEL_VALUE)),
+    "changes": (False, _list_of(_pair_of(_SECONDS, _MEAN))),
 }
 
 

@@ -12,6 +12,11 @@ dedup window of other ids land between an id's first and last attempt (65,536
 ids by default, 64 for cursor logs). The index forgets older ids, so a retry
 that comes later appends the payload again under a new seq.
 
+A size exchange whose first attempt has timed out is presumed lost, and the
+next size reply to the same log that answers a later-created exchange answers
+it too: the server read that size after the lost exchange began, so it is no
+staler than the exchange's own reply would be.
+
 The client-side rules live in one sans-I/O core (`SizeQuery`, `AppendCall`)
 that does no I/O and reads no clock; `TransportClient` (simulated: a timeout
 resends, and a reply resumes the waiting process in the event that delivers it)
@@ -23,6 +28,7 @@ endpoint decodes every frame exactly once.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from inspect import GEN_CLOSED, getgeneratorstate
 from typing import Callable
@@ -228,6 +234,8 @@ class TransportClient:
         self._request_ids = itertools.count(1)
         self._pending: dict[int, _Exchange] = {}
         self._size_queries: dict[tuple[str, str], SizeQuery] = {}  # one per log: stateless
+        # per size query, its exchanges whose first attempt timed out, in request-id order
+        self._timed_out: defaultdict[SizeQuery, deque[_Exchange]] = defaultdict(deque)
         self._rng: np.random.Generator = sim.rng(f"client:{node}")
         self._ids, self._ids_pos = b"", 0
 
@@ -239,10 +247,15 @@ class TransportClient:
         return self._ids[self._ids_pos - 16:self._ids_pos]
 
     def on_reply(self, reply) -> None:
-        """Hand the reply to its exchange, if one waits, and retire its request id."""
+        """Hand the reply to its exchange, if one waits, then to each earlier-created
+        timed-out exchange of its size query, in timeout order; retire their ids."""
         exchange = self._pending.pop(reply.request_id, None)
         if exchange is not None:
             exchange.deliver(reply)
+            lost = self._timed_out.get(exchange.core)  # looked up after: `deliver` may close
+            while lost and lost[0].request_id <= reply.request_id:
+                if (earlier := self._pending.pop(lost.popleft().request_id, None)) is not None:
+                    earlier.deliver(reply)
         elif self.sim.trace is not None:
             self.sim.record("late-reply", node=self.node, request_id=reply.request_id)
 
@@ -250,6 +263,7 @@ class TransportClient:
         """Close every process parked on an exchange, in request order, and
         cancel its timeout, so nothing is resent."""
         pending, self._pending = self._pending, {}
+        self._timed_out.clear()
         for exchange in pending.values():  # one entry per exchange
             self.sim.cancel(exchange.timeout)
             exchange.proc.gen.close()
@@ -292,8 +306,9 @@ class _Exchange:
     """One request/reply exchange of `core` (a `SizeQuery` or `AppendCall`), driven by
     callbacks, and its own timeout callback. Every attempt carries the same request id,
     as it carries the same message id. A timeout resends with backoff and re-arms, and
-    the first reply to any attempt cancels the timeout and resumes the parked process,
-    each in the event that brings it."""
+    the first reply to any attempt (or, once a size exchange has timed out, a later one's
+    reply, see `TransportClient.on_reply`) cancels the timeout and resumes the parked
+    process, each in the event that brings it."""
 
     __slots__ = ("client", "core", "request_id", "attempts", "proc", "timeout")
 
@@ -318,6 +333,8 @@ class _Exchange:
         self.timeout = None
         # closed while parked? (`gi_frame` would materialise a parked generator's frame)
         if getgeneratorstate(self.proc.gen) != GEN_CLOSED:
+            if self.attempts == 1 and type(self.core) is SizeQuery:
+                self.client._timed_out[self.core].append(self)
             self._send()
 
     def deliver(self, reply) -> None:

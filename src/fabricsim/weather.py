@@ -16,6 +16,7 @@ from .errors import ConfigError
 from .simcore import s_to_us
 
 REPORT_CADENCE_S = 300
+MAX_CHANNEL_VALUE = 1e6  # bounds a channel's means and noise sd: detect's sums stay finite
 
 _RECORD = struct.Struct("<Qdddd16s")
 RECORD_SIZE = _RECORD.size  # 56 bytes

@@ -275,6 +275,20 @@ def _set_key(config: dict, path: str, value) -> None:
     ("slicing", {"slicing.duration_s": 1e308}, "slicing.duration_s"),
     ("slicing", {"slicing.ue_high.efficiency": 1e308}, "slicing.ue_high.efficiency"),
     ("e2e_cups", {"cups.cost_model.mean_runtime_s": 1e308}, "cups.cost_model.mean_runtime_s"),
+    # exit 0, with every Welch t-test NaN and numpy's RuntimeWarnings on stderr
+    ("e2e_cups", {"cups.weather.channels.wind_speed.mean": 1e308},
+     "cups.weather.channels.wind_speed.mean"),
+    ("e2e_cups", {"cups.weather.channels.wind_speed.mean": -1e308},
+     "cups.weather.channels.wind_speed.mean"),
+    ("e2e_cups", {"cups.weather.channels.wind_speed.noise_sd": 1e308},
+     "cups.weather.channels.wind_speed.noise_sd"),
+    ("e2e_cups", {"cups.weather.channels.wind_speed.changes.0.1": 1e308},
+     "cups.weather.channels.wind_speed.changes[0][1]"),
+    # exit 0, with runtimes past any walltime or every delay clamped to 0 or 24 h
+    ("e2e_cups", {"cups.cost_model.multi_node_penalty": 1e308},
+     "cups.cost_model.multi_node_penalty"),
+    ("queue_sweep", {"queue_sweep.delays.3.mu": -1e308}, "queue_sweep.delays[3].mu"),
+    ("queue_sweep", {"queue_sweep.delays.3.sigma": 1e308}, "queue_sweep.delays[3].sigma"),
     # exit 1, "pilot 1 is expired, not active"
     ("e2e_cups", {"cups.cost_model.runtime_sd_s": 1e15}, "cups.cost_model.runtime_sd_s"),
     # a nominal slice rate below the capacity floor: an OverflowError traceback
@@ -297,7 +311,9 @@ def _set_key(config: dict, path: str, value) -> None:
         "alert_interval_s-infinity", "changes-nan", "seed-negative", "latency-count-two",
         "payload_bytes-above-max-payload", "element_size-above-max-payload",
         "latency_sd_ms-1e308", "slicing-duration_s-1e308", "efficiency-1e308",
-        "mean_runtime_s-1e308", "runtime_sd_s-1e15", "efficiency-subnormal",
+        "mean_runtime_s-1e308", "weather-mean-1e308", "weather-mean-minus-1e308",
+        "weather-noise_sd-1e308", "weather-change-1e308", "multi_node_penalty-1e308",
+        "mu-minus-1e308", "sigma-1e308", "runtime_sd_s-1e15", "efficiency-subnormal",
         "fraction-subnormal"])
 def test_cli_config_error_found_while_building_exits_two(
         tmp_path, capsys, scenario, edits, named):
