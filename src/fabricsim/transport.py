@@ -4,17 +4,21 @@ client-side element-size caching, exactly-once via server-side dedup.
 Without the cache every append costs two round trips (size fetch + append).
 A warm cache drops that to one, halving the observed message latency, at the
 price of a size-mismatch failure if the log is resized server-side.
-Requests are resent after 100 ms, doubling to a 5 s cap, until a reply
-arrives; no exchange gives up. Every retry of an exchange reuses its request
-id, and because retries of an append reuse its message id, the server's dedup
-index makes the append land exactly once, as long as fewer than the log's
-dedup window of other ids land between an id's first and last attempt (65,536
-ids by default, 64 for cursor logs). The index forgets older ids, so a retry
-that comes later appends the payload again under a new seq.
+Requests are resent until a reply arrives; no exchange gives up. Attempt n of
+an exchange times out after its target's RTO doubled n times, capped at 5 s.
+The client keeps one RFC 6298 estimator per target, fed by each exchange that
+its own reply answers on the first attempt (Karn's rule); before a target's
+first sample its RTO is 100 ms, and it never falls below `RTO_MIN_MS`. Every
+retry of an exchange reuses its request id, and because retries of an append
+reuse its message id, the server's dedup index makes the append land exactly
+once, as long as fewer than the log's dedup window of other ids land between
+an id's first and last attempt (65,536 ids by default, 64 for cursor logs).
+The index forgets older ids, so a retry that comes later appends the payload
+again under a new seq.
 
-A size exchange whose first attempt has timed out is presumed lost, and the
-next size reply to the same log that answers a later-created exchange answers
-it too: the server read that size after the lost exchange began, so it is no
+A size exchange whose timeout fires after the client has received a size
+reply to the same log with a higher request id takes that reply and sends
+nothing: the server read that size after the exchange began, so it is no
 staler than the exchange's own reply would be.
 
 The client-side rules live in one sans-I/O core (`SizeQuery`, `AppendCall`)
@@ -28,7 +32,6 @@ endpoint decodes every frame exactly once.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from inspect import GEN_CLOSED, getgeneratorstate
 from typing import Callable
@@ -61,12 +64,18 @@ from .netsim import Network
 from .simcore import Process, Simulator, ms_to_us
 
 
-RETRY_BASE_MS, RETRY_CAP_MS = 100.0, 5000.0  # exponential backoff; no exchange gives up
+RETRY_BASE_MS, RETRY_CAP_MS = 100.0, 5000.0  # RTO before a target's first sample; backoff cap
+# the RTO floor: a short-RTT path needs one far below RFC 6298's 1 s, and 10 ms
+# resent spuriously on a 10 ms round trip
+RTO_MIN_MS = 20.0
+_BASE_US, _CAP_US, _RTO_MIN_US = map(ms_to_us, (RETRY_BASE_MS, RETRY_CAP_MS, RTO_MIN_MS))
 
 
-def retry_timeout_us(attempt: int) -> int:
-    # 2 ** 1024 overflows a float; from attempt 1023 on the cap applies anyway
-    return ms_to_us(min(RETRY_BASE_MS * (2 ** min(attempt, 1023)), RETRY_CAP_MS))
+def retry_timeout_us(rto_us: int, attempt: int) -> int:
+    """Attempt `attempt`'s timeout: `rto_us` doubled once per earlier attempt, capped."""
+    # any RTO of 1 us or more passes the cap within this many doublings, so
+    # attempt 10**6 of a link down for hours shifts no further
+    return min(rto_us << min(attempt, _CAP_US.bit_length()), _CAP_US)
 
 
 # Opt-in per-client cache of (node, log) -> element size; `SizeCache()` is empty.
@@ -221,7 +230,7 @@ class TransportServer(RequestHandler):
 
 class TransportClient:
     """Drives the protocol core over simulated channels: retries with
-    exponential backoff and times out in simulated time."""
+    exponential backoff from a per-target RTO and times out in simulated time."""
 
     _IDS_PER_DRAW = 256  # one rng.bytes(16 * n) draw yields the bytes of n bytes(16) draws
 
@@ -234,8 +243,11 @@ class TransportClient:
         self._request_ids = itertools.count(1)
         self._pending: dict[int, _Exchange] = {}
         self._size_queries: dict[tuple[str, str], SizeQuery] = {}  # one per log: stateless
-        # per size query, its exchanges whose first attempt timed out, in request-id order
-        self._timed_out: defaultdict[SizeQuery, deque[_Exchange]] = defaultdict(deque)
+        self._newest: dict[SizeQuery, SizeReply] = {}  # its received reply of highest request id
+        # per target: RFC 6298 state in Jacobson's scaled form, (8 x SRTT, 4 x RTTVAR)
+        # in us, and the RTO it gives, which each send reads
+        self._rtt: dict[str, tuple[int, int]] = {}
+        self._rto_us: dict[str, int] = {}
         self._rng: np.random.Generator = sim.rng(f"client:{node}")
         self._ids, self._ids_pos = b"", 0
 
@@ -247,23 +259,38 @@ class TransportClient:
         return self._ids[self._ids_pos - 16:self._ids_pos]
 
     def on_reply(self, reply) -> None:
-        """Hand the reply to its exchange, if one waits, then to each earlier-created
-        timed-out exchange of its size query, in timeout order; retire their ids."""
+        """Hand the reply to its exchange, if one waits, and retire its id. A first
+        attempt's reply is an RTT sample; a size reply may answer others later."""
         exchange = self._pending.pop(reply.request_id, None)
         if exchange is not None:
+            core = exchange.core
+            if exchange.attempts == 1:  # Karn's rule: a resent exchange times no attempt
+                self._sample_rtt(core.target, self.sim.now_us - exchange.sent_us)
+            if type(core) is SizeQuery and \
+                    self._newest.setdefault(core, reply).request_id < reply.request_id:
+                self._newest[core] = reply
             exchange.deliver(reply)
-            lost = self._timed_out.get(exchange.core)  # looked up after: `deliver` may close
-            while lost and lost[0].request_id <= reply.request_id:
-                if (earlier := self._pending.pop(lost.popleft().request_id, None)) is not None:
-                    earlier.deliver(reply)
         elif self.sim.trace is not None:
             self.sim.record("late-reply", node=self.node, request_id=reply.request_id)
+
+    def _sample_rtt(self, target: str, rtt_us: int) -> None:
+        """Fold one RTT sample into `target`'s estimator (RFC 6298: alpha 1/8,
+        beta 1/4, RTTVAR from the old SRTT) and set its RTO."""
+        state = self._rtt.get(target)
+        if state is None:
+            srtt8, rttvar4 = rtt_us << 3, rtt_us << 1
+        else:
+            srtt8, rttvar4 = state
+            err = rtt_us - (srtt8 >> 3)
+            rttvar4 += abs(err) - (rttvar4 >> 2)
+            srtt8 += err
+        self._rtt[target] = (srtt8, rttvar4)
+        self._rto_us[target] = max((srtt8 >> 3) + max(1, rttvar4), _RTO_MIN_US)
 
     def close(self) -> None:
         """Close every process parked on an exchange, in request order, and
         cancel its timeout, so nothing is resent."""
         pending, self._pending = self._pending, {}
-        self._timed_out.clear()
         for exchange in pending.values():  # one entry per exchange
             self.sim.cancel(exchange.timeout)
             exchange.proc.gen.close()
@@ -305,25 +332,28 @@ class TransportClient:
 class _Exchange:
     """One request/reply exchange of `core` (a `SizeQuery` or `AppendCall`), driven by
     callbacks, and its own timeout callback. Every attempt carries the same request id,
-    as it carries the same message id. A timeout resends with backoff and re-arms, and
-    the first reply to any attempt (or, once a size exchange has timed out, a later one's
-    reply, see `TransportClient.on_reply`) cancels the timeout and resumes the parked
-    process, each in the event that brings it."""
+    as it carries the same message id, and times out after its target's RTO as it is
+    sent, doubled per earlier attempt. A timeout resends and re-arms, unless the
+    exchange asks a size and the client holds a reply to the same query of a higher
+    request id, which then answers it. The first reply to any attempt cancels the
+    timeout; either way the parked process resumes in the event that brings the reply."""
 
-    __slots__ = ("client", "core", "request_id", "attempts", "proc", "timeout")
+    __slots__ = ("client", "core", "request_id", "attempts", "sent_us", "proc", "timeout")
 
     def __init__(self, client: TransportClient, core):
         self.client, self.core, self.attempts = client, core, 0
         self.request_id = next(client._request_ids)
+        self.sent_us = client.sim.now_us  # of attempt 0, the only one Karn's rule times
         self.proc = None  # the process, once it yields the exchange
         self._send()  # raises RouteUnreachable or FrameError before anything is pending
         client._pending[self.request_id] = self
 
     def _send(self) -> None:  # one attempt, and its timeout: `timeout` is the armed heap entry
-        client = self.client
-        client.network.send(client.node, self.core.target,
+        client, target = self.client, self.core.target
+        client.network.send(client.node, target,
                             framing.encode(self.core.request(self.request_id)))
-        self.timeout = client.sim.schedule(retry_timeout_us(self.attempts), self)
+        rto_us = client._rto_us.get(target, _BASE_US)
+        self.timeout = client.sim.schedule(retry_timeout_us(rto_us, self.attempts), self)
         self.attempts += 1
 
     def park(self, proc: Process) -> None:
@@ -332,13 +362,18 @@ class _Exchange:
     def __call__(self) -> None:  # the timeout fired
         self.timeout = None
         # closed while parked? (`gi_frame` would materialise a parked generator's frame)
-        if getgeneratorstate(self.proc.gen) != GEN_CLOSED:
-            if self.attempts == 1 and type(self.core) is SizeQuery:
-                self.client._timed_out[self.core].append(self)
+        if getgeneratorstate(self.proc.gen) == GEN_CLOSED:
+            return
+        newest = self.client._newest.get(self.core)  # only a size query has one
+        if newest is not None and newest.request_id > self.request_id:
+            del self.client._pending[self.request_id]
+            self.deliver(newest)
+        else:
             self._send()
 
     def deliver(self, reply) -> None:
-        """Hand the process the outcome of the first reply to any attempt."""
+        """Hand the process the outcome of the first reply to any attempt, or of
+        a later exchange's reply to the same size query."""
         sim = self.client.sim
         sim.cancel(self.timeout)
         if getgeneratorstate(self.proc.gen) == GEN_CLOSED:  # closed while parked
