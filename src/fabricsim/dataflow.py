@@ -346,7 +346,7 @@ class DeployedGraph:
                     f"different value")
             seq = via.append_local(log_name, payload, mid)
         else:
-            seq = yield from via.client.remote_append(target, log_name, payload, mid)
+            seq = yield from via.remote_append(target, log_name, payload, mid)
         return seq
 
     # -- firing ---------------------------------------------------------------

@@ -198,8 +198,7 @@ class HandlerEngine:
             if effect.target_node == self.node.name:
                 self.node.append_local(effect.log_name, payload, mid)
             else:
-                yield from self.node.client.remote_append(
-                    effect.target_node, effect.log_name, payload, mid)
+                yield from self.node.remote_append(effect.target_node, effect.log_name, payload, mid)
         return effects
 
     def _maybe_crash(self, invocation_index: int, phase: str) -> None:

@@ -1,21 +1,21 @@
 """A fabric node: log registry + transport endpoints + handler engine.
 
-Nothing here survives in memory across a (simulated) crash; reopening a node
-over the same directory recovers all state from the logs. `close()` is final:
-a closed node answers no frame, fires no handler and resends nothing, even if
-its old simulator runs on.
+Nothing here survives in memory across a (simulated) crash, its client's size
+cache included; reopening a node over the same directory recovers all state
+from the logs. `close()` is final: a closed node answers no frame, fires no
+handler and resends nothing, even if its old simulator runs on.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import StorageFailure
+from .errors import SizeMismatch, StorageFailure
 from .events import HandlerEngine
 from .logstore import LogRegistry, LogStore
 from .netsim import Network
 from .simcore import Simulator
-from .transport import TransportClient, TransportServer, wire_node
+from .transport import SizeCache, TransportClient, TransportServer, wire_node
 
 
 class FabricNode:
@@ -27,7 +27,7 @@ class FabricNode:
         self.root_dir = Path(root_dir)
         self.registry = LogRegistry(self.root_dir)
         self.server = TransportServer(sim, network, name, self.registry)
-        self.client = TransportClient(sim, network, name)
+        self.client = TransportClient(sim, network, name, SizeCache())
         self.engine = HandlerEngine(self)
         self.server.on_append = self.engine.notify_append
         self._endpoint = wire_node(network, name, self.client, self.server)
@@ -49,6 +49,18 @@ class FabricNode:
         if store.next_seq != before:
             self.engine.notify_append(log_name)
         return seq
+
+    def remote_append(self, target: str, log_name: str, payload: bytes,
+                      message_id: bytes | None = None):
+        """Process: a remote append that costs one round trip once the size is
+        cached. A stale cached size appends nothing and is dropped, so one
+        retry under the same message id re-learns the size and lands once."""
+        if message_id is None:
+            message_id = self.client.new_message_id()
+        try:
+            return (yield from self.client.remote_append(target, log_name, payload, message_id))
+        except SizeMismatch:
+            return (yield from self.client.remote_append(target, log_name, payload, message_id))
 
     def close(self) -> None:
         """Close the pumps and the processes parked on exchanges, drop the

@@ -3,6 +3,7 @@
 Data path one: an edge station reports weather telemetry every five minutes
 by remote append to the repository node's log, over the `unl-ucsb-5g` hop at
 its base rate (the PRB slice model is sampled by the `slicing` sweep alone).
+One round trip per record once the first has learned the log's element size.
 
 Data path two: on a thirty-minute duty cycle the repository evaluates the
 most recent six records against the previous six through the dataflow-hosted
@@ -208,8 +209,7 @@ class CupsPipeline:
                 yield sleep(target_us - self.sim.now_us)
             record = self.weather.record_at(i * self.params.cadence_s, rng)
             t0 = self.sim.now_us
-            yield from self.unl.client.remote_append(
-                UCSB, "telemetry", record.pack())
+            yield from self.unl.remote_append(UCSB, "telemetry", record.pack())
             self.metrics.telemetry_latency_ms.append((self.sim.now_us - t0) / 1000.0)
 
     def evaluator(self):

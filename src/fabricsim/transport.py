@@ -1,9 +1,10 @@
-"""Remote append protocol: size negotiation, retry-until-sequence, optional
+"""Remote append protocol: size negotiation, retry-until-sequence,
 client-side element-size caching, exactly-once via server-side dedup.
 
 Without the cache every append costs two round trips (size fetch + append).
 A warm cache drops that to one, halving the observed message latency, at the
-price of a size-mismatch failure if the log is resized server-side.
+price of a size-mismatch failure if the log is resized server-side. A bare
+client has no cache; every fabric node's client has one, in memory.
 Requests are resent until a reply arrives; no exchange gives up. Attempt n of
 an exchange times out after its target's RTO doubled n times, capped at 5 s.
 The client keeps one RFC 6298 estimator per target, fed by each exchange that
@@ -78,7 +79,8 @@ def retry_timeout_us(rto_us: int, attempt: int) -> int:
     return min(rto_us << min(attempt, _CAP_US.bit_length()), _CAP_US)
 
 
-# Opt-in per-client cache of (node, log) -> element size; `SizeCache()` is empty.
+# A client's (node, log) -> element size cache, in memory: a bare client has
+# none, a fabric node's client one. `SizeCache()` is empty.
 SizeCache = dict[tuple[str, str], int]
 
 MIN_LATENCY_COUNT = 3  # the first sample is discarded, and an sd needs two more

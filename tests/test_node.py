@@ -1,5 +1,7 @@
 """A closed node is closed: it answers no frame, fires no handler, resends
-nothing and keeps nothing of itself reachable from its old simulator."""
+nothing and keeps nothing of itself reachable from its old simulator. A node
+keeps the element sizes it learns in memory only, and a resized log costs it
+one more size exchange, never a lost or doubled append."""
 
 import gc
 import struct
@@ -7,14 +9,17 @@ import tracemalloc
 
 import pytest
 
-from fabricsim import dataflow
+from fabricsim import dataflow, framing
 from fabricsim.dataflow import INT64, DataflowGraph, GraphNode, OpDef
 from fabricsim.errors import SimulatedCrash, StorageFailure
 from fabricsim.events import AppendEffect
+from fabricsim.framing import AppendRequest, SizeRequest
 from fabricsim.logstore import LogRegistry
 from fabricsim.netsim import LinkSpec, Network
 from fabricsim.node import FabricNode
-from fabricsim.simcore import Simulator, run_to_completion
+from fabricsim.simcore import Simulator, run_to_completion, sleep
+
+from .test_transport import timed
 
 
 def build_pair(tmp_path, links=None, routes=None, trace=False):
@@ -105,6 +110,95 @@ def test_closing_an_old_node_leaves_its_namesake_wired(tmp_path):
     assert run_to_completion(sim, beta.client.remote_append("alpha", "inbox", b"hi")) == 1
     assert renewed.registry.get("inbox").next_seq == 2
     for node in (renewed, beta):
+        node.close()
+
+
+def encoded_requests(monkeypatch) -> list:
+    """A list that gains every request the program encodes, as it is encoded."""
+    requests, encode = [], framing.encode
+
+    def recording(msg):
+        if isinstance(msg, (SizeRequest, AppendRequest)):
+            requests.append(msg)
+        return encode(msg)
+
+    monkeypatch.setattr(framing, "encode", recording)
+    return requests
+
+
+def test_a_nodes_second_remote_append_costs_one_round_trip(tmp_path, monkeypatch):
+    requests = encoded_requests(monkeypatch)
+    sim, net, alpha, beta = build_pair(tmp_path)
+    beta.create_log("inbox", 16, 8)
+    assert timed(sim, alpha.remote_append("beta", "inbox", b"cold")) == (1, 20.0)
+    del requests[:]
+    assert timed(sim, alpha.remote_append("beta", "inbox", b"warm")) == (2, 10.0)
+    assert [type(m) for m in requests] == [AppendRequest]
+    for node in (alpha, beta):
+        node.close()
+
+
+def test_a_reopened_node_learns_the_size_once_again(tmp_path, monkeypatch):
+    # the cache lives in memory only: the reopened node asks once, then reuses it
+    requests = encoded_requests(monkeypatch)
+    sim, net, alpha, beta = build_pair(tmp_path)
+    beta.create_log("inbox", 16, 8)
+    run_to_completion(sim, alpha.remote_append("beta", "inbox", b"before"))
+    alpha.close()
+    alpha = FabricNode(sim, net, "alpha", tmp_path / "alpha")
+    del requests[:]
+    # ids given: the reopened client draws its first incarnation's ids again
+    assert run_to_completion(sim, alpha.remote_append("beta", "inbox", b"after", b"a" * 16)) == 2
+    assert run_to_completion(sim, alpha.remote_append("beta", "inbox", b"again", b"b" * 16)) == 3
+    assert [type(m) for m in requests] == [SizeRequest, AppendRequest, AppendRequest]
+    for node in (alpha, beta):
+        node.close()
+
+
+def test_a_resized_log_takes_handler_effects_and_injects_once_each(tmp_path, monkeypatch):
+    # alpha ships each "src" entry to beta's inbox and injects one operand per
+    # round into beta's dataflow node; both beta logs grow between rounds 2 and 3
+    requests = encoded_requests(monkeypatch)
+    sim, net, alpha, beta = build_pair(tmp_path)
+    alpha.create_log("src", 8, 8)
+    beta.create_log("inbox", 8, 8)
+    alpha.engine.register_handler(
+        "ship", lambda entry, ctx: [AppendEffect("beta", "inbox", entry.payload)])
+    alpha.engine.bind("src", "ship")
+    graph = DataflowGraph(graph_id="g", nodes=[GraphNode("triple", (("v", INT64),), INT64, "triple")],
+                          edges=[], placement={"triple": "beta"})
+    dg = dataflow.compile_graph(graph, {"alpha": alpha, "beta": beta},
+                                {"triple": OpDef(lambda v: 3 * v)}, window=8)
+    port_log = dg.port_log("triple", "v")
+    sizes = {log: beta.registry.get(log).element_size + 8 for log in ("inbox", port_log)}
+    rounds = {}  # round -> the requests it encoded
+
+    def three_rounds():
+        for i in range(3):
+            if i == 2:
+                for log, size in sizes.items():
+                    beta.registry.get(log).resize(size)
+            mark = len(requests)
+            alpha.append_local("src", struct.pack("<q", i))
+            yield from dg.inject(alpha, "triple", "v", i, 10 + i)
+            yield sleep(100_000)  # the shipped entry lands long before this
+            rounds[i] = requests[mark:]
+
+    proc = sim.spawn(three_rounds())
+    sim.run()
+    assert proc.error is None and alpha.engine.failures == [] and beta.engine.failures == []
+    inbox = beta.registry.get("inbox")
+    assert [e.payload for e in inbox.scan(1, 8).entries] == [struct.pack("<q", i) for i in range(3)]
+    assert beta.registry.get(port_log).next_seq == 4
+    assert [dg.output_value("triple", i) for i in range(3)] == [30, 33, 36]
+    # the round after the resize asks each log's size once, and every append
+    # request of it that the server can take declares the new size
+    asked = [m.log_name for m in rounds[2] if isinstance(m, SizeRequest)]
+    assert sorted(asked) == sorted(sizes)
+    landed = [m for m in rounds[2] if isinstance(m, AppendRequest)
+              and m.expected_element_size == sizes[m.log_name]]
+    assert sorted(m.log_name for m in landed) == sorted(sizes)
+    for node in (alpha, beta):
         node.close()
 
 

@@ -78,10 +78,21 @@ def test_alert_triggers_task_with_validity_window(tmp_path):
 
 
 def test_telemetry_latency_tracks_configured_path(tmp_path):
+    # 25.25 +- 8.5 ms each way: the first record also learns the log's element
+    # size (two round trips, four hops); every later one is a single round trip
     pipe = build_pipeline(tmp_path, seed=16)
-    metrics = pipe.run()
-    mean = np.mean(metrics.telemetry_latency_ms)
-    assert mean == pytest.approx(101.0, abs=2 * 17.0)
+    first, *rest = pipe.run().telemetry_latency_ms
+    assert first == pytest.approx(4 * 25.25, abs=2 * 17.0)
+    assert np.mean(rest) == pytest.approx(2 * 25.25, abs=17.0)
+
+
+def test_a_cups_day_schedules_at_most_1373_events(tmp_path):
+    # 288 telemetry records, all but the first one round trip each, plus the
+    # duty cycles' injects, alerts and tasks; two round trips each read 2,252
+    pipe = build_pipeline(tmp_path, seed=16, duration_s=86400)
+    pipe.run()
+    assert all(pipe.check_invariants().values())
+    assert next(pipe.sim._tie) <= 1_373
 
 
 def test_evaluations_only_on_complete_windows(tmp_path):

@@ -100,7 +100,7 @@ def test_table1_report_deterministic(tmp_path):
 BUNDLED_OUTPUT_SHA256 = {
     "table1": "5346866d96afe066a01914fcac05726cf2a45bbe90653c55323d898c6b520f24",
     "slicing": "93a9cb9c03fa6590a59bf80aca3bbbbb17dfd66663cd5631ec9c488c0aeb30f9",
-    "e2e_cups": "dd7e71333a4c8fb85dffdd7980ca993707583879662f1cab61e622c51daf9904",
+    "e2e_cups": "7316224b0940c5a231a3aff25ae90a29d5aff6a0c56bff7278d770379a22991a",
     "queue_sweep": "6567ca6cb150c6bdff1d837e01aa1e737d901682735557005f93e4b0d729fe76",
 }
 
