@@ -23,10 +23,10 @@ nothing: the server read that size after the exchange began, so it is no
 staler than the exchange's own reply would be.
 
 The client-side rules live in one sans-I/O core (`SizeQuery`, `AppendCall`)
-that does no I/O and reads no clock; `TransportClient` (simulated: a timeout
-resends, and a reply resumes the waiting process in the event that delivers it)
-and `sockfab.SocketClient` (blocking TCP) only move its frames. Each node's
-endpoint decodes every frame exactly once.
+that does no I/O and reads no clock; `TransportClient` only moves its frames
+over simulated channels: a timeout resends, and a reply resumes the waiting
+process in the event that delivers it. Each node's endpoint decodes every
+frame exactly once.
 `remote_append` yields its size exchange itself, with no sub-generator.
 """
 
@@ -178,14 +178,18 @@ class AppendCall:
         return reply.seq
 
 
-class RequestHandler:
-    """Pure request -> reply mapping over a log registry. Replies re-query
-    server state (the dedup index), so retries of an already-applied append
-    return the original sequence number; no per-client session state exists."""
+class TransportServer:
+    """Serves size and append requests over simulated channels. `handle` maps a
+    request to its reply and sends nothing; replies re-query server state (the
+    dedup index), so retries of an already-applied append return the original
+    sequence number, and no per-client session state exists."""
 
-    def __init__(self, registry: LogRegistry, clock_us: Callable[[], int]):
+    def __init__(self, sim: Simulator, network: Network, node: str,
+                 registry: LogRegistry):
+        self.sim = sim
+        self.network = network
+        self.node = node
         self.registry = registry
-        self.clock_us = clock_us
         self.on_append: Callable[[str], None] | None = None
 
     def handle(self, msg) -> framing.Message | None:
@@ -208,22 +212,12 @@ class RequestHandler:
             return AppendReply(msg.request_id, STATUS_PAYLOAD_TOO_LARGE, 0)
         try:
             before = log.next_seq
-            seq = log.append(msg.payload, msg.message_id, self.clock_us())
+            seq = log.append(msg.payload, msg.message_id, self.sim.now_us)
         except StorageFailure:
             return AppendReply(msg.request_id, STATUS_STORAGE_FAILURE, 0)
         if self.on_append is not None and log.next_seq != before:
             self.on_append(msg.log_name)
         return AppendReply(msg.request_id, STATUS_OK, seq)
-
-
-class TransportServer(RequestHandler):
-    """Serves size and append requests over simulated channels."""
-
-    def __init__(self, sim: Simulator, network: Network, node: str,
-                 registry: LogRegistry):
-        super().__init__(registry, clock_us=lambda: sim.now_us)
-        self.network = network
-        self.node = node
 
     def on_frame(self, msg, src: str) -> None:
         """Answer one decoded request from `src`."""

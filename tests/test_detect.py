@@ -275,7 +275,7 @@ def test_program_modules_do_not_import_scipy_stats(module, loaded_by_detector):
     # 24 MB: no program module loads either, and the detector's first call
     # loads scipy.special, which its kernels need, and never scipy.stats
     cur, prev = window_pair([2.0, 2.1, 1.9, 2.2, 1.8, 2.05], [6.0, 5.9, 6.1, 6.2, 5.8, 6.05])
-    probe = ("import pickle, sys, fabricsim.cli, fabricsim.runner, fabricsim.sockfab\n"
+    probe = ("import pickle, sys, fabricsim.cli, fabricsim.runner\n"
              f"print({module!r} in sys.modules, 'fabricsim.detect' in sys.modules)\n"
              f"cur, prev = pickle.loads(bytes.fromhex({pickle.dumps((cur, prev)).hex()!r}))\n"
              "alert = fabricsim.detect.detect_change(cur, prev)\n"

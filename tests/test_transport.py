@@ -188,6 +188,20 @@ def test_fault_free_uncached_append_schedules_seven_events(tmp_path):
     assert next(sim._tie) == 7
 
 
+def test_a_remote_append_is_stamped_when_the_server_applies_it(tmp_path):
+    # uncached: the append request is sent after the 100 ms size round trip
+    # and applied one 50 ms hop later, so its record says 150 ms (plus the
+    # serialization delays), not 0 and not the send time
+    sim, net, registry, server, client = build(tmp_path)
+    log = registry.create("data", 1024, 64)
+    applied_us = []
+    server.on_append = lambda log_name: applied_us.append(sim.now_us)
+    assert run_to_completion(sim, client.remote_append("server", "data", b"x")) == 1
+    created_us = log.read(1).created_at_us
+    assert applied_us == [created_us]
+    assert 150_000 <= created_us < 150_100
+
+
 def test_warm_cache_halves_latency_to_one_round_trip(tmp_path):
     sim, net, registry, server, client = build(tmp_path, latency_ms=40.0,
                                                cache=SizeCache())
