@@ -14,19 +14,22 @@ from fabricsim.errors import (
     PayloadTooLarge,
     RouteUnreachable,
     SizeMismatch,
+    StorageFailure,
     TransportError,
     UnknownLog,
 )
 from fabricsim.framing import (
     STATUS_OK,
+    STATUS_PAYLOAD_TOO_LARGE,
     STATUS_SIZE_MISMATCH,
+    STATUS_STORAGE_FAILURE,
     STATUS_UNKNOWN_LOG,
     AppendReply,
     AppendRequest,
     SizeReply,
     SizeRequest,
 )
-from fabricsim.logstore import LogRegistry
+from fabricsim.logstore import LogRegistry, LogStore
 from fabricsim.netsim import LinkSpec, Network
 from fabricsim.simcore import (
     TIMEOUT,
@@ -277,6 +280,29 @@ def test_unreachable_target_raises_immediately(tmp_path):
         run_to_completion(sim, client.remote_append("mars", "data", b"x"))
 
 
+def test_two_clients_appending_to_one_server_each_get_their_own_seqs(tmp_path):
+    # replies go back to the node that asked: each append's seq names its own
+    # payload, although the three appends interleave on the server
+    sim = Simulator(seed=3)
+    net = Network(sim, [LinkSpec("far", "a", "server", 30.0, 0.0),
+                        LinkSpec("near", "b", "server", 10.0, 0.0)])
+    registry = LogRegistry(tmp_path / "server")
+    registry.create("inbox", 64, 8)
+    wire_node(net, "server", server=TransportServer(sim, net, "server", registry))
+    clients = {node: TransportClient(sim, net, node) for node in ("a", "b")}
+    for node, client in clients.items():
+        wire_node(net, node, client=client)
+    sent = [("a", b"a1"), ("b", b"b1"), ("a", b"a2")]
+    procs = [sim.spawn(clients[node].remote_append("server", "inbox", payload))
+             for node, payload in sent]
+    sim.run()
+    assert sorted(p.result for p in procs) == [1, 2, 3]
+    log = registry.get("inbox")
+    assert [log.read(p.result).payload for p in procs] == [payload for _, payload in sent]
+    assert log.read(1).payload == b"b1"  # the near client's two round trips finish first
+    assert log.next_seq == 4
+
+
 # -- server handle (wire surface, no client) --------------------------------------
 
 def test_size_request_reply(tmp_path):
@@ -314,6 +340,108 @@ def test_nonexistent_log_append_reply(tmp_path):
     sim, net, registry, server, client = build(tmp_path)
     reply = server.handle(AppendRequest(4, "ghost", bytes(16), 8, b"x"))
     assert reply.status == STATUS_UNKNOWN_LOG
+
+
+def test_append_larger_than_its_declared_size_is_rejected_and_not_applied(tmp_path):
+    # a frame from outside the program may declare the right size and still
+    # carry more; the client-side check never lets one of ours do so
+    sim, net, registry, server, client = build(tmp_path)
+    log = registry.create("data", 64, 8)
+    reply = server.handle(AppendRequest(5, "data", bytes(16), 64, b"z" * 65))
+    assert reply == AppendReply(5, STATUS_PAYLOAD_TOO_LARGE, 0)
+    assert log.next_seq == 1
+
+
+def test_append_to_a_closed_log_replies_storage_failure_and_is_not_applied(tmp_path):
+    sim, net, registry, server, client = build(tmp_path, cache=SizeCache())
+    log = registry.create("data", 64, 8)
+    assert run_to_completion(sim, client.remote_append("server", "data", b"before")) == 1
+    log.close()
+    reply = server.handle(AppendRequest(9, "data", bytes(16), 64, b"after"))
+    assert reply == AppendReply(9, STATUS_STORAGE_FAILURE, 0)
+    with pytest.raises(StorageFailure):
+        run_to_completion(sim, client.remote_append("server", "data", b"after"))
+    assert [e.payload for e in LogStore.recover(log.path, "data").scan(1, 8).entries] == [
+        b"before"]
+
+
+def test_a_reply_sent_to_a_server_gets_no_reply(tmp_path):
+    sim, net, registry, server, client = build(tmp_path)
+    registry.create("data", 64, 8)
+    assert server.handle(SizeReply(1, STATUS_OK, 64)) is None
+    assert server.handle(AppendReply(2, STATUS_OK, 1)) is None
+    assert registry.get("data").next_seq == 1
+
+
+def test_on_append_fires_once_per_new_record_and_not_for_a_deduplicated_retry(tmp_path):
+    sim, net, registry, server, client = build(tmp_path)
+    registry.create("data", 64, 8)
+    registry.create("other", 64, 8)
+    appended = []
+    server.on_append = appended.append
+    replies = [server.handle(AppendRequest(i, log_name, mid, 64, b"x"))
+               for i, (log_name, mid) in enumerate(
+                   [("data", bytes(16)), ("data", bytes(16)), ("other", bytes(16)),
+                    ("data", b"\1" * 16), ("data", bytes(16)), ("ghost", b"\2" * 16)], 1)]
+    assert [r.seq for r in replies] == [1, 1, 1, 2, 1, 0]
+    assert appended == ["data", "other", "data"]
+
+
+def test_every_reply_carries_its_requests_id(tmp_path):
+    sim, net, registry, server, client = build(tmp_path)
+    registry.create("data", 64, 8)
+    requests = [SizeRequest(11, "data"), SizeRequest(12, "ghost"),
+                AppendRequest(13, "data", bytes(16), 64, b"x"),
+                AppendRequest(14, "data", bytes(16), 64, b"x"),  # a retry
+                AppendRequest(15, "data", b"\1" * 16, 32, b"x"),
+                AppendRequest(16, "data", b"\1" * 16, 64, b"x" * 65),
+                AppendRequest(17, "ghost", b"\1" * 16, 64, b"x")]
+    assert [server.handle(r).request_id for r in requests] == list(range(11, 18))
+
+
+@pytest.mark.parametrize("log_name", ["no space", "bad/name", "", "../data"])
+def test_a_name_no_log_can_have_is_answered_as_unknown_and_the_server_goes_on(
+        tmp_path, log_name):
+    sim, net, registry, server, client = build(tmp_path)
+    registry.create("data", 64, 8)
+    assert server.handle(SizeRequest(1, log_name)) == SizeReply(1, STATUS_UNKNOWN_LOG, 0)
+    assert server.handle(AppendRequest(2, log_name, bytes(16), 64, b"x")) == AppendReply(
+        2, STATUS_UNKNOWN_LOG, 0)
+    assert server.handle(AppendRequest(3, "data", bytes(16), 64, b"x")) == AppendReply(
+        3, STATUS_OK, 1)
+
+
+def test_a_resized_log_reports_its_new_size_and_rejects_the_old_one(tmp_path):
+    sim, net, registry, server, client = build(tmp_path)
+    log = registry.create("data", 256, 8)
+    assert server.handle(AppendRequest(1, "data", bytes(16), 256, b"fill")).seq == 1
+    log.resize(512)
+    assert server.handle(AppendRequest(2, "data", b"\1" * 16, 256, b"stale")) == AppendReply(
+        2, STATUS_SIZE_MISMATCH, 0)
+    assert server.handle(SizeRequest(3, "data")) == SizeReply(3, STATUS_OK, 512)
+    assert server.handle(AppendRequest(4, "data", b"\1" * 16, 512, b"fresh")) == AppendReply(
+        4, STATUS_OK, 2)
+    assert [e.payload for e in log.scan(1, 8).entries] == [b"fill", b"fresh"]
+
+
+def test_a_server_on_a_reopened_registry_recovers_each_log_once(tmp_path, monkeypatch):
+    first = LogRegistry(tmp_path / "server")
+    first.create("inbox", 64, 8).append(b"old", bytes(16))
+    first.close_all()
+    sim, net, registry, server, client = build(tmp_path)
+    recovered = []
+    recover = LogStore.recover
+
+    def counting(path, name=None):
+        recovered.append(name)
+        return recover(path, name)
+
+    monkeypatch.setattr(LogStore, "recover", counting)
+    assert server.handle(SizeRequest(1, "inbox")) == SizeReply(1, STATUS_OK, 64)
+    seqs = [server.handle(AppendRequest(2 + i, "inbox", mid, 64, b"v%d" % i)).seq
+            for i, mid in enumerate([b"\1" * 16, bytes(16), b"\2" * 16])]
+    assert seqs == [2, 1, 3]  # the id appended before the reopen keeps its seq
+    assert recovered == ["inbox"]
 
 
 # -- protocol core (no simulator, no socket) ----------------------------------------
