@@ -101,7 +101,7 @@ class LogStore:
     """A single on-disk log. Thread safe; only appends serialize."""
 
     def __init__(self, path: Path, name: str, element_size: int, capacity: int,
-                 next_seq: int, earliest_seq: int, dedup_limit: int):
+                 next_seq: int, earliest_seq: int, dedup_limit: int, header: bytes):
         self.path = path
         self.name = name
         self.element_size = element_size
@@ -119,6 +119,7 @@ class LogStore:
         self._closed = False
         self.torn_discarded = False
         self._recovered: tuple[int, np.ndarray] | None = None
+        self._header_on_disk = header  # as last written or read: close skips it
 
     # -- construction ----------------------------------------------------
 
@@ -140,25 +141,26 @@ class LogStore:
             raise NameCollision(f"log file already exists: {path}") from exc
         except OSError as exc:
             raise StorageFailure(str(exc)) from exc
+        header = _pack_header(element_size, capacity, 1, 1, dedup_limit)
         try:
-            os.write(fd, _pack_header(element_size, capacity, 1, 1, dedup_limit))
+            os.write(fd, header)
         finally:
             os.close(fd)
-        return cls(path, name, element_size, capacity, 1, 1, dedup_limit)
+        return cls(path, name, element_size, capacity, 1, 1, dedup_limit, header)
 
     @classmethod
     def recover(cls, path: str | os.PathLike, name: str | None = None) -> "LogStore":
         """Reopen a persisted log, discarding a torn final record if present
         and any `.tmp` file that a crash mid-`resize` or mid-compaction left."""
         path = Path(path)
-        element_size, capacity, hdr_next, dedup_limit, area = _read_log(path)
+        element_size, capacity, hdr_next, dedup_limit, header, area = _read_log(path)
         for target in (path, f"{path}.dedup"):  # what _replace_file may leave
             with suppress(FileNotFoundError):
                 os.unlink(f"{target}.tmp")
         next_seq, earliest_seq, torn, live = _scan_live_range(path, area, element_size,
                                                               capacity, hdr_next)
         store = cls(path, name or path.stem, element_size, capacity, next_seq,
-                    earliest_seq, dedup_limit)
+                    earliest_seq, dedup_limit, header)  # which may lag the records
         store.torn_discarded = torn
         store._pending = (store._read_journal(), live)
         if len(live):
@@ -268,6 +270,7 @@ class LogStore:
                 _replace_file(self.path, image)
                 os.close(self._fd)
                 self._fd = os.open(self.path, os.O_RDWR)
+                self._header_on_disk = bytes(image[:HEADER_SIZE])
             except OSError as exc:
                 self.element_size = old_size
                 raise StorageFailure(str(exc)) from exc
@@ -292,7 +295,8 @@ class LogStore:
         if self._closed:
             return
         with self._lock:
-            self._persist_header()
+            if self._header() != self._header_on_disk:
+                self._persist_header()
         os.close(self._fd)
         os.close(self._dedup_fd)
         self._closed = True
@@ -334,7 +338,9 @@ class LogStore:
                             self._earliest_seq, self._dedup_limit)
 
     def _persist_header(self) -> None:
-        os.pwrite(self._fd, self._header(), 0)
+        header = self._header()
+        os.pwrite(self._fd, header, 0)
+        self._header_on_disk = header
 
     # -- dedup index --------------------------------------------------------
 
@@ -408,9 +414,9 @@ def _replace_file(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _read_log(path: Path) -> tuple[int, int, int, int, bytes]:
-    """(element_size, capacity, next_seq, dedup_limit, slot area) of a log
-    whose header checks out."""
+def _read_log(path: Path) -> tuple[int, int, int, int, bytes, bytes]:
+    """(element_size, capacity, next_seq, dedup_limit, header, slot area) of
+    a log whose header checks out."""
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
@@ -436,7 +442,7 @@ def _read_log(path: Path) -> tuple[int, int, int, int, bytes]:
         raise CorruptHeader(f"{path}: nonsensical header geometry")
     stride = RECORD_OVERHEAD + element_size
     return (element_size, capacity, next_seq, window or DEFAULT_DEDUP_LIMIT,
-            raw[HEADER_SIZE:HEADER_SIZE + capacity * stride])
+            raw[:HEADER_SIZE], raw[HEADER_SIZE:HEADER_SIZE + capacity * stride])
 
 
 @lru_cache(maxsize=64)

@@ -3,8 +3,9 @@ client-side element-size caching, exactly-once via server-side dedup.
 
 Without the cache every append costs two round trips (size fetch + append).
 A warm cache drops that to one, halving the observed message latency, at the
-price of a size-mismatch failure if the log is resized server-side. A bare
-client has no cache; every fabric node's client has one, in memory.
+price of a size-mismatch failure if the log is resized server-side; a cached
+size below the payload is asked again, so only a size reply refuses a payload.
+A bare client has no cache; a fabric node's client has one, saved by its node.
 Requests are resent until a reply arrives; no exchange gives up. Attempt n of
 an exchange times out after its target's RTO doubled n times, capped at 5 s.
 The client keeps one RFC 6298 estimator per target, fed by each exchange that
@@ -79,8 +80,8 @@ def retry_timeout_us(rto_us: int, attempt: int) -> int:
     return min(rto_us << min(attempt, _CAP_US.bit_length()), _CAP_US)
 
 
-# A client's (node, log) -> element size cache, in memory: a bare client has
-# none, a fabric node's client one. `SizeCache()` is empty.
+# A client's (node, log) -> element size cache: a bare client has none, a
+# fabric node's client one that its node persists. `SizeCache()` is empty.
 SizeCache = dict[tuple[str, str], int]
 
 MIN_LATENCY_COUNT = 3  # the first sample is discarded, and an sd needs two more
@@ -150,10 +151,13 @@ class AppendCall:
         self.message_id = message_id
         self.element_size: int | None = None
         if cache is not None and (cached := cache.get((target, log_name))) is not None:
-            self.learn_size(cached)
+            if len(payload) <= cached:
+                self.element_size = cached
+            else:  # the log may have grown since: only a size reply may refuse it
+                del cache[(target, log_name)]
 
     def learn_size(self, element_size: int) -> None:
-        """Cache the size and check the payload fits before anything is sent."""
+        """Cache a size reply's size and check the payload fits before it is sent."""
         if self.cache is not None:
             self.cache[(self.target, self.log_name)] = element_size
         if len(self.payload) > element_size:

@@ -413,7 +413,7 @@ def write_log(path, element, capacity, appends):
 def rewrite_header(path, next_seq):
     """Replace the header's counters as a crash between a record write and
     its header write would leave them; the header CRC stays valid."""
-    element, capacity, _, limit, _ = logstore._read_log(path)
+    element, capacity, _, limit, _, _ = logstore._read_log(path)
     with open(path, "r+b") as f:
         f.write(logstore._pack_header(element, capacity, next_seq,
                                       max(1, next_seq - capacity), limit))
@@ -435,6 +435,25 @@ def test_recover_matches_reference_when_header_and_records_disagree(tmp_path, ap
     assert [e.seq for e in r.scan(1, appends).entries] == list(range(r.earliest_seq,
                                                                      appends + 1))
     r.close()
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+def test_close_writes_the_header_only_if_the_disk_holds_another(tmp_path, monkeypatch, lag):
+    # an untouched reopen leaves the header it read, with no write; a header
+    # one seq behind its records (a crash between the two writes) is repaired
+    # at close, to the bytes a clean close leaves
+    path = tmp_path / "h.log"
+    write_log(path, 4, 8, 5)
+    clean = path.read_bytes()
+    if lag:
+        rewrite_header(path, 6 - lag)
+    r = LogStore.recover(path)
+    writes, real_pwrite = [], os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, at: writes.append(at) or
+                        real_pwrite(fd, data, at))
+    r.close()
+    assert writes == [0] * lag
+    assert path.read_bytes() == clean
 
 
 @pytest.mark.parametrize("fault, records_path, index_path", [

@@ -1,23 +1,33 @@
 """A closed node is closed: it answers no frame, fires no handler, resends
-nothing and keeps nothing of itself reachable from its old simulator. A node
-keeps the element sizes it learns in memory only, and a resized log costs it
-one more size exchange, never a lost or doubled append."""
+nothing, writes no file and keeps nothing of itself reachable from its old
+simulator. A node keeps the element sizes it learns in its directory, so a
+reopened node starts with them; a resized log costs it one more size exchange,
+never a lost or doubled append, and a bad size file costs the same."""
 
 import gc
+import json
 import struct
 import tracemalloc
 
 import pytest
 
 from fabricsim import dataflow, framing
+from fabricsim import node as node_module
 from fabricsim.dataflow import INT64, DataflowGraph, GraphNode, OpDef
 from fabricsim.errors import SimulatedCrash, StorageFailure
 from fabricsim.events import AppendEffect
-from fabricsim.framing import AppendRequest, SizeRequest
+from fabricsim.framing import (
+    STATUS_OK,
+    STATUS_SIZE_MISMATCH,
+    AppendReply,
+    AppendRequest,
+    SizeRequest,
+)
 from fabricsim.logstore import LogRegistry
 from fabricsim.netsim import LinkSpec, Network
-from fabricsim.node import FabricNode
+from fabricsim.node import SIZES_FILE, FabricNode
 from fabricsim.simcore import Simulator, run_to_completion, sleep
+from fabricsim.transport import SizeCache, TransportClient, wire_node
 
 from .test_transport import timed
 
@@ -113,12 +123,13 @@ def test_closing_an_old_node_leaves_its_namesake_wired(tmp_path):
         node.close()
 
 
-def encoded_requests(monkeypatch) -> list:
-    """A list that gains every request the program encodes, as it is encoded."""
+def encoded_requests(monkeypatch, kinds=(SizeRequest, AppendRequest)) -> list:
+    """A list that gains every message of `kinds` the program encodes, as it
+    is encoded."""
     requests, encode = [], framing.encode
 
     def recording(msg):
-        if isinstance(msg, (SizeRequest, AppendRequest)):
+        if isinstance(msg, kinds):
             requests.append(msg)
         return encode(msg)
 
@@ -138,19 +149,117 @@ def test_a_nodes_second_remote_append_costs_one_round_trip(tmp_path, monkeypatch
         node.close()
 
 
-def test_a_reopened_node_learns_the_size_once_again(tmp_path, monkeypatch):
-    # the cache lives in memory only: the reopened node asks once, then reuses it
+def saved_sizes(node_dir) -> list:
+    return json.loads((node_dir / SIZES_FILE).read_bytes())
+
+
+def test_a_reopened_node_keeps_the_sizes_it_learned(tmp_path, monkeypatch):
+    # the node saved the size it learned: the reopened node asks nothing
     requests = encoded_requests(monkeypatch)
     sim, net, alpha, beta = build_pair(tmp_path)
     beta.create_log("inbox", 16, 8)
     run_to_completion(sim, alpha.remote_append("beta", "inbox", b"before"))
     alpha.close()
+    assert saved_sizes(tmp_path / "alpha") == [["beta", "inbox", 16]]
     alpha = FabricNode(sim, net, "alpha", tmp_path / "alpha")
     del requests[:]
     # ids given: the reopened client draws its first incarnation's ids again
     assert run_to_completion(sim, alpha.remote_append("beta", "inbox", b"after", b"a" * 16)) == 2
     assert run_to_completion(sim, alpha.remote_append("beta", "inbox", b"again", b"b" * 16)) == 3
-    assert [type(m) for m in requests] == [SizeRequest, AppendRequest, AppendRequest]
+    assert [type(m) for m in requests] == [AppendRequest, AppendRequest]
+    assert alpha.registry.names() == []  # the size file is no log
+    for node in (alpha, beta):
+        node.close()
+
+
+def test_a_log_resized_while_its_client_was_down_lands_once_under_one_id(tmp_path,
+                                                                        monkeypatch):
+    # the reopened node's saved size is stale: the server refuses it once and
+    # appends nothing, and the retry asks the size and resends the same id
+    messages = encoded_requests(monkeypatch, (SizeRequest, AppendRequest, AppendReply))
+    sim, net, alpha, beta = build_pair(tmp_path)
+    beta.create_log("inbox", 16, 8)
+    run_to_completion(sim, alpha.remote_append("beta", "inbox", b"before"))
+    alpha.close()
+    beta.registry.get("inbox").resize(24)
+    alpha = FabricNode(sim, net, "alpha", tmp_path / "alpha")
+    del messages[:]
+    assert run_to_completion(sim, alpha.remote_append("beta", "inbox", b"after", b"a" * 16)) == 2
+    assert [(type(m).__name__, getattr(m, "status", None)) for m in messages] == [
+        ("AppendRequest", None), ("AppendReply", STATUS_SIZE_MISMATCH),
+        ("SizeRequest", None), ("AppendRequest", None), ("AppendReply", STATUS_OK)]
+    first, retry = (m for m in messages if isinstance(m, AppendRequest))
+    assert (first.expected_element_size, retry.expected_element_size) == (16, 24)
+    assert first.message_id == retry.message_id == b"a" * 16
+    assert [e.payload for e in beta.registry.get("inbox").scan(1, 8).entries] == [
+        b"before", b"after"]
+    assert saved_sizes(tmp_path / "alpha") == [["beta", "inbox", 24]]
+    for node in (alpha, beta):
+        node.close()
+
+
+@pytest.mark.parametrize("content", [
+    b'[["beta", "inbox", 16], ["beta", "outbox", 3',  # torn
+    b"\x00\xff garbage \x80",
+    b"",
+    b"[" * 100_000,
+    b'{"beta": 16}',
+    b'[["beta", "inbox"]]',
+    b'[["beta", "inbox", 16], ["beta", "outbox", "3"]]',
+    b'[["beta", "inbox", 16], ["beta", "outbox", 0]]',
+    b'[["beta", "inbox", 16], ["beta", "outbox", true]]',
+    b'[["beta", "inbox", 16], ["beta", "outbox", 4294967296]]',
+    b'[["beta", "inbox", 16], [["beta"], "outbox", 3]]',
+    b'[["beta", "inbox", 16], ["beta", 7, 3]]',
+], ids=["truncated", "garbage", "empty", "deep", "object", "pair", "str-size", "zero-size",
+        "bool-size", "u32-overflow", "list-node", "int-log"])
+def test_a_bad_size_file_reads_as_empty_and_is_rewritten(tmp_path, monkeypatch, content):
+    # a file here that names inbox's size names the true one, so a node that
+    # trusted any part of it would not ask
+    requests = encoded_requests(monkeypatch)
+    (tmp_path / "alpha").mkdir()
+    (tmp_path / "alpha" / SIZES_FILE).write_bytes(content)
+    sim, net, alpha, beta = build_pair(tmp_path)
+    beta.create_log("inbox", 16, 8)
+    assert run_to_completion(sim, alpha.remote_append("beta", "inbox", b"x")) == 1
+    assert [type(m) for m in requests] == [SizeRequest, AppendRequest]
+    assert saved_sizes(tmp_path / "alpha") == [["beta", "inbox", 16]]
+    for node in (alpha, beta):
+        node.close()
+
+
+def test_a_closed_node_and_a_bare_client_leave_no_size_file(tmp_path):
+    # alpha learns the size at 10 ms and closes at 12 ms, its append in flight;
+    # a bare client on node gamma keeps its own cache and writes nothing
+    links = [LinkSpec("ab", "alpha", "beta", 5.0, 0.0), LinkSpec("gb", "gamma", "beta", 5.0, 0.0)]
+    sim, net, alpha, beta = build_pair(tmp_path, links)
+    beta.create_log("inbox", 16, 8)
+    sim.spawn(alpha.remote_append("beta", "inbox", b"late"))
+    sim.run(until_us=12_000)
+    assert alpha.client.cache == {("beta", "inbox"): 16}
+    alpha.close()
+    bare = TransportClient(sim, net, "gamma", SizeCache())
+    wire_node(net, "gamma", bare)
+    assert run_to_completion(sim, bare.remote_append("beta", "inbox", b"bare")) == 2
+    sim.run()
+    assert bare.cache == {("beta", "inbox"): 16}
+    assert sorted(p.name for p in tmp_path.rglob(f"{SIZES_FILE}*")) == []
+    beta.close()
+
+
+def test_a_log_grown_past_its_cached_size_takes_a_larger_payload(tmp_path, monkeypatch):
+    # the cached size 8 is below the payload, so it is asked again rather
+    # than refused by the client on its own
+    requests = encoded_requests(monkeypatch)
+    sim, net, alpha, beta = build_pair(tmp_path)
+    beta.create_log("inbox", 8, 8)
+    assert run_to_completion(sim, alpha.remote_append("beta", "inbox", b"8 bytes!")) == 1
+    beta.registry.get("inbox").resize(16)
+    del requests[:]
+    assert run_to_completion(sim, alpha.remote_append("beta", "inbox", b"twelve bytes")) == 2
+    assert [(type(m), m.expected_element_size if isinstance(m, AppendRequest) else None)
+            for m in requests] == [(SizeRequest, None), (AppendRequest, 16)]
+    assert saved_sizes(tmp_path / "alpha") == [["beta", "inbox", 16]]
     for node in (alpha, beta):
         node.close()
 
@@ -202,16 +311,20 @@ def test_a_resized_log_takes_handler_effects_and_injects_once_each(tmp_path, mon
         node.close()
 
 
-def _open_chain(root, epoch, values):
+def _open_chain(root, epoch, values, deliver=False):
     """A ships values to B, whose dataflow node triples them; B crashes after
-    every 10th invocation's effects."""
+    every 10th invocation's effects. With `deliver`, B also ships each result
+    to C's "results" log."""
     sim = Simulator(seed=epoch)
-    net = Network(sim, [LinkSpec("ab", "a", "b", 5.0, 1.0)])
-    fabric = {name: FabricNode(sim, net, name, root / name) for name in ("a", "b")}
+    links = [LinkSpec("ab", "a", "b", 5.0, 1.0), LinkSpec("bc", "b", "c", 5.0, 1.0)]
+    net = Network(sim, links[:1 + deliver])
+    fabric = {name: FabricNode(sim, net, name, root / name) for name in "abc"[:2 + deliver]}
     a, b = fabric["a"], fabric["b"]
     if epoch == 0:
         a.create_log("src", 8, len(values) + 16)
         b.create_log("feed", 8, len(values) + 16)
+        if deliver:
+            fabric["c"].create_log("results", 8, len(values) + 16)
         for v in values:
             a.append_local("src", struct.pack("<q", v))
     graph = DataflowGraph(graph_id="g", nodes=[GraphNode("triple", (("v", INT64),), INT64, "triple")],
@@ -228,8 +341,40 @@ def _open_chain(root, epoch, values):
     a.engine.bind("src", "ship")
     b.engine.register_handler("to-operand", to_operand)
     b.engine.bind("feed", "to-operand")
+    if deliver:
+        b.engine.register_handler("deliver", lambda entry, ctx: [AppendEffect(
+            "c", "results", struct.pack("<q", dataflow.unpack_operand(INT64, entry.payload)[1]))])
+        b.engine.bind(dg.out_log("triple"), "deliver")
     b.engine.set_crash_plan(10, "after_effects")
     return sim, fabric, dg
+
+
+def test_a_restarted_chain_asks_each_size_once_per_client_node(tmp_path, monkeypatch):
+    # A and B each restart with every crash of B, and each reopened node
+    # starts with the sizes its predecessors saved: the whole run asks A's
+    # one target log and B's one target log once each
+    requests, writes = encoded_requests(monkeypatch), []
+    real_replace = node_module._replace_file
+    monkeypatch.setattr(node_module, "_replace_file",
+                        lambda path, data: writes.append(path) or real_replace(path, data))
+    values = list(range(20))
+    sim, fabric, dg = _open_chain(tmp_path, 0, values, deliver=True)
+    for epoch in range(1, 100):
+        try:
+            sim.run()
+            break
+        except SimulatedCrash:
+            pass
+        for node in fabric.values():
+            node.close()
+        sim, fabric, dg = _open_chain(tmp_path, epoch, values, deliver=True)
+    assert epoch == 7
+    results = fabric["c"].registry.get("results").scan(1, 100).entries
+    assert [struct.unpack("<q", e.payload)[0] for e in results] == [3 * v for v in values]
+    assert [m.log_name for m in requests if isinstance(m, SizeRequest)] == ["feed", "results"]
+    assert writes == [tmp_path / "a" / SIZES_FILE, tmp_path / "b" / SIZES_FILE]
+    for node in fabric.values():
+        node.close()
 
 
 def test_kept_crash_replay_simulators_hold_little_memory(tmp_path):

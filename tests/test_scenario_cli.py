@@ -96,11 +96,12 @@ def test_table1_report_deterministic(tmp_path):
 
 
 # sha256 over the relative path, size and bytes of every file a bundled
-# scenario writes at its bundled seed, state logs and .dedup journals included
+# scenario writes at its bundled seed, state logs, .dedup journals and the
+# nodes' element-sizes.json files included
 BUNDLED_OUTPUT_SHA256 = {
     "table1": "5346866d96afe066a01914fcac05726cf2a45bbe90653c55323d898c6b520f24",
     "slicing": "93a9cb9c03fa6590a59bf80aca3bbbbb17dfd66663cd5631ec9c488c0aeb30f9",
-    "e2e_cups": "7316224b0940c5a231a3aff25ae90a29d5aff6a0c56bff7278d770379a22991a",
+    "e2e_cups": "9d781de5e94f81a980d42d52dc81a290485cd2ac4b5128a152fff64ca6afacb4",
     "queue_sweep": "6567ca6cb150c6bdff1d837e01aa1e737d901682735557005f93e4b0d729fe76",
 }
 
