@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .errors import ConfigError, CorruptHeader, FabricError
@@ -54,6 +56,8 @@ def _parse_seed_range(text: str) -> range:
     except ValueError as exc:
         raise ConfigError(f"bad seed range {text!r}; expected A..B") from exc
     SEED(seeds.start, "--seeds")
+    if not seeds:
+        raise ConfigError(f"bad value for --seeds: {text} is an empty range")
     return seeds
 
 
@@ -86,13 +90,21 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_log_inspect(args) -> int:
     path = Path(args.path)
+    with tempfile.TemporaryDirectory() as scratch:
+        return _inspect_copy(path, Path(scratch) / path.name)
+
+
+def _inspect_copy(path: Path, copy: Path) -> int:
+    """Recovery creates the `.dedup` sidecar, removes `.tmp` leftovers and, on
+    close, rewrites a lagging header, so it reads a copy: the log stays as it was."""
     try:
-        store = LogStore.recover(path)
-    except CorruptHeader as exc:
-        print(json.dumps({"error": "corrupt-header", "detail": str(exc)}))
-        return 1
-    except FabricError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
+        for suffix in ("", ".dedup"):
+            if Path(f"{path}{suffix}").is_file():
+                shutil.copyfile(f"{path}{suffix}", f"{copy}{suffix}")
+        store = LogStore.recover(copy)
+    except (FabricError, OSError) as exc:
+        kind = "corrupt-header" if isinstance(exc, CorruptHeader) else type(exc).__name__
+        print(json.dumps({"error": kind, "detail": str(exc).replace(str(copy), str(path))}))
         return 1
     dump = {
         "header": {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientResources
-from .simcore import Simulator, Trigger, s_to_us, sleep, wait
+from .simcore import Simulator, Trigger, s_to_us, sleep
 
 HOURS_24_S = 24 * 3600.0
 MAX_LOG_DELAY = 50.0  # bounds a lognormal delay's |mu| and sigma: e**50 s is far past 24 h
@@ -52,9 +52,8 @@ def required_nodes(data_size_bytes: int, threshold_bytes: int) -> int:
     return max(1, math.ceil(data_size_bytes / threshold_bytes))
 
 
-def available_nodes(pilots, now_us: int, include_queued: bool = False) -> int:
-    states = {"active", "queued"} if include_queued else {"active"}
-    return sum(p.nodes for p in pilots if p.state_at(now_us) in states)
+def available_nodes(pilots, now_us: int) -> int:
+    return sum(p.nodes for p in pilots if p.state_at(now_us) == "active")
 
 
 def decide_submit(n_req: int, n_avail: int) -> bool:
@@ -230,14 +229,13 @@ class Facility:
         trigger, self.activation = self.activation, Trigger()
         trigger.fire(pilot)
 
-    def active_pilots(self) -> list[PilotSpec]:
-        now = self.sim.now_us
-        self.pilots = [p for p in self.pilots if p.state_at(now) != "expired"]
-        return [p for p in self.pilots if p.state_at(now) == "active"]
-
-    def available_nodes(self, include_queued: bool = False) -> int:
+    def live_pilots(self) -> list[PilotSpec]:
+        """The queued and active pilots, in submit order; drops the expired ones."""
         self.pilots = [p for p in self.pilots if p.state_at(self.sim.now_us) != "expired"]
-        return available_nodes(self.pilots, self.sim.now_us, include_queued)
+        return self.pilots
+
+    def available_nodes(self) -> int:
+        return available_nodes(self.live_pilots(), self.sim.now_us)
 
     def execute_task(self, task: TaskSpec, pilot: PilotSpec, model: CfdCostModel,
                      rng: np.random.Generator):
@@ -280,7 +278,7 @@ class PilotController:
             self.facility.submit_pilot(1, runtime, delay_key="placeholder")
 
     def nodes_for_task(self, task: TaskSpec) -> int:
-        """At most the facility's nodes: `_acquire` resubmits while a request is unfilled."""
+        """At most the facility's nodes, and enough for the task's cores."""
         system = self.facility.system
         by_data = required_nodes(task.data_size_bytes, task.threshold_bytes)
         by_cores = math.ceil(task.cores / system.cores_per_node)  # check_task_fits caps it
@@ -308,15 +306,17 @@ class PilotController:
     def _acquire(self, task: TaskSpec, n_req: int):
         """Process: wait until an active pilot can host the task.
 
-        Periodically re-evaluates the decision logic so a pilot that expired
-        while we waited gets replaced instead of wedging the backlog."""
+        It wakes only at activations. It submits a pilot of `n_req` nodes,
+        which cover the task's cores, only when no live pilot has those cores
+        (one expired, or the cores are split across small pilots). So a pilot
+        that can host the task is always queued or active, and a queued pilot
+        always activates and fires the trigger: the wait ends."""
         per_node = self.facility.system.cores_per_node
-        resubmits = 0
         while True:
-            for pilot in self.facility.active_pilots():
-                if pilot.nodes * per_node >= task.cores:
+            hosts = [p for p in self.facility.live_pilots() if p.nodes * per_node >= task.cores]
+            for pilot in hosts:
+                if pilot.state_at(self.facility.sim.now_us) == "active":
                     return pilot
-            if self.facility.available_nodes(include_queued=True) < n_req:
-                resubmits += 1
-                self._submit(task, n_req, f"{task.telemetry_timestamp_us}:retry{resubmits}")
-            yield wait(self.facility.activation, timeout_us=s_to_us(300))
+            if not hosts:
+                self._submit(task, n_req, f"{task.telemetry_timestamp_us}:retry1")
+            yield self.facility.activation

@@ -4,8 +4,8 @@ Simulated time is integer microseconds. Events with equal timestamps fire in
 insertion order, so a run is fully determined by the topology and the seed.
 Long-running activities are written as generators. Whatever one yields
 parks it: the engine calls the yielded object's `park(process)`, and that
-object schedules the resume. `sleep(...)`, a `Trigger`, `wait(trigger,
-timeout_us)` and the transport's exchanges are the yieldables.
+object schedules the resume. `sleep(...)`, a `Trigger` and the transport's
+exchanges are the yieldables.
 
 A heap entry is the event itself, `[t << 40 | tie, fn, args]` (ties below 2**40).
 `Simulator.cancel(entry)` is the one way to cancel: it clears `fn` and `args`, and
@@ -37,18 +37,6 @@ def s_to_us(s: float) -> int:
     return int(round(s * US_PER_S))
 
 
-class Timeout:
-    """Sentinel returned by a timed wait that expired."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "TIMEOUT"
-
-
-TIMEOUT = Timeout()
-
-
 class _Sleep:
     __slots__ = ("delay_us",)
 
@@ -66,65 +54,29 @@ def sleep(delay_us: int) -> _Sleep:
 
 
 class Trigger:
-    """One-shot completion event processes can wait on."""
+    """One-shot completion event; it resumes its parked processes in park order."""
 
-    __slots__ = ("fired", "value", "_waiters")
+    __slots__ = ("fired", "value", "_parked")
 
     def __init__(self):
         self.fired = False
         self.value: Any = None
-        self._waiters: list[_WaitFor] = []
+        self._parked: list[Process] = []
 
     def fire(self, value: Any = None) -> None:
         if self.fired:
             return
         self.fired = True
         self.value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter.resolve(value)
+        parked, self._parked = self._parked, []
+        for proc in parked:
+            proc._sim.schedule(0, proc._sim._step, proc, value, False)
 
     def park(self, proc: "Process") -> None:
-        _WaitFor(self, None).park(proc)
-
-
-class _WaitFor:
-    """A parked wait on `trigger`: the trigger firing and the timeout race,
-    and the first one resumes the process."""
-
-    __slots__ = ("trigger", "timeout_us", "proc", "timeout")
-
-    def __init__(self, trigger: Trigger, timeout_us: int | None):
-        self.trigger = trigger
-        self.timeout_us = timeout_us
-        self.proc: Process | None = None  # None again once resumed
-        self.timeout: list | None = None  # the pending timeout's heap entry
-
-    def park(self, proc: "Process") -> None:
-        # drop the trigger: an expired wait left in its waiter list is a cycle
-        trigger, self.trigger, sim = self.trigger, None, proc._sim
-        if trigger.fired:
-            sim.schedule(0, sim._step, proc, trigger.value, False)
-            return
-        self.proc = proc
-        trigger._waiters.append(self)
-        if self.timeout_us is not None:
-            self.timeout = sim.schedule(self.timeout_us, self.expire)
-
-    def resolve(self, value: Any) -> None:
-        proc, self.proc = self.proc, None
-        if proc is None:  # the timeout won
-            return
-        proc._sim.cancel(self.timeout)
-        proc._sim.schedule(0, proc._sim._step, proc, value, False)
-
-    def expire(self) -> None:
-        proc, self.proc, self.timeout = self.proc, None, None
-        proc._sim.schedule(0, proc._sim._step, proc, TIMEOUT, False)
-
-
-def wait(trigger: Trigger, timeout_us: int | None = None) -> _WaitFor:
-    return _WaitFor(trigger, timeout_us)
+        if self.fired:
+            proc._sim.schedule(0, proc._sim._step, proc, self.value, False)
+        else:
+            self._parked.append(proc)
 
 
 class Process:

@@ -51,7 +51,6 @@ def test_available_nodes_counts_active_only():
     active = PilotSpec(1, 4, 3600.0, submit_time_us=0, activate_time_us=0)
     queued = PilotSpec(2, 8, 3600.0, submit_time_us=0, activate_time_us=None)
     assert available_nodes([active, queued], now_us=10) == 4
-    assert available_nodes([active, queued], now_us=10, include_queued=True) == 12
 
 
 def test_available_nodes_sums_active():
@@ -145,14 +144,14 @@ def test_facility_queries_skip_expired_pilots(monkeypatch):
     for _ in range(100):
         facility.submit_pilot(1, 10.0)
         sim.run(until_us=sim.now_us + s_to_us(20))
-        assert facility.available_nodes(include_queued=True) == 0
+        assert facility.live_pilots() == []
     calls = []
     state_at = PilotSpec.state_at
     monkeypatch.setattr(PilotSpec, "state_at",
                         lambda pilot, now_us: calls.append(pilot) or state_at(pilot, now_us))
     live = facility.submit_pilot(1, 10.0)
     sim.run()
-    assert facility.active_pilots() == [live]
+    assert facility.live_pilots() == [live]
     assert facility.available_nodes() == 1
     assert live.pilot_id == 101
     assert len(calls) <= 4
@@ -197,7 +196,7 @@ def test_task_wider_than_the_facility_submits_one_pilot():
 
 def test_handle_task_no_pilot_can_host_raises_before_any_submit():
     # driven directly, without a pipeline's build-time check: 64 cores on a
-    # 1 x 32-core facility would otherwise resubmit a pilot every 300 s forever
+    # 1 x 32-core facility would otherwise resubmit a pilot forever at one instant
     sim = Simulator(seed=1)
     system = SystemSpec(total_nodes=1, cores_per_node=32,
                         queue_delay=QueueDelayModel("constant", 0.0))
@@ -209,6 +208,28 @@ def test_handle_task_no_pilot_can_host_raises_before_any_submit():
         sim.run()
     assert time.process_time() - started < 1.0
     assert facility.pilots == [] and sim.now_us == 0
+
+
+def test_a_task_whose_cores_are_split_across_small_pilots_gets_a_host_at_once():
+    # two 32-core tasks hold two 1-node pilots of a 2 x 32 facility; a 64-core
+    # task arriving at 10 s counts two active nodes, but no one pilot can host
+    # it, so it submits a 2-node pilot then, not after both expire at 420 s
+    sim = Simulator(seed=1)
+    system = SystemSpec(total_nodes=2, cores_per_node=32,
+                        queue_delay=QueueDelayModel("constant", 0.0))
+    facility = Facility(sim, system)
+    controller = PilotController(facility, CfdCostModel(), strategy="reactive")
+    for ts in (0, 1):
+        sim.spawn(controller.handle_task(TaskSpec(0, 1024, 420.0, 32, ts)))
+
+    def wide():
+        yield sleep(s_to_us(10))
+        return (yield from controller.handle_task(TaskSpec(0, 1024, 420.0, 64, 2)))
+
+    proc = sim.spawn(wide())
+    sim.run()
+    assert proc.result.start_us == s_to_us(10)
+    assert [p.nodes for p in facility.pilots] == [1, 1, 2]
 
 
 def test_execute_task_on_queued_pilot_rejected():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fabricsim import runner
 from fabricsim.errors import ConfigError
 from fabricsim.netsim import LinkSpec, Network
 from fabricsim.pilot import CfdCostModel, QueueDelayModel, SystemSpec
@@ -93,6 +94,21 @@ def test_a_cups_day_schedules_at_most_1373_events(tmp_path):
     pipe.run()
     assert all(pipe.check_invariants().values())
     assert next(pipe.sim._tie) <= 1_373
+
+
+def test_the_bundled_queue_sweep_schedules_at_most_206_events(tmp_path, monkeypatch):
+    # 8 runs of 6 alerts; a task waits on pilot activations alone, where a
+    # 300 s poll while pilots queued read 383
+    sims = []
+
+    def tracked(*args, **kwargs):
+        sims.append(Simulator(*args, **kwargs))
+        return sims[-1]
+
+    monkeypatch.setattr(runner, "Simulator", tracked)
+    _, _, ok = run_scenario(load_scenario("queue_sweep"), tmp_path)
+    assert ok and len(sims) == 8
+    assert sum(next(sim._tie) for sim in sims) <= 206
 
 
 def test_evaluations_only_on_complete_windows(tmp_path):

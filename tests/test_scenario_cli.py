@@ -10,7 +10,7 @@ import pytest
 from fabricsim.cli import main
 from fabricsim.errors import ConfigError
 from fabricsim.framing import MAX_PAYLOAD
-from fabricsim.logstore import LogStore
+from fabricsim.logstore import HEADER_SIZE, LogStore
 from fabricsim.metrics import summarize, write_report
 from fabricsim.runner import run_scenario
 from fabricsim.scenario import BUNDLED, load_scenario, validate_scenario
@@ -66,6 +66,17 @@ def test_bad_value_type_rejected():
     config = load_scenario("table1")
     config["latency"]["measurements"][0]["use_cache"] = True
     validate_scenario(config)
+
+
+def test_a_cached_latency_row_takes_one_round_trip_where_the_uncached_takes_two(tmp_path):
+    # C3's band: the cached mean is half the uncached one, to within 10%
+    config = load_scenario("table1")
+    uncached = run_scenario(config, tmp_path / "uncached")[0]["latency_table"]
+    config["latency"]["measurements"][1]["use_cache"] = True
+    report, _, ok = run_scenario(config, tmp_path / "cached")
+    cached = report["latency_table"]
+    assert ok and cached[0] == uncached[0] and cached[2] == uncached[2]
+    assert abs(cached[1]["mean_ms"] / uncached[1]["mean_ms"] - 0.5) <= 0.10 * 0.5
 
 
 def test_unknown_scenario_kind_rejected():
@@ -439,12 +450,15 @@ def test_cli_station_id_longer_than_16_bytes_exits_two(tmp_path):
     assert err.startswith("config error: ") and "station_id" in err
 
 
-@pytest.mark.parametrize("command, option", [("run", "--seed=-1"), ("sweep", "--seeds=-1..1")])
+@pytest.mark.parametrize("command, option", [("run", "--seed=-1"), ("sweep", "--seeds=-1..1"),
+                                             ("sweep", "--seeds=5..3")])
 def test_cli_negative_seed_exits_two(tmp_path, capsys, command, option):
     code = main([command, "--scenario", "table1", option, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: bad value for {option.split('=')[0]}: -1 ")
+    name, value = option.split("=")
+    shown = value if value == "5..3" else "-1"  # an empty range, or its first seed
+    assert err.startswith(f"config error: bad value for {name}: {shown} ")
     assert not (tmp_path / "out").exists()
 
 
@@ -501,6 +515,27 @@ def test_cli_log_inspect_wrapped_log_output_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e5a9a54bdaf1e1cec30485fc01f9c96ba8e586ddef72a634135cf5074398163c")
+
+
+def test_cli_log_inspect_leaves_a_log_needing_recovery_as_it_was(tmp_path, capsys):
+    # a header two seqs behind its records, a stray `.tmp` and no `.dedup`
+    # sidecar: recovery would rewrite, create and delete one file each
+    path = tmp_path / "x.log"
+    store = LogStore.create(path, "x", 16, 8)
+    store.append(b"a", bytes(16))
+    header = path.read_bytes()[:HEADER_SIZE]
+    for i in (1, 2):
+        store.append(bytes([i]), i.to_bytes(16, "little"))
+    store.close()
+    with open(path, "r+b") as f:
+        f.write(header)
+    (tmp_path / "x.log.dedup").unlink()
+    (tmp_path / "x.log.tmp").write_bytes(b"half a resize")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["log", "inspect", str(path)]) == 0
+    dump = json.loads(capsys.readouterr().out)
+    assert [e["seq"] for e in dump["entries"]] == [1, 2, 3]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_cli_log_inspect_fresh_log(tmp_path, capsys):

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fabricsim import simcore
-from fabricsim.simcore import (
-    TIMEOUT,
-    Simulator,
-    Trigger,
-    run_to_completion,
-    sleep,
-    wait,
-)
+from fabricsim.simcore import Simulator, Trigger, run_to_completion, sleep
 
 
 def test_advance_empty_queue_moves_clock():
@@ -92,42 +85,16 @@ def test_trigger_wakes_waiter_with_value():
     assert sim.now_us == 2_000
 
 
-def test_wait_timeout_returns_sentinel():
-    sim = Simulator()
-    trigger = Trigger()
-
-    def waiter():
-        value = yield wait(trigger, timeout_us=1_000)
-        return value
-
-    proc = sim.spawn(waiter())
-    sim.run()
-    assert proc.result is TIMEOUT
-
-
-def test_trigger_beats_timeout_when_earlier():
-    sim = Simulator()
-    trigger = Trigger()
-
-    def waiter():
-        value = yield wait(trigger, timeout_us=5_000)
-        return value
-
-    proc = sim.spawn(waiter())
-    sim.schedule(1_000, trigger.fire, 42)
-    sim.run()
-    assert proc.result == 42
-    assert sim.now_us < 5_000 or proc.result == 42
-
-
-
 def _waiter_beaten_by_trigger(sim):
-    """One waiter with a 5 ms timeout whose trigger fires at 1 ms: three live
-    events (start, fire, resume) and one cancelled timeout."""
+    """One waiter whose trigger fires at 1 ms, and which then cancels its own
+    5 ms timeout: three live events (start, fire, resume) and one cancelled."""
     trigger = Trigger()
+    timeout = sim.schedule(5_000, trigger.fire, "timeout")
 
     def waiter():
-        return (yield wait(trigger, timeout_us=5_000))
+        value = yield trigger
+        sim.cancel(timeout)
+        return value
 
     proc = sim.spawn(waiter())
     sim.schedule(1_000, trigger.fire, 42)
@@ -299,8 +266,8 @@ def test_seeded_trace_matches_pinned_history():
 
 def _wait_mix(seed: int) -> tuple[str, Counter]:
     """One firer and four waiters sharing one jitter stream. Each waiter
-    sleeps, waits bare on a trigger, or waits with a timeout, on a trigger
-    near the firer's progress, so it may already have fired."""
+    sleeps or waits on a trigger near the firer's progress, so it may
+    already have fired."""
     sim = Simulator(seed=seed, trace=True)
     rng = sim.rng("waits")
     triggers = [Trigger() for _ in range(60)]
@@ -315,18 +282,12 @@ def _wait_mix(seed: int) -> tuple[str, Counter]:
         for _ in range(30):
             pick = sum(t.fired for t in triggers) + int(rng.integers(-2, 3))
             trigger = triggers[min(max(pick, 0), len(triggers) - 1)]
-            choice = int(rng.integers(3))
-            if choice == 0:
+            if int(rng.integers(2)) == 0:
                 kind, value = "sleep", (yield sleep(int(rng.integers(0, 300))))
-            elif choice == 1:
+            else:
                 kind = "fired" if trigger.fired else "bare"
                 value = yield trigger
-            else:
-                kind = "fired" if trigger.fired else "timed"
-                value = yield wait(trigger, int(rng.integers(1, 600)))
-                if kind == "timed":
-                    kind = "timeout" if value is TIMEOUT else "beaten"
-            sim.record(kind, tag=tag, value=None if value is TIMEOUT else value)
+            sim.record(kind, tag=tag, value=value)
 
     sim.spawn(firer())
     for tag in "abcd":
@@ -337,9 +298,9 @@ def _wait_mix(seed: int) -> tuple[str, Counter]:
 
 
 def test_every_wait_kind_keeps_its_pinned_history():
-    # sleeps, bare trigger waits, timed waits won by either side, waits on a
-    # trigger that already fired, and fires: each resume's delay and tie order
-    # decides the next draw, so any reordering changes the hash
+    # sleeps, trigger waits, waits on a trigger that already fired, and
+    # fires: each resume's delay and tie order decides the next draw, so any
+    # reordering changes the hash
     digest, kinds = _wait_mix(3)
-    assert min(kinds[k] for k in ("sleep", "bare", "beaten", "timeout", "fired", "fire")) >= 10
-    assert digest == "de2665ed5a3750498d934a610b07ba399b29487ad296bcbc737f83f6a4c89680"
+    assert min(kinds[k] for k in ("sleep", "bare", "fired", "fire")) >= 10
+    assert digest == "479ab9f78d73f17c6bd541529dadbaa892d00e35a301c1dfda939d8c2a9f2cf6"

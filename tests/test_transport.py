@@ -31,16 +31,7 @@ from fabricsim.framing import (
 )
 from fabricsim.logstore import LogRegistry, LogStore
 from fabricsim.netsim import LinkSpec, Network
-from fabricsim.simcore import (
-    TIMEOUT,
-    Process,
-    Simulator,
-    Trigger,
-    _WaitFor,
-    run_to_completion,
-    sleep,
-    wait,
-)
+from fabricsim.simcore import Process, Simulator, Trigger, run_to_completion, sleep
 from fabricsim.transport import (
     MIN_LATENCY_COUNT,
     RTO_MIN_MS,
@@ -857,20 +848,17 @@ def test_finished_exchanges_and_expired_waits_leave_no_cyclic_garbage(tmp_path, 
         registry.close_all()
         del sim, net, registry
         waits = Simulator()
-        timed, bare = Trigger(), Trigger()
-        waits.schedule(1_500, timed.fire, "timed")
+        bare = Trigger()
         waits.schedule(2_000, bare.fire, "bare")
 
         def waiter():
-            expired = yield wait(Trigger(), timeout_us=1_000)
-            beaten = yield wait(timed, timeout_us=1_000)
-            return expired, beaten, (yield bare)
+            return (yield bare)
 
-        assert run_to_completion(waits, waiter()) == (TIMEOUT, "timed", "bare")
-        del waits, timed, bare, waiter
+        assert run_to_completion(waits, waiter()) == "bare"
+        del waits, bare, waiter
         gc.collect()
         leaked = Counter(type(obj).__name__ for obj in gc.garbage
-                         if isinstance(obj, (_WaitFor, Process, _Exchange)))
+                         if isinstance(obj, (Process, _Exchange)))
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
