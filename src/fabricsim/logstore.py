@@ -12,6 +12,10 @@ original seq. The records are the index for the ids they hold; a sidecar
 journal keeps the ids whose records were evicted (none while the window is
 at most the capacity), each written at eviction, before its slot is
 overwritten, and compacted to the index's evicted ids past four windows.
+A hit's LRU refresh lives in memory only; a reopen orders ids by landing.
+With a window of 2, after A, X, a retry of A and B, a reopen forgets A: the
+contract holds only while fewer than a window of other ids land between an
+append's first and last attempt.
 
 A reopen makes one crc32 per record and per journal entry and cuts a torn
 journal tail. Records where the header's counters put them are checked as

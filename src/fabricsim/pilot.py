@@ -145,18 +145,12 @@ class PilotSpec:
     pilot_id: int
     nodes: int
     runtime_s: float
-    submit_time_us: int
     activate_time_us: int | None = None  # set when the queue delay is known
-
-    def expire_time_us(self) -> int | None:
-        if self.activate_time_us is None:
-            return None
-        return self.activate_time_us + s_to_us(self.runtime_s)
 
     def state_at(self, now_us: int) -> str:
         if self.activate_time_us is None or now_us < self.activate_time_us:
             return "queued"
-        if now_us >= self.expire_time_us():
+        if now_us >= self.activate_time_us + s_to_us(self.runtime_s):
             return "expired"
         return "active"
 
@@ -212,7 +206,7 @@ class Facility:
     def submit_pilot(self, nodes: int, runtime_s: float,
                      delay_key: str | int | None = None) -> PilotSpec:
         self._submitted += 1
-        pilot = PilotSpec(self._submitted, nodes, runtime_s, self.sim.now_us)
+        pilot = PilotSpec(self._submitted, nodes, runtime_s)
         self.pilots.append(pilot)
         if delay_key is None:
             delay_key = pilot.pilot_id

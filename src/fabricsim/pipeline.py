@@ -51,12 +51,11 @@ from .pilot import (
     CfdCostModel,
     Facility,
     PilotController,
-    QueueDelayModel,
     SystemSpec,
     TaskSpec,
     check_task_fits,
 )
-from .simcore import Simulator, run_to_completion, s_to_us, sleep
+from .simcore import Simulator, s_to_us, sleep
 from .weather import CHANNELS, RECORD_SIZE, REPORT_CADENCE_S, TelemetryRecord, WeatherModel
 
 TELEMETRY_ELEMENT = 1024  # matches the measured 1 KB message workload
@@ -291,29 +290,11 @@ class CupsPipeline:
         }
 
 
-def sustained_walltime_s(tasks: int, cores: int, cost_model: CfdCostModel) -> float:
-    """The walltime of the one pilot `sustained_rate_s` submits."""
-    return cost_model.mean_for(cores) * (tasks + 2)
-
-
-def sustained_rate_s(seed: int, tasks: int, cores: int,
+def sustained_rate_s(sim: Simulator, tasks: int, cores: int,
                      cost_model: CfdCostModel) -> list[float]:
-    """Gaps between completions of back-to-back runs on one dedicated pilot."""
-    sim = Simulator(seed=seed)
-    system = SystemSpec(total_nodes=1, cores_per_node=cores,
-                        queue_delay=QueueDelayModel("constant", 0.0))
-    facility = Facility(sim, system, stream_label="dedicated")
-    pilot = facility.submit_pilot(1, sustained_walltime_s(tasks, cores, cost_model))
-
-    completions: list[int] = []
-
-    def runner():
-        rng = sim.rng("sustained")
-        for i in range(tasks):
-            task = TaskSpec(0, 1, cost_model.mean_runtime_s, cores,
-                            telemetry_timestamp_us=i)
-            result = yield from facility.execute_task(task, pilot, cost_model, rng)
-            completions.append(result.complete_us)
-
-    run_to_completion(sim, runner())
-    return [(b - a) / 1e6 for a, b in zip(completions, completions[1:])]
+    """Gaps between completions of `tasks` back-to-back runs of the stub: each
+    run after the first, as the clock sees it. The runtimes come from `sim`'s
+    `sustained` stream, which depends only on the seed."""
+    rng = sim.rng("sustained")
+    runtimes = [cost_model.sample_runtime_s(cores, rng) for _ in range(tasks)]
+    return [s_to_us(r) / 1e6 for r in runtimes[1:]]

@@ -25,10 +25,8 @@ from .pilot import (
     TaskResult,
     TaskSpec,
 )
-from .pipeline import (ND, PAIR_BYTES, UCSB, UNL, CupsParams, CupsPipeline, sustained_rate_s,
-                       sustained_walltime_s)
+from .pipeline import ND, PAIR_BYTES, UCSB, UNL, CupsParams, CupsPipeline, sustained_rate_s
 from .scenario import (
-    WALLTIME,
     build_cost_model,
     build_links,
     build_routes,
@@ -192,10 +190,6 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     overrides.update(spec.get("pilot", {}))  # every pilot key is a CupsParams field
     params = CupsParams(duration_s=spec["duration_s"], **overrides)
     cost_model = build_cost_model(spec.get("cost_model"))
-    sustained_tasks = spec.get("sustained_check_tasks", 0)
-    if sustained_tasks:
-        WALLTIME(sustained_walltime_s(sustained_tasks, params.task_cores, cost_model),
-                 "cups.cost_model.mean_runtime_s at task_cores * (sustained_check_tasks + 2)")
     pipeline = CupsPipeline(
         sim, network, out_dir / "state", params,
         weather=build_weather(spec["weather"]),
@@ -207,8 +201,9 @@ def _run_cups(config: dict, out_dir: Path, seed: int):
     results = {"telemetry": summarize(metrics.telemetry_latency_ms),
                "evaluations": len(metrics.evaluations),
                "alerts": metrics.alerts, "tasks": metrics.tasks}
+    sustained_tasks = spec.get("sustained_check_tasks", 0)
     if sustained_tasks:
-        gaps = sustained_rate_s(seed, tasks=sustained_tasks,
+        gaps = sustained_rate_s(sim, tasks=sustained_tasks,
                                 cores=params.task_cores,
                                 cost_model=cost_model)
         results["sustained"] = summarize(gaps)

@@ -48,18 +48,18 @@ def test_available_nodes_empty():
 
 
 def test_available_nodes_counts_active_only():
-    active = PilotSpec(1, 4, 3600.0, submit_time_us=0, activate_time_us=0)
-    queued = PilotSpec(2, 8, 3600.0, submit_time_us=0, activate_time_us=None)
+    active = PilotSpec(1, 4, 3600.0, activate_time_us=0)
+    queued = PilotSpec(2, 8, 3600.0, activate_time_us=None)
     assert available_nodes([active, queued], now_us=10) == 4
 
 
 def test_available_nodes_sums_active():
-    pilots = [PilotSpec(1, 2, 3600.0, 0, 0), PilotSpec(2, 3, 3600.0, 0, 0)]
+    pilots = [PilotSpec(1, 2, 3600.0, 0), PilotSpec(2, 3, 3600.0, 0)]
     assert available_nodes(pilots, now_us=100) == 5
 
 
 def test_expired_pilot_not_counted():
-    pilot = PilotSpec(1, 4, runtime_s=10.0, submit_time_us=0, activate_time_us=0)
+    pilot = PilotSpec(1, 4, runtime_s=10.0, activate_time_us=0)
     assert available_nodes([pilot], now_us=s_to_us(11)) == 0
 
 

@@ -120,6 +120,23 @@ def test_evaluations_only_on_complete_windows(tmp_path):
     assert metrics.skipped_evaluations == 0
 
 
+def test_a_record_held_past_its_evaluation_skips_that_evaluation(tmp_path, monkeypatch):
+    # a partition over [3590, 3700] s holds record 12 (3,600 s) past the
+    # 3,602 s evaluation, whose window comes up short; every invariant holds
+    pipes = []
+
+    def tracked(*args, **kwargs):
+        pipes.append(CupsPipeline(*args, **kwargs))
+        return pipes[-1]
+
+    monkeypatch.setattr(runner, "CupsPipeline", tracked)
+    config = load_scenario("e2e_cups")
+    config["topology"]["links"][0]["partitions_s"] = [[3590, 3700]]
+    report, series, ok = run_scenario(config, tmp_path, seed=16)
+    assert ok and report["evaluations"] == len(series["evaluations"][1]) == 6
+    assert pipes[0].metrics.skipped_evaluations == 1
+
+
 def test_reactive_strategy_with_queue_delay_still_completes(tmp_path):
     pipe = build_pipeline(tmp_path, seed=16, strategy="reactive",
                           queue=QueueDelayModel("constant", 3600.0))
@@ -152,7 +169,7 @@ def test_run_drains_at_most_48_hours_past_the_duration(tmp_path):
 
 
 def test_sustained_rate_about_seven_minutes():
-    gaps = sustained_rate_s(seed=16, tasks=8, cores=64, cost_model=CfdCostModel())
+    gaps = sustained_rate_s(Simulator(seed=16), tasks=8, cores=64, cost_model=CfdCostModel())
     mean_gap = float(np.mean(gaps))
     assert 420.39 * 0.9 <= mean_gap <= 420.39 * 1.1
 

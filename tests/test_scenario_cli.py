@@ -256,9 +256,6 @@ def _set_key(config: dict, path: str, value) -> None:
     # a duration between two microseconds: exit 0, with every rate counted over
     # `duration_s` but divided by the rounded microseconds (2.5e-6 s read as 2 us)
     ("slicing", {"slicing.duration_s": 2.5e-6}, "slicing.duration_s"),
-    # the sustained check's pilot, of walltime mean_runtime_s * (tasks + 2),
-    # rounded to 0 us: exit 1, "pilot 1 is expired, not active"
-    ("e2e_cups", {"cups.cost_model.mean_runtime_s": 1e-9}, "cups.cost_model.mean_runtime_s"),
     # NaN and Infinity, which Python's `json` reads: a traceback once the run was built
     ("table1", {"topology.links.0.latency_mean_ms": math.nan},
      "topology.links[0].latency_mean_ms"),
@@ -306,6 +303,14 @@ def _set_key(config: dict, path: str, value) -> None:
     # a nominal slice rate below the capacity floor: an OverflowError traceback
     ("slicing", {"slicing.ue_low.efficiency": 5e-324}, "'rpi1' at fraction 0.1 "),
     ("slicing", {"slicing.fractions.0": 5e-324}, "'rpi1' at fraction 5e-324 "),
+    # values of the wrong shape, rejected on load
+    ("e2e_cups", {"cups.system": 4}, "cups.system must be a mapping"),
+    ("e2e_cups", {"cups.pilot.strategy": 5}, "bad value for cups.pilot.strategy: expected string"),
+    ("e2e_cups", {"cups.channels": "wind_speed"}, "bad value for cups.channels: expected a list"),
+    ("e2e_cups", {"topology.routes": []}, "bad value for topology.routes: expected a mapping"),
+    ("e2e_cups", {"topology.links.0.partitions_s": [[1, 2, 3]]},
+     "bad value for topology.links[0].partitions_s[0]: expected [number, number]"),
+    ("e2e_cups", {"topology.routes": {"unl-edge": ["unl-ucsb-5g"]}}, "bad route key 'unl-edge'"),
 ], ids=["pilot-strategy", "loss_prob", "duplicate_prob", "base_capacity_mbps",
         "cadence-zero", "cadence-negative", "alpha", "channels-unknown", "channels-empty",
         "runtime_sd_s", "noise_sd", "uniform-value_s", "alerts", "alert_interval_s",
@@ -317,7 +322,7 @@ def _set_key(config: dict, path: str, value) -> None:
         "latency_mean_ms", "sustained_check_tasks", "route-empty", "route-not-a-chain",
         "route-same-pair", "changes-out-of-order", "ue-names-shared",
         "ue-names-shared-two-fractions", "fraction-complement-zero",
-        "duration_s-between-microseconds", "sustained-walltime-below-a-microsecond",
+        "duration_s-between-microseconds",
         "latency_mean_ms-nan", "latency_sd_ms-infinity",
         "base_capacity_mbps-nan", "runtime_sd_s-infinity", "efficiency-nan", "mu-nan",
         "alert_interval_s-infinity", "changes-nan", "seed-negative", "latency-count-two",
@@ -326,7 +331,8 @@ def _set_key(config: dict, path: str, value) -> None:
         "mean_runtime_s-1e308", "weather-mean-1e308", "weather-mean-minus-1e308",
         "weather-noise_sd-1e308", "weather-change-1e308", "multi_node_penalty-1e308",
         "mu-minus-1e308", "sigma-1e308", "runtime_sd_s-1e15", "efficiency-subnormal",
-        "fraction-subnormal"])
+        "fraction-subnormal", "section-not-a-mapping", "number-for-a-string",
+        "list-not-a-list", "mapping-not-a-mapping", "pair-not-a-pair", "route-key-without-arrow"])
 def test_cli_config_error_found_while_building_exits_two(
         tmp_path, capsys, scenario, edits, named):
     bad = tmp_path / "bad.json"
@@ -338,6 +344,35 @@ def test_cli_config_error_found_while_building_exits_two(
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ") and named in err
+
+
+def _without(key: str) -> str:
+    config = load_scenario("e2e_cups")
+    del config[key]
+    return json.dumps(config)
+
+
+@pytest.mark.parametrize("text, named", [
+    (_without("cups"), "missing key: cups (required for kind 'cups')"),
+    (_without("topology"), "missing key: topology (required for kind 'cups')"),
+    ('{"name": "e2e_cups",', "scenario is not valid JSON"),
+], ids=["kind-without-its-section", "topology-missing", "invalid-json"])
+def test_cli_scenario_file_rejected_on_load_exits_two(tmp_path, capsys, text, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {named}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_failed_invariant_exits_one(tmp_path):
+    # a mean runtime of 1e6 s outlasts the 48 h drain: the alert's task never completes
+    config = load_scenario("e2e_cups")
+    config["cups"]["cost_model"]["mean_runtime_s"] = 1e6
+    assert run_within_alarm(tmp_path, config) == (
+        1, "invariants FAILED: every_alert_completed\n")
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 @pytest.mark.parametrize("scenario, edits, named", [
@@ -386,14 +421,36 @@ def test_cli_minus_zero_runs_as_zero(tmp_path, scenario, path):
 
 
 def test_cli_cups_sustained_check_at_one_core_runs(tmp_path):
-    # the sustained check's pilot holds 10 runs of 15,565 s, the 1-core mean;
-    # sized from the 64-core mean of 420.39 s, it expired before the first ended
+    # the sustained check draws its runs at the task's own cores: a 15,565 s
+    # mean at 1 core, not the 64-core 420.39 s
     config = load_scenario("e2e_cups")
     config["cups"]["pilot"]["task_cores"] = 1
     assert run_within_alarm(tmp_path, config) == (0, "")
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert len(report["invariants"]) == 4 and all(report["invariants"].values())
     assert report["sustained"]["n"] == 7
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 8])
+def test_cli_cups_sustained_check_with_a_wide_cost_model_runs(tmp_path, seed):
+    # runtimes of 100 +- 90 s: the sustained check runs on no pilot, so no
+    # walltime cuts its back-to-back runs short
+    config = load_scenario("e2e_cups")
+    config["seed"] = seed
+    config["cups"]["cost_model"] = {"mean_runtime_s": 100, "runtime_sd_s": 90}
+    assert run_within_alarm(tmp_path, config) == (0, "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["invariants"]) == 4 and all(report["invariants"].values())
+    assert report["sustained"]["n"] == 7
+
+
+def test_cli_cups_sustained_check_of_one_task_reports_no_gap(tmp_path):
+    config = load_scenario("e2e_cups")
+    config["cups"]["sustained_check_tasks"] = 1
+    assert run_within_alarm(tmp_path, config) == (0, "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["sustained"] == {"n": 0, "mean": None, "sd": None}
+    assert (tmp_path / "out" / "sustained_gaps.csv").read_bytes() == b"gap_index,gap_s\r\n"
 
 
 @pytest.mark.parametrize("scenario", ["table1", "e2e_cups"])
@@ -450,15 +507,16 @@ def test_cli_station_id_longer_than_16_bytes_exits_two(tmp_path):
     assert err.startswith("config error: ") and "station_id" in err
 
 
-@pytest.mark.parametrize("command, option", [("run", "--seed=-1"), ("sweep", "--seeds=-1..1"),
-                                             ("sweep", "--seeds=5..3")])
-def test_cli_negative_seed_exits_two(tmp_path, capsys, command, option):
+@pytest.mark.parametrize("command, option, message", [
+    ("run", "--seed=-1", "bad value for --seed: -1 "),
+    ("sweep", "--seeds=-1..1", "bad value for --seeds: -1 "),  # the range's first seed
+    ("sweep", "--seeds=5..3", "bad value for --seeds: 5..3 is an empty range"),
+    ("sweep", "--seeds=1-3", "bad seed range '1-3'; expected A..B"),
+], ids=["run---seed=-1", "sweep---seeds=-1..1", "sweep---seeds=5..3", "sweep---seeds=1-3"])
+def test_cli_negative_seed_exits_two(tmp_path, capsys, command, option, message):
     code = main([command, "--scenario", "table1", option, "--out", str(tmp_path / "out")])
     assert code == 2
-    err = capsys.readouterr().err
-    name, value = option.split("=")
-    shown = value if value == "5..3" else "-1"  # an empty range, or its first seed
-    assert err.startswith(f"config error: bad value for {name}: {shown} ")
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "out").exists()
 
 
