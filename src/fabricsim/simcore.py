@@ -11,6 +11,8 @@ A heap entry is the event itself, `[t << 40 | tie, fn, args]` (ties below 2**40)
 `Simulator.cancel(entry)` is the one way to cancel: it clears `fn` and `args`, and
 rebuilds the heap without cancelled entries once they are more than a quarter of a
 heap of at least 256; pop order is the total order on the key, so history stays.
+`Simulator.retime(events, t_us)` moves pending entries earlier in place, each keeping its
+tie, so history is as if each had been scheduled at its new time in the first place.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import json
 from typing import Any, Callable, Generator
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng  # numpy loads it lazily: not in a first `rng`
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
 TIE_BITS = 40
+_TIE_MASK = (1 << TIE_BITS) - 1
 COMPACT_SHARE, COMPACT_MIN = 0.25, 256  # not asyncio's half: lossy appends pass it after their peak
 
 
@@ -111,7 +115,7 @@ class Simulator:
         """Named child stream; independent of creation order."""
         digest = hashlib.blake2b(label.encode(), digest_size=8).digest()
         key = int.from_bytes(digest, "little")
-        return np.random.default_rng(np.random.SeedSequence(entropy=(self.seed, key)))
+        return default_rng(SeedSequence(entropy=(self.seed, key)))
 
     # -- scheduling -----------------------------------------------------
 
@@ -133,6 +137,19 @@ class Simulator:
                 heap[:] = [e for e in heap if e[1] is not None]  # in place: `run` holds it
                 heapq.heapify(heap)
                 self._cancelled = 0
+
+    def retime(self, events: list[list], t_us: int) -> None:
+        """Move each pending entry of `events` earlier to `t_us`, keeping its tie, then
+        heapify once; cancelled entries are skipped. Raises ValueError, moving nothing,
+        unless `t_us` is after the clock (at the clock's own instant an entry could
+        belong before one that already fired) and no later than any entry's time."""
+        key = t_us << TIE_BITS
+        if t_us <= self.now_us or any(e[0] < key for e in events if e[1] is not None):
+            raise ValueError("an event can only move earlier, and not to the clock or before")
+        for event in events:
+            if event[1] is not None:
+                event[0] = key | event[0] & _TIE_MASK
+        heapq.heapify(self._heap)
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         proc = Process(self, gen, name)

@@ -10,7 +10,9 @@ Requests are resent until a reply arrives; no exchange gives up. Attempt n of
 an exchange times out after its target's RTO doubled n times, capped at 5 s.
 The client keeps one RFC 6298 estimator per target, fed by each exchange that
 its own reply answers on the first attempt (Karn's rule); before a target's
-first sample its RTO is 100 ms, and it never falls below `RTO_MIN_MS`. Every
+first sample its RTO is a 100 ms placeholder, and that sample restarts each
+first attempt still waiting on it to time out one new RTO later, where that is
+sooner (RFC 6298 5.3). The RTO never falls below `RTO_MIN_MS`, 25 ms. Every
 retry of an exchange reuses its request id, and because retries of an append
 reuse its message id, the server's dedup index makes the append land exactly
 once, as long as fewer than the log's dedup window of other ids land between
@@ -67,9 +69,10 @@ from .simcore import Process, Simulator, ms_to_us
 
 
 RETRY_BASE_MS, RETRY_CAP_MS = 100.0, 5000.0  # RTO before a target's first sample; backoff cap
-# the RTO floor: a short-RTT path needs one far below RFC 6298's 1 s, and 10 ms
-# resent spuriously on a 10 ms round trip
-RTO_MIN_MS = 20.0
+# the RTO floor: a short-RTT path needs one far below RFC 6298's 1 s; 10 ms resent
+# spuriously on a 10 ms round trip, and 20 ms on a 20 +- 5.7 ms one once a first
+# sample restarts a burst of waiting first attempts together
+RTO_MIN_MS = 25.0
 _BASE_US, _CAP_US, _RTO_MIN_US = map(ms_to_us, (RETRY_BASE_MS, RETRY_CAP_MS, RTO_MIN_MS))
 
 
@@ -248,12 +251,14 @@ class TransportClient:
         # in us, and the RTO it gives, which each send reads
         self._rtt: dict[str, tuple[int, int]] = {}
         self._rto_us: dict[str, int] = {}
-        self._rng: np.random.Generator = sim.rng(f"client:{node}")
+        self._rng: np.random.Generator | None = None  # `client:<node>`, at the first id
         self._ids, self._ids_pos = b"", 0
 
     def new_message_id(self) -> bytes:
         """The next 16 bytes of the client's stream, drawn in batches."""
         if self._ids_pos == len(self._ids):
+            if self._rng is None:
+                self._rng = self.sim.rng(f"client:{self.node}")
             self._ids, self._ids_pos = self._rng.bytes(16 * self._IDS_PER_DRAW), 0
         self._ids_pos += 16
         return self._ids[self._ids_pos - 16:self._ids_pos]
@@ -275,7 +280,9 @@ class TransportClient:
 
     def _sample_rtt(self, target: str, rtt_us: int) -> None:
         """Fold one RTT sample into `target`'s estimator (RFC 6298: alpha 1/8,
-        beta 1/4, RTTVAR from the old SRTT) and set its RTO."""
+        beta 1/4, RTTVAR from the old SRTT) and set its RTO. The first sample also
+        moves the timeouts of first attempts still on the placeholder to one RTO
+        from now, in place, so each keeps its tie (RFC 6298 2.2 and 5.3)."""
         state = self._rtt.get(target)
         if state is None:
             srtt8, rttvar4 = rtt_us << 3, rtt_us << 1
@@ -285,7 +292,12 @@ class TransportClient:
             rttvar4 += abs(err) - (rttvar4 >> 2)
             srtt8 += err
         self._rtt[target] = (srtt8, rttvar4)
-        self._rto_us[target] = max((srtt8 >> 3) + max(1, rttvar4), _RTO_MIN_US)
+        rto_us = self._rto_us[target] = max((srtt8 >> 3) + max(1, rttvar4), _RTO_MIN_US)
+        if state is None:
+            t_us = self.sim.now_us + rto_us
+            self.sim.retime([e.timeout for e in self._pending.values() if e.attempts == 1
+                             and e.core.target == target and e.sent_us + _BASE_US > t_us],
+                            t_us)
 
     def close(self) -> None:
         """Close every process parked on an exchange, in request order, and
@@ -333,7 +345,9 @@ class _Exchange:
     """One request/reply exchange of `core` (a `SizeQuery` or `AppendCall`), driven by
     callbacks, and its own timeout callback. Every attempt carries the same request id,
     as it carries the same message id, and times out after its target's RTO as it is
-    sent, doubled per earlier attempt. A timeout resends and re-arms, unless the
+    sent, doubled per earlier attempt; a first attempt sent on the 100 ms placeholder
+    has its timeout entry moved earlier, in place, by its target's first sample
+    (`TransportClient._sample_rtt`). A timeout resends and re-arms, unless the
     exchange asks a size and the client holds a reply to the same query of a higher
     request id, which then answers it. The first reply to any attempt cancels the
     timeout; either way the parked process resumes in the event that brings the reply."""

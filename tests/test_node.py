@@ -172,6 +172,27 @@ def test_a_reopened_node_keeps_the_sizes_it_learned(tmp_path, monkeypatch):
         node.close()
 
 
+def test_a_node_appending_only_with_given_ids_opens_no_client_stream(tmp_path, monkeypatch):
+    # the client's `client:<node>` stream opens at its first drawn id, so
+    # reopening a node for appends that carry their ids builds no generator
+    labels, rng = [], Simulator.rng
+    monkeypatch.setattr(Simulator, "rng",
+                        lambda self, label: labels.append(label) or rng(self, label))
+    sim, net, alpha, beta = build_pair(tmp_path)
+    beta.create_log("inbox", 16, 8)
+    for seq in (1, 2, 3):
+        given = bytes([seq]) * 16
+        assert run_to_completion(sim, alpha.remote_append("beta", "inbox", b"x", given)) == seq
+        alpha.close()
+        alpha = FabricNode(sim, net, "alpha", tmp_path / "alpha")
+    assert [label for label in labels if label.startswith("client:")] == []
+    for _ in range(300):  # past one batch of drawn ids: the stream opens once
+        alpha.client.new_message_id()
+    assert [label for label in labels if label.startswith("client:")] == ["client:alpha"]
+    for node in (alpha, beta):
+        node.close()
+
+
 def test_a_log_resized_while_its_client_was_down_lands_once_under_one_id(tmp_path,
                                                                         monkeypatch):
     # the reopened node's saved size is stale: the server refuses it once and

@@ -208,6 +208,86 @@ def test_heap_compaction_changes_no_history(first, ops):
         assert _replay(first, ops) == compacted
 
 
+def _retimed(delays, at, batches, cancel_pick, move):
+    """Schedule one event per delay; at `at`, cancel some pending ones, then move
+    each batch earlier with `retime` (`move`) or not at all (the events were
+    scheduled at their new times from the start). A fired event may schedule
+    another. Returns the firing history."""
+    sim = Simulator()
+    seen = []
+
+    def fire(i):
+        seen.append((sim.now_us, i))
+        if i % 3 == 0 and i < 10_000:
+            sim.schedule(i % 7 * 100, fire, 10_000 + i)
+
+    # the time of each initial event after the moves, and the batches to move
+    time_of = {j: d for j, d in enumerate(delays)}
+    cancelled = {j for j, d in enumerate(delays) if d > at and (j * 17 + cancel_pick) % 5 == 0}
+    plan = []
+    for time_pick, member_pick in batches:
+        latest = max(time_of.values())
+        if latest <= at:
+            break
+        t_us = at + 1 + time_pick % (latest - at)
+        members = [j for j, d in time_of.items()
+                   if (d >= t_us or j in cancelled) and (j * 31 + member_pick) % 3 == 0]
+        plan.append((members, t_us))
+        time_of.update((j, t_us) for j in members if j not in cancelled)
+    entries = [sim.schedule(time_of[j] if not move else d, fire, j)
+               for j, d in enumerate(delays)]
+
+    def mover():
+        for j in sorted(cancelled):
+            sim.cancel(entries[j])
+        for members, t_us in plan if move else ():
+            batch = [entries[j] for j in members]
+            keys = [e[0] for e in sim._heap]
+            live = [e[0] >> simcore.TIE_BITS for e in batch if e[1] is not None]
+            for refused in [sim.now_us] + ([max(live) + 1] if live else []):
+                with pytest.raises(ValueError):
+                    sim.retime(batch, refused)
+                assert [e[0] for e in sim._heap] == keys  # nothing moved
+            sim.retime(batch, t_us)
+            assert all(entries[j][1] is None for j in cancelled)
+            assert sim._cancelled == _cancelled_in_heap(sim)
+
+    sim.schedule(at, mover)
+    sim.run()
+    return seen, sim.now_us, plan
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fill=st.tuples(st.integers(1, 600), st.integers(0, 5_000)),
+       at_pick=st.integers(0, 2**16), cancel_pick=st.integers(0, 2**16),
+       batches=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+                        min_size=1, max_size=6))
+def test_retime_fires_as_if_each_event_were_scheduled_at_its_new_time(
+        fill, at_pick, cancel_pick, batches):
+    # each moved event keeps its tie, so it fires where an event scheduled at its
+    # new time in its own insertion order would, before every later-tied event of
+    # that instant; cancelled entries in a batch stay cancelled and are not counted
+    count, spread = fill
+    delays = [(j * 7_919) % (spread + 1) for j in range(count)]
+    at = at_pick % (spread + 1)
+    retimed = _retimed(delays, at, batches, cancel_pick, move=True)
+    assert retimed == _retimed(delays, at, batches, cancel_pick, move=False)
+
+
+def test_retime_refuses_a_later_time_and_the_clock_and_then_moves_nothing():
+    sim = Simulator()
+    fired = []
+    a, b = sim.schedule(100, fired.append, "a"), sim.schedule(300, fired.append, "b")
+    sim.run(until_us=50)
+    for events, t_us in (([b, a], 200), ([b], 301), ([b], 50), ([b], 49)):
+        with pytest.raises(ValueError):
+            sim.retime(events, t_us)
+    assert [e[0] >> simcore.TIE_BITS for e in (a, b)] == [100, 300]
+    sim.retime([b], 51)  # just after the clock
+    sim.run()
+    assert fired == ["b", "a"] and sim.now_us == 100
+
+
 def test_unjoined_process_exception_surfaces():
     sim = Simulator()
 

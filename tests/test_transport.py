@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fabricsim import framing
+from fabricsim import framing, simcore
 from fabricsim.errors import (
     FrameError,
     PayloadTooLarge,
@@ -507,33 +507,49 @@ def test_lossy_appends_reproduce_pinned_history(tmp_path):
     sim, net, registry, seqs = _lossy_appends(tmp_path, 300, seed=11, trace=True)
     kinds = [kind for _, kind, _ in sim.trace]
     assert {"drop", "duplicate", "late-reply"} <= set(kinds)
-    assert kinds.count("late-reply") == 55
+    assert kinds.count("late-reply") == 64
     trace_hash = hashlib.sha256("\n".join(sim.trace_lines()).encode()).hexdigest()
-    assert trace_hash == "8052837f3de60a4ce7c52ffe49e69d258b683a6a7dbc49cc4f67ce574fa85e00"
+    assert trace_hash == "5886972ebf73b6cacf9a6814470c93a2c5ec6cb9a294f6172a820bc295a14190"
     without_ids = [
         json.dumps({"t_us": t, "kind": kind,
                     **{k: v for k, v in f.items() if k != "request_id"}}, sort_keys=True)
         for t, kind, f in sim.trace]
     assert hashlib.sha256("\n".join(without_ids).encode()).hexdigest() == \
-        "a4d12266a65fe306c11d53c3aeda59a477f15e888d8ac0b840fea0606068fe78"
+        "1802227ecbd0d796fd1ac5ef959cbf135a8108e5e6c6ec105a7bcf730ed411b1"
     seqs_hash = hashlib.sha256(json.dumps(seqs).encode()).hexdigest()
-    assert seqs_hash == "71040300a73ee5d35698b484128efe0b75afa973aaa3cc1ab8a8250b47977c8a"
+    assert seqs_hash == "cb5e543bc3c85bc6c56d4c8b19bbdc7d6b8c479d7d16e98f0c8dff173d5b6c7b"
     ids = b"".join(e.message_id for e in registry.get("data").scan(1, 300).entries)
     assert hashlib.sha256(ids).hexdigest() == \
-        "ca8351acbe48607ede22ad2a1aa7468a341ccdfb9394755393bd7ebc9f829113"
+        "7ca215b8c7caa558e58e4571d97dbc9f0d71a46cb388efbfdaa2d813b366af25"
 
 
-def test_lossy_appends_schedule_at_most_2288_events(tmp_path):
-    # spawns, hops and timeouts only: no resume or resend event of its own
+def test_lossy_appends_schedule_at_most_2260_events(tmp_path):
+    # spawns, hops and timeouts only: no resume or resend event of its own, and
+    # a timeout that a first RTT sample moves earlier keeps its event
     sim, *_ = _lossy_appends(tmp_path, 300, seed=11, trace=False)
-    assert next(sim._tie) <= 2_288
+    assert next(sim._tie) <= 2_260
 
 
-@pytest.mark.parametrize("pct, bound_ms", [(50, 81.80), (90, 159.33)], ids=["p50", "p90"])
+def test_lossy_appends_send_at_most_475_append_requests(tmp_path, monkeypatch):
+    # 485 while first attempts waited out the 100 ms placeholder after the
+    # first sample and the RTO floor was 20 ms
+    sent, encode = Counter(), framing.encode
+
+    def counting_encode(msg):
+        sent[type(msg)] += 1
+        return encode(msg)
+
+    monkeypatch.setattr(framing, "encode", counting_encode)
+    _lossy_appends(tmp_path, 300, seed=11, trace=False)
+    assert sent[AppendRequest] <= 475
+
+
+@pytest.mark.parametrize("pct, bound_ms", [(50, 49.69), (90, 106.48)], ids=["p50", "p90"])
 def test_lossy_appends_complete_within_their_measured_percentiles(tmp_path, pct, bound_ms):
-    # measured 81.799 and 159.325 ms; on a fixed 100 ms first timeout, 126.7 and
-    # 355.0 ms, and 737.9 ms at p90 while each timed-out size exchange waited
-    # for its own resend
+    # measured 49.681 and 106.479 ms; 81.80 and 159.33 ms while first attempts
+    # kept the 100 ms placeholder after the first sample; on a fixed 100 ms first
+    # timeout, 126.7 and 355.0 ms, and 737.9 ms at p90 while each timed-out size
+    # exchange waited for its own resend
     sim, net, registry, appends = _lossy_link(tmp_path, 300, seed=11)
     elapsed_ms = []
 
@@ -760,10 +776,10 @@ def test_append_parked_through_a_two_hour_partition_lands_after_heal(tmp_path):
 
 
 def _two_targets(tmp_path, partitions=()):
-    """A client with fixed-latency lossless links to `near` (5 ms one way,
+    """A client with fixed-latency lossless links to `near` (6.25 ms one way,
     partitioned over `partitions`) and `far` (25 ms), a log on each."""
     sim = Simulator(seed=1, trace=True)
-    net = Network(sim, [LinkSpec("n", "client", "near", 5.0, 0.0, partitions_us=partitions),
+    net = Network(sim, [LinkSpec("n", "client", "near", 6.25, 0.0, partitions_us=partitions),
                         LinkSpec("f", "client", "far", 25.0, 0.0)])
     client = TransportClient(sim, net, "client")
     wire_node(net, "client", client=client)
@@ -775,29 +791,32 @@ def _two_targets(tmp_path, partitions=()):
 
 
 def test_each_target_keeps_its_own_rfc_6298_rto_floored_at_rto_min(tmp_path):
-    # round trips of exactly 10 and 50 ms; after sample k, RTO = SRTT +
+    # round trips of exactly 12.5 and 50 ms; after sample k, RTO = SRTT +
     # 4 x RTTVAR with SRTT = R and 4 x RTTVAR = 2R x (3/4)^(k-1) (integer us),
     # and never below RTO_MIN_MS
     sim, client = _two_targets(tmp_path)
     rtos = {"near": [], "far": []}
 
     def sampler():
-        for _ in range(4):
+        for _ in range(5):
             for target in ("near", "far"):
                 assert (yield from client.fetch_element_size(target, "data")) == 16
                 rtos[target].append(client._rto_us[target])
 
     run_to_completion(sim, sampler())
-    assert rtos == {"near": [30_000, 25_000, 21_250, 20_000],  # 18_438 under the floor
-                    "far": [150_000, 125_000, 106_250, 92_188]}
-    assert RTO_MIN_MS == 20.0
+    # near decays 37.5, 31.25, 26.56 ms, then 23.05 and 20.41 ms are raised to the floor
+    assert rtos == {"near": [37_500, 31_250, 26_563, 25_000, 25_000],
+                    "far": [150_000, 125_000, 106_250, 92_188, 81_641]}
+    assert client._rtt["near"] == (100_000, 7_911)  # under the floor, RTTVAR decays on
+    assert RTO_MIN_MS == 25.0
 
 
 def test_an_attempt_times_out_after_its_targets_rto_and_a_resent_exchange_is_no_sample(
         tmp_path):
-    # three samples set near's RTO to 21.25 ms; its link is then down from 100
-    # to 130 ms, so the fourth exchange's attempts at 100 and 121.25 ms drop and
-    # the one at 163.75 ms is answered, which Karn's rule does not sample
+    # three samples set near's RTO to 26.563 ms; its link is then down from 100
+    # to 130 ms, so the fourth exchange's attempts at 100 and 126.563 ms drop and
+    # the one at 179.689 ms, after a doubled timeout, is answered, which Karn's
+    # rule does not sample
     sim, client = _two_targets(tmp_path, partitions=((100_000, 130_000),))
 
     def fetches():
@@ -807,9 +826,47 @@ def test_an_attempt_times_out_after_its_targets_rto_and_a_resent_exchange_is_no_
         return (yield from client.fetch_element_size("near", "data"))
 
     assert run_to_completion(sim, fetches()) == 16
-    assert [t for t, kind, _ in sim.trace if kind == "drop"] == [100_000, 121_250]
-    assert sim.now_us == 163_750 + 10_000
-    assert client._rto_us == {"near": 21_250}
+    assert [t for t, kind, _ in sim.trace if kind == "drop"] == [100_000, 126_563]
+    assert sim.now_us == 179_689 + 12_500
+    assert client._rto_us == {"near": 26_563}
+
+
+def test_a_first_sample_moves_the_placeholder_timeouts_of_its_target_in_place(tmp_path):
+    # two appends ask the size at 0 over a 10 ms path, and the first request is
+    # lost; the second exchange's reply at 20 ms is the first sample (RTO 60 ms),
+    # so the first exchange's timeout moves from 100 to 80 ms, keeping its heap
+    # entry and tie, and then takes that fresher reply without sending again
+    sim, net, registry, server, client = build(tmp_path, latency_ms=10.0)
+    registry.create("data", 16, 8)
+    taken, server_endpoint = [], net._endpoints["server"]
+
+    def losing_the_first(frame, src):
+        taken.append((sim.now_us, framing.decode(frame)))
+        if len(taken) > 1:
+            server_endpoint(frame, src)
+
+    net.register_endpoint("server", losing_the_first)
+    finished = {}
+
+    def append(payload):
+        seq = yield from client.remote_append("server", "data", payload)
+        finished[payload] = seq, sim.now_us
+
+    for payload in (b"lost", b"kept"):
+        sim.spawn(append(payload))
+    sim.run(until_us=19_999)
+    entry = client._pending[1].timeout
+    tie = entry[0] & ((1 << simcore.TIE_BITS) - 1)
+    assert entry[0] >> simcore.TIE_BITS == 100_000
+    sim.run(until_us=20_000)
+    assert client._rto_us == {"server": 60_000}
+    assert client._pending[1].timeout is entry and entry[0] == 80_000 << simcore.TIE_BITS | tie
+    sim.run()
+    assert finished == {b"kept": (1, 40_000), b"lost": (2, 100_000)}
+    assert [(t, type(m).__name__, m.request_id) for t, m in taken] == [
+        (10_000, "SizeRequest", 1), (10_000, "SizeRequest", 2),
+        (30_000, "AppendRequest", 3), (90_000, "AppendRequest", 4)]
+    assert next(sim._tie) == 13  # moved in place: no event drawn for the move
 
 
 def test_exactly_once_under_loss_duplication_reordering(tmp_path):
